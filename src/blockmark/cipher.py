@@ -1,15 +1,23 @@
 """Keyed, reversible block-permutation encryption.
 
-Two operations, both restricted to an explicit eligible set of block
-positions and both histogram-preserving: position scrambling (an unbiased
-keyed shuffle of the eligible blocks) and per-block rotation/flip (3 key
-bits per eligible block select one of the 8 square symmetries).
+Two operations, both restricted to the eligible block positions and both
+histogram-preserving: position scrambling (an unbiased keyed shuffle of the
+eligible blocks) and per-block rotation/flip (3 key bits per eligible block
+select one of the 8 square symmetries).
+
+Eligibility is a boolean mask over block indices (``mask[a]`` is True when
+block ``a`` may move), as produced by ``ordering.build_order_plan``; any
+iterable of block indices is accepted too. Blocks are visited in ascending
+index order, so the key stream assigns its draws to the same blocks however
+the eligible set is written.
 
 All randomness comes from a deterministic keyed stream: BLAKE2b in counter
 mode, ``blake2b(tag + counter_be64, key=key)``, 64 bytes per counter step.
 Identical (key, tag) always reproduces the identical stream; distinct tags
 give independent streams. Bits are consumed most-significant first, and
 bounded draws use rejection sampling so every permutation is equally likely.
+Rotation draws all its orientation bits in one ``bits`` call and applies
+each of the 8 symmetries to its blocks with one gather.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, KeyFormatError
-from .image_io import BlockGrid, block_stack, stack_to_plane
-from .ordering import apply_orientation, invert_orientation
+from .image_io import BlockGrid, block_view
+from .ordering import N_ORIENTATIONS, invert_orientation, orientation_permutations
 
 KEY_BYTES = 16
 
@@ -73,6 +81,31 @@ class KeyedBitStream:
         self._bitcount = shift
         return value
 
+    def bits(self, n: int) -> np.ndarray:
+        """Consume n bits as a uint8 array of 0s and 1s.
+
+        Equal to ``[take_bits(1) for _ in range(n)]``: buffered bits come
+        first, then whole digests unpacked most-significant first; the
+        unused tail of the last digest stays buffered for later draws.
+        """
+        if n < 0:
+            raise ValueError("bit count must be non-negative")
+        head = min(n, self._bitcount)
+        value = self.take_bits(head)
+        out = np.empty(n, dtype=np.uint8)
+        out[:head] = np.unpackbits(
+            np.frombuffer(value.to_bytes((head + 7) // 8, "big"), dtype=np.uint8)
+        )[(-head) % 8 :]
+        rest = n - head
+        if rest:
+            n_digests = -(-rest // (8 * self._BLOCK))
+            data = b"".join(self._next_block() for _ in range(n_digests))
+            out[head:] = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=rest)
+            self._bitcount = 8 * len(data) - rest
+            tail = int.from_bytes(data[-self._BLOCK :], "big")
+            self._bitbuf = tail & ((1 << self._bitcount) - 1)
+        return out
+
     def randbelow(self, n: int) -> int:
         """Uniform draw from [0, n) via rejection sampling (no modulo bias)."""
         if n <= 0:
@@ -86,10 +119,31 @@ class KeyedBitStream:
                 return v
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle driven by the stream."""
+        """In-place Fisher-Yates shuffle driven by the stream.
+
+        Draws exactly what ``j = randbelow(i + 1)`` for i = len-1 .. 1 would,
+        but reads them from a local big-int buffer instead of a method call
+        per draw.
+        """
+        buf, count = self._bitbuf, self._bitcount
+        block_bits = 8 * self._BLOCK
+        k, mask = 0, 0
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            if i.bit_length() != k:
+                k = i.bit_length()
+                mask = (1 << k) - 1
+            while True:
+                if count < k:
+                    buf = ((buf & ((1 << count) - 1)) << block_bits) | int.from_bytes(
+                        self._next_block(), "big"
+                    )
+                    count += block_bits
+                count -= k
+                j = (buf >> count) & mask
+                if j <= i:
+                    break
             seq[i], seq[j] = seq[j], seq[i]
+        self._bitbuf, self._bitcount = buf & ((1 << count) - 1), count
 
 
 @dataclass(frozen=True)
@@ -168,14 +222,35 @@ def load_key_file(path, per_plane: bool = True) -> KeySet:
     )
 
 
-def _eligible_array(eligible) -> np.ndarray:
-    return np.asarray(sorted(int(a) for a in eligible), dtype=np.intp)
+def _eligible_array(eligible, grid: BlockGrid) -> np.ndarray:
+    """Ascending indices of the eligible blocks, from a mask or an index set."""
+    if isinstance(eligible, np.ndarray) and eligible.dtype == bool:
+        if eligible.shape != (grid.n_blocks,):
+            raise GeometryError(
+                f"eligibility mask has shape {eligible.shape}, "
+                f"grid has {grid.n_blocks} blocks"
+            )
+        return np.flatnonzero(eligible)
+    return np.asarray(sorted({int(a) for a in eligible}), dtype=np.intp)
 
 
 def _permutation(n: int, key: bytes, tag: bytes) -> list[int]:
     order = list(range(n))
     KeyedBitStream(key, tag).shuffle(order)
     return order
+
+
+def _permute_blocks(plane, grid, eligible, key, tag, inverse: bool) -> np.ndarray:
+    e = _eligible_array(eligible, grid)
+    out = plane.copy()
+    if e.size > 1:
+        dst = e
+        src = e[_permutation(e.size, key, tag)]
+        if inverse:
+            dst, src = src, dst
+        view = block_view(out, grid)
+        view[np.divmod(dst, grid.cols)] = view[np.divmod(src, grid.cols)]
+    return out
 
 
 def scramble_blocks(
@@ -186,14 +261,7 @@ def scramble_blocks(
     tag: bytes = TAG_SCRAMBLE,
 ) -> np.ndarray:
     """Permute the eligible blocks among their own positions."""
-    e = _eligible_array(eligible)
-    blocks = block_stack(plane, grid)
-    if e.size > 1:
-        perm = _permutation(e.size, key, tag)
-        out = blocks.copy()
-        out[e] = blocks[e[perm]]
-        blocks = out
-    return stack_to_plane(blocks, grid)
+    return _permute_blocks(plane, grid, eligible, key, tag, inverse=False)
 
 
 def unscramble_blocks(
@@ -203,28 +271,37 @@ def unscramble_blocks(
     key: bytes,
     tag: bytes = TAG_SCRAMBLE,
 ) -> np.ndarray:
-    e = _eligible_array(eligible)
-    blocks = block_stack(plane, grid)
-    if e.size > 1:
-        perm = _permutation(e.size, key, tag)
-        out = blocks.copy()
-        out[e[perm]] = blocks[e]
-        blocks = out
-    return stack_to_plane(blocks, grid)
+    return _permute_blocks(plane, grid, eligible, key, tag, inverse=True)
+
+
+# Orientation id -> id of its inverse.
+_INVERSE_ORIENTATION = np.array(
+    [invert_orientation(o) for o in range(N_ORIENTATIONS)], dtype=np.uint8
+)
 
 
 def _transform_blocks(plane, grid, eligible, key, tag, inverse: bool) -> np.ndarray:
     if grid.block_w != grid.block_h:
         raise GeometryError("rotation/flip requires square blocks")
-    e = _eligible_array(eligible)
-    blocks = block_stack(plane, grid).copy()
-    stream = KeyedBitStream(key, tag)
-    for a in e:
-        o = stream.take_bits(3)
+    e = _eligible_array(eligible, grid)
+    out = plane.copy()
+    if e.size:
+        # 3 bits per eligible block in ascending block order, MSB first.
+        b = KeyedBitStream(key, tag).bits(3 * e.size).reshape(e.size, 3)
+        ids = (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
         if inverse:
-            o = invert_orientation(o)
-        blocks[a] = apply_orientation(blocks[a], o)
-    return stack_to_plane(blocks, grid)
+            ids = _INVERSE_ORIENTATION[ids]
+        perms = orientation_permutations(grid.block_h, grid.block_w)
+        rows, cols = np.divmod(e, grid.cols)
+        view = block_view(out, grid)
+        b_h, b_w = grid.block_h, grid.block_w
+        for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
+            sel = ids == o
+            if sel.any():
+                at = (rows[sel], cols[sel])
+                cells = view[at].reshape(-1, b_h * b_w)
+                view[at] = cells[:, perms[o]].reshape(-1, b_h, b_w)
+    return out
 
 
 def rotate_flip_blocks(

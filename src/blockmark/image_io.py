@@ -226,16 +226,18 @@ def concat_blocks(
     return out
 
 
-def block_stack(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """All blocks as an (n_blocks, block_h, block_w) array in raster order."""
+def block_view(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """(rows, cols, block_h, block_w) view of a C-contiguous plane; writes
+    to it reach the plane."""
     h, w = grid.plane_shape
     if plane.shape != (h, w):
         raise GeometryError(f"plane shape {plane.shape} does not match grid {h}x{w}")
-    return (
-        plane.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
-        .swapaxes(1, 2)
-        .reshape(grid.n_blocks, grid.block_h, grid.block_w)
-    )
+    return plane.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w).swapaxes(1, 2)
+
+
+def block_stack(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """All blocks as an (n_blocks, block_h, block_w) array in raster order."""
+    return block_view(plane, grid).reshape(grid.n_blocks, grid.block_h, grid.block_w)
 
 
 def stack_to_plane(blocks: np.ndarray, grid: BlockGrid) -> np.ndarray:

@@ -173,14 +173,20 @@ class BlockOrder:
 
 @dataclass(frozen=True)
 class OrderPlan:
-    """Complete embedding order and encryption eligibility for one plane."""
+    """Complete embedding order and encryption eligibility for one plane.
+
+    `tie_flagged`, `rot_eligible` and `scr_eligible` are boolean masks over
+    block indices, of length `grid.n_blocks`: entry `a` is True when block
+    `a` has a colliding sort key, may be rotated/flipped, or may be
+    scrambled. Blocks outside the plan's scope read False in all three.
+    """
 
     grid: BlockGrid
     blocks: dict[int, BlockOrder]  # marked blocks only
     among: list[int]
-    tie_flagged: frozenset[int]
-    rot_eligible: frozenset[int]
-    scr_eligible: frozenset[int]
+    tie_flagged: np.ndarray  # bool per block index
+    rot_eligible: np.ndarray  # bool per block index
+    scr_eligible: np.ndarray  # bool per block index
     slots: np.ndarray  # plane-flat pixel indices, global embedding order
 
 
@@ -245,12 +251,14 @@ def build_order_plan(
 
     among, flagged = among_block_order([(a, b.key) for a, b in blocks.items()])
 
-    rot_eligible = frozenset(int(a) for a in unmarked_idx) | {
-        a for a, b in blocks.items() if not b.within.ambiguous
-    }
-    scr_eligible = frozenset(int(a) for a in unmarked_idx) | (
-        set(blocks) - flagged
-    )
+    tie_flagged = np.zeros(grid.n_blocks, dtype=bool)
+    tie_flagged[list(flagged)] = True
+    rot_eligible = np.zeros(grid.n_blocks, dtype=bool)
+    rot_eligible[unmarked_idx] = True
+    rot_eligible[[a for a, b in blocks.items() if not b.within.ambiguous]] = True
+    scr_eligible = np.zeros(grid.n_blocks, dtype=bool)
+    scr_eligible[scope] = True
+    scr_eligible &= ~tie_flagged
 
     width = grid.plane_shape[1]
     slot_chunks = []
@@ -268,8 +276,8 @@ def build_order_plan(
         grid=grid,
         blocks=blocks,
         among=among,
-        tie_flagged=frozenset(flagged),
+        tie_flagged=tie_flagged,
         rot_eligible=rot_eligible,
-        scr_eligible=frozenset(scr_eligible),
+        scr_eligible=scr_eligible,
         slots=slots.astype(np.intp),
     )

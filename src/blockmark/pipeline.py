@@ -41,7 +41,6 @@ from .histshift import (
     embed_bits,
     extract_bits,
     find_pp_zp,
-    histogram,
     shift_histogram,
     unshift_histogram,
 )
@@ -177,10 +176,7 @@ class RegionMap:
     @classmethod
     def derive(cls, k_region: bytes, grid: BlockGrid) -> "RegionMap":
         stream = KeyedBitStream(k_region, TAG_REGION)
-        labels = np.array(
-            [bool(stream.take_bits(1)) for _ in range(grid.n_blocks)], dtype=bool
-        )
-        return cls(labels=labels)
+        return cls(labels=stream.bits(grid.n_blocks).astype(bool))
 
     def blocks(self, region: str) -> np.ndarray:
         if region == "A":
@@ -209,11 +205,8 @@ def _subkeys(keys: KeySet, plane: int) -> tuple[bytes, bytes]:
     return plane_key(keys.k_scramble, idx), plane_key(keys.k_orient, idx)
 
 
-def _intersect(sets: list[frozenset[int]]) -> frozenset[int]:
-    out = sets[0]
-    for s in sets[1:]:
-        out &= s
-    return out
+def _intersect(masks: list[np.ndarray]) -> np.ndarray:
+    return np.logical_and.reduce(masks)
 
 
 def _region_tags(suffix: bytes) -> tuple[bytes, bytes]:
@@ -230,16 +223,16 @@ def _encrypt_planes(
     """Rotate/flip then scramble each plane's eligible blocks."""
     scr_tag, rot_tag = _region_tags(suffix)
     if keys.per_plane:
-        rot_sets = [p.rot_eligible for p in plans]
-        scr_sets = [p.scr_eligible for p in plans]
+        rot_masks = [p.rot_eligible for p in plans]
+        scr_masks = [p.scr_eligible for p in plans]
     else:
-        rot_sets = [_intersect([p.rot_eligible for p in plans])] * len(planes)
-        scr_sets = [_intersect([p.scr_eligible for p in plans])] * len(planes)
+        rot_masks = [_intersect([p.rot_eligible for p in plans])] * len(planes)
+        scr_masks = [_intersect([p.scr_eligible for p in plans])] * len(planes)
     out = []
     for i, plane in enumerate(planes):
         k1, k2 = _subkeys(keys, i)
-        enc = rotate_flip_blocks(plane, grid, rot_sets[i], k2, tag=rot_tag)
-        enc = scramble_blocks(enc, grid, scr_sets[i], k1, tag=scr_tag)
+        enc = rotate_flip_blocks(plane, grid, rot_masks[i], k2, tag=rot_tag)
+        enc = scramble_blocks(enc, grid, scr_masks[i], k1, tag=scr_tag)
         out.append(enc)
     return out
 
@@ -250,7 +243,7 @@ def _plane_is_unshifted(plane: np.ndarray, pair: HistPair) -> bool:
     # shifted plane has a non-empty zp bin, while an un-shifted plane has an
     # empty one by construction. For the degenerate adjacent pair both
     # interpretations coincide.
-    return histogram(plane)[pair.zp] == 0
+    return not (plane == pair.zp).any()
 
 
 def _plan_for_state(
@@ -517,12 +510,12 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
             _plan_for_state(work[i], side.pairs[i], grid, subset) for i in range(n)
         ]
         if keys.per_plane:
-            scr_sets = [p.scr_eligible for p in plans]
+            scr_masks = [p.scr_eligible for p in plans]
         else:
-            scr_sets = [_intersect([p.scr_eligible for p in plans])] * n
+            scr_masks = [_intersect([p.scr_eligible for p in plans])] * n
         for i in range(n):
             k1, _ = _subkeys(keys, i)
-            work[i] = unscramble_blocks(work[i], grid, scr_sets[i], k1, tag=scr_tag)
+            work[i] = unscramble_blocks(work[i], grid, scr_masks[i], k1, tag=scr_tag)
 
     for subset, suffix in scopes:
         _, rot_tag = _region_tags(suffix)
@@ -530,11 +523,11 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
             _plan_for_state(work[i], side.pairs[i], grid, subset) for i in range(n)
         ]
         if keys.per_plane:
-            rot_sets = [p.rot_eligible for p in plans]
+            rot_masks = [p.rot_eligible for p in plans]
         else:
-            rot_sets = [_intersect([p.rot_eligible for p in plans])] * n
+            rot_masks = [_intersect([p.rot_eligible for p in plans])] * n
         for i in range(n):
             _, k2 = _subkeys(keys, i)
-            work[i] = unrotate_blocks(work[i], grid, rot_sets[i], k2, tag=rot_tag)
+            work[i] = unrotate_blocks(work[i], grid, rot_masks[i], k2, tag=rot_tag)
 
     return Image(tuple(work))

@@ -14,6 +14,7 @@ from blockmark import (
     apply_orientation,
     generate_keys,
     histogram,
+    invert_orientation,
     load_key_file,
     plane_key,
     rotate_flip_blocks,
@@ -23,6 +24,7 @@ from blockmark import (
     unrotate_blocks,
     unscramble_blocks,
 )
+from blockmark.cipher import TAG_ORIENT
 
 KEY = bytes(range(16))
 
@@ -97,6 +99,63 @@ class TestKeyedStream:
             KeyedBitStream(b"", b"t")
         with pytest.raises(KeyFormatError):
             KeyedBitStream(bytes(65), b"t")
+
+
+def _reference_shuffle(stream, seq):
+    for i in range(len(seq) - 1, 0, -1):
+        j = stream.randbelow(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+class TestBulkDraws:
+    """`bits` and `shuffle` draw exactly what single-bit and `randbelow`
+    draws would, and leave the stream in the same state."""
+
+    @pytest.mark.parametrize(
+        "prefix, n",
+        [
+            (0, 0), (0, 1), (0, 100), (0, 512), (0, 513), (0, 1500),
+            (5, 0), (5, 3), (5, 507), (5, 508), (5, 1100), (511, 2),
+        ],
+    )
+    def test_bits_equal_single_bit_draws(self, prefix, n):
+        fast = KeyedBitStream(KEY, b"bits")
+        slow = KeyedBitStream(KEY, b"bits")
+        fast.take_bits(prefix)
+        slow.take_bits(prefix)
+        got = fast.bits(n)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [slow.take_bits(1) for _ in range(n)]
+        assert fast.take_bits(64) == slow.take_bits(64)
+
+    def test_successive_bits_calls_straddle_digests(self):
+        fast = KeyedBitStream(KEY, b"bits")
+        slow = KeyedBitStream(KEY, b"bits")
+        for n in (300, 300, 700, 1, 511):
+            assert fast.bits(n).tolist() == [slow.take_bits(1) for _ in range(n)]
+
+    def test_bits_negative_rejected(self):
+        with pytest.raises(ValueError):
+            KeyedBitStream(KEY, b"bits").bits(-1)
+
+    def test_bits_reproduce_pinned_vectors(self):
+        s = KeyedBitStream(bytes.fromhex("000102030405060708090a0b0c0d0e0f"), b"scramble")
+        assert np.packbits(s.bits(128)).tobytes().hex() == "853a3e0ac10b647ce4c4f6ce4867a505"
+        s = KeyedBitStream(bytes(16), b"orient")
+        assert np.packbits(s.bits(128)).tobytes().hex() == "5d02fe54cc27a130f9e5626c335975a5"
+
+    @pytest.mark.parametrize("prefix", [0, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1000])
+    def test_shuffle_equals_randbelow_reference(self, n, prefix):
+        fast = KeyedBitStream(KEY, b"fy")
+        slow = KeyedBitStream(KEY, b"fy")
+        fast.take_bits(prefix)
+        slow.take_bits(prefix)
+        got, want = list(range(n)), list(range(n))
+        fast.shuffle(got)
+        _reference_shuffle(slow, want)
+        assert got == want
+        assert fast.take_bits(64) == slow.take_bits(64)
 
 
 class TestKeySet:
@@ -232,6 +291,51 @@ class TestRotateFlip:
         out = rotate_flip_blocks(plane, grid, range(256), KEY)
         blocks = {out[gs].tobytes() for gs in map(grid.block_slice, range(256))}
         assert len(blocks) == 8
+
+
+def _reference_transform(plane, grid, eligible, key, inverse):
+    """Per-block loop: 3 stream bits per eligible block, ascending index."""
+    out = plane.copy()
+    stream = KeyedBitStream(key, TAG_ORIENT)
+    for a in sorted(eligible):
+        o = stream.take_bits(3)
+        if inverse:
+            o = invert_orientation(o)
+        rs, cs = grid.block_slice(a)
+        out[rs, cs] = apply_orientation(plane[rs, cs], o)
+    return out
+
+
+class TestRotateFlipOracle:
+    @pytest.mark.parametrize("block", [2, 4, 8, 16])
+    @pytest.mark.parametrize("which", ["empty", "all", "random"])
+    def test_matches_per_block_reference(self, rng, block, which):
+        plane = random_plane(rng, 32, 48)
+        grid = split_blocks(plane, block, block)
+        mask = {
+            "empty": np.zeros(grid.n_blocks, dtype=bool),
+            "all": np.ones(grid.n_blocks, dtype=bool),
+            "random": rng.random(grid.n_blocks) < 0.5,
+        }[which]
+        eligible = np.flatnonzero(mask).tolist()
+        for fn, inverse in ((rotate_flip_blocks, False), (unrotate_blocks, True)):
+            want = _reference_transform(plane, grid, eligible, KEY, inverse)
+            assert np.array_equal(fn(plane, grid, mask, KEY), want)
+            assert np.array_equal(fn(plane, grid, eligible, KEY), want)
+
+    def test_input_plane_untouched(self, rng):
+        plane = random_plane(rng, 16, 16)
+        before = plane.copy()
+        grid = split_blocks(plane, 4, 4)
+        rotate_flip_blocks(plane, grid, np.ones(16, dtype=bool), KEY)
+        scramble_blocks(plane, grid, np.ones(16, dtype=bool), KEY)
+        assert np.array_equal(plane, before)
+
+    def test_mask_length_must_match_grid(self, rng):
+        plane = random_plane(rng, 16, 16)
+        grid = split_blocks(plane, 4, 4)
+        with pytest.raises(GeometryError):
+            rotate_flip_blocks(plane, grid, np.ones(15, dtype=bool), KEY)
 
 
 class TestComposition:

@@ -198,8 +198,8 @@ class TestOrderPlan:
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.among == []
         assert plan.slots.size == 0
-        assert plan.rot_eligible == frozenset(range(4))
-        assert plan.scr_eligible == frozenset(range(4))
+        assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
 
     def test_marks_in_one_block(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
@@ -208,8 +208,8 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.among == [0]
-        assert plan.rot_eligible == frozenset(range(4))
-        assert plan.scr_eligible == frozenset(range(4))
+        assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
         assert plan.slots.tolist() == [1, 2 * 32 + 3]
 
     def test_identical_blocks_not_scramble_eligible(self):
@@ -219,17 +219,17 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.among == [0, 1]
-        assert plan.tie_flagged == frozenset({0, 1})
-        assert plan.scr_eligible == frozenset()
-        assert plan.rot_eligible == frozenset({0, 1})
+        assert np.flatnonzero(plan.tie_flagged).tolist() == [0, 1]
+        assert np.flatnonzero(plan.scr_eligible).tolist() == []
+        assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1]
 
     def test_ambiguous_block_not_rotation_eligible(self):
         plane = np.full((16, 16), 50, dtype=np.uint8)
         plane[[0, 0, 15, 15], [0, 15, 0, 15]] = 7
         grid = split_blocks(plane, 16, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
-        assert plan.rot_eligible == frozenset()
-        assert plan.scr_eligible == frozenset({0})
+        assert np.flatnonzero(plan.rot_eligible).tolist() == []
+        assert np.flatnonzero(plan.scr_eligible).tolist() == [0]
 
     def test_subset_restricts_everything(self):
         plane = np.full((16, 32), 50, dtype=np.uint8)
@@ -238,7 +238,7 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid, np.array([1]))
         assert plan.among == [1]
-        assert 0 not in plan.rot_eligible
+        assert not plan.rot_eligible[0]
         assert plan.slots.tolist() == [20]
 
     def test_slot_order_among_blocks(self):
@@ -251,6 +251,28 @@ class TestOrderPlan:
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.among == [1, 0]
         assert plan.slots.tolist() == [9, 16 + 9, 1]
+
+
+    @pytest.mark.parametrize("field", ["rot_eligible", "scr_eligible"])
+    def test_shared_key_intersection_matches_sets(self, field):
+        # Shared keys (per_plane=False) move only blocks every plane allows:
+        # the mask intersection must hold exactly the common block indices.
+        from blockmark.pipeline import _intersect
+
+        rng = np.random.default_rng(3)
+        masks = []
+        for _ in range(3):
+            plane = valid_pair_plane(rng, 32, 32)
+            pair = find_pp_zp(plane)
+            inter = shift_histogram(plane, pair)
+            plan = build_order_plan(inter, pair, split_blocks(inter, 4, 4))
+            masks.append(getattr(plan, field))
+        sets = [set(np.flatnonzero(m).tolist()) for m in masks]
+        common = set.intersection(*sets)
+        assert any(s != common for s in sets)  # the planes disagree somewhere
+        shared = _intersect(masks)
+        assert shared.dtype == bool and shared.shape == (64,)
+        assert set(np.flatnonzero(shared).tolist()) == common
 
 
 class TestPlanStability:
@@ -277,8 +299,8 @@ class TestPlanStability:
 
         assert plan1.among == plan2.among
         assert self._content_keys(plan1) == self._content_keys(plan2)
-        assert plan1.rot_eligible == plan2.rot_eligible
-        assert plan1.scr_eligible == plan2.scr_eligible
+        assert np.array_equal(plan1.rot_eligible, plan2.rot_eligible)
+        assert np.array_equal(plan1.scr_eligible, plan2.scr_eligible)
         assert np.array_equal(plan1.slots, plan2.slots)
 
         key1, key2 = bytes(range(16)), bytes(range(16, 32))
@@ -291,7 +313,7 @@ class TestPlanStability:
         # Scramble closure: the permutation maps the scramble-eligible
         # position set onto itself. (The rotation set travels with block
         # content instead, so it is only recomputable after unscrambling.)
-        assert plan3.scr_eligible == plan2.scr_eligible
+        assert np.array_equal(plan3.scr_eligible, plan2.scr_eligible)
         # The embedded values are read back in the same order.
         assert np.array_equal(
             enc.ravel()[plan3.slots], marked.ravel()[plan2.slots]
@@ -301,4 +323,4 @@ class TestPlanStability:
 
         unscrambled = unscramble_blocks(enc, grid, plan3.scr_eligible, key1)
         plan4 = build_order_plan(unscrambled, pair, grid)
-        assert plan4.rot_eligible == plan2.rot_eligible
+        assert np.array_equal(plan4.rot_eligible, plan2.rot_eligible)
