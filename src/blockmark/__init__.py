@@ -54,26 +54,19 @@ from .image_io import (
     BlockGrid,
     Image,
     block_stack,
-    concat_blocks,
     decode_image,
     encode_image,
-    get_block,
     load_image,
     save_image,
     split_blocks,
     stack_to_plane,
 )
 from .ordering import (
-    BlockKey,
     OrderPlan,
-    WithinOrder,
-    among_block_order,
     apply_orientation,
     build_order_plan,
-    canonical_orientation,
+    canonicalize,
     invert_orientation,
-    pp_signature,
-    visiting_order,
 )
 from .pipeline import (
     Mode,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -186,44 +185,6 @@ def split_blocks(plane: np.ndarray, block_w: int, block_h: int) -> BlockGrid:
             f"plane {w}x{h} is not divisible into {block_w}x{block_h} blocks"
         )
     return BlockGrid(block_w=block_w, block_h=block_h, cols=w // block_w, rows=h // block_h)
-
-
-def get_block(plane: np.ndarray, grid: BlockGrid, index: int) -> np.ndarray:
-    rs, cs = grid.block_slice(index)
-    return plane[rs, cs].copy()
-
-
-def concat_blocks(
-    grid: BlockGrid,
-    blocks: Mapping[int, np.ndarray] | Iterable[tuple[int, np.ndarray]],
-) -> np.ndarray:
-    """Reassemble a plane from (index, block) pairs; every slot exactly once."""
-    if isinstance(blocks, Mapping):
-        items = blocks.items()
-    else:
-        items = blocks
-    out = np.empty(grid.plane_shape, dtype=np.uint8)
-    seen = np.zeros(grid.n_blocks, dtype=bool)
-    count = 0
-    for index, block in items:
-        if not 0 <= index < grid.n_blocks:
-            raise ValueError(f"block index {index} out of range")
-        if seen[index]:
-            raise ValueError(f"duplicate block slot {index}")
-        block = np.asarray(block, dtype=np.uint8)
-        if block.shape != (grid.block_h, grid.block_w):
-            raise ValueError(
-                f"block {index} has shape {block.shape}, "
-                f"expected {(grid.block_h, grid.block_w)}"
-            )
-        rs, cs = grid.block_slice(index)
-        out[rs, cs] = block
-        seen[index] = True
-        count += 1
-    if count != grid.n_blocks:
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ValueError(f"missing block slot {missing}")
-    return out
 
 
 def block_view(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:

@@ -7,16 +7,20 @@ that possible:
 
 * Within a block, the slot mask is scanned under the dihedral orientation
   (one of 8: four rotations, each optionally mirrored) whose raster-index
-  signature is lexicographically smallest. The minimal signature is a block
-  invariant; when a single orientation attains it, the visiting order is
+  signature is lexicographically smallest. Packed most-significant-bit
+  first, that orientation's mask is the largest, so `canonicalize` keeps
+  the largest packed mask as the block's canonical key: an orientation
+  invariant. When a single orientation attains it, the visiting order is
   invariant too. Blocks where several orientations tie are "ambiguous":
   they are scanned as-is and must never be rotated or flipped.
 
 * Among blocks, marked blocks are sorted by (slot count descending,
-  shifted-band count ascending, canonical signature ascending). Blocks whose
-  key collides with another block fall back to block-index order and must
-  never be relocated; everything else may move freely because its key, not
-  its position, fixes its place in the sequence.
+  shifted-band count ascending, canonical signature ascending). For equal
+  slot counts a smaller signature is exactly a larger canonical key, so one
+  `np.lexsort` orders them. Blocks whose key collides with another block's
+  (equal adjacent rows after the sort) fall back to block-index order and
+  must never be relocated; everything else may move freely because its
+  key, not its position, fixes its place in the sequence.
 
 Blocks without slots carry no ordering constraints and are always eligible
 for both encryption steps.
@@ -24,6 +28,7 @@ for both encryption steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,122 +73,63 @@ def orientation_permutations(block_h: int, block_w: int) -> np.ndarray:
     )
 
 
-def pp_signature(mask: np.ndarray, orientation: int) -> np.ndarray:
-    """Ascending scan indices of true cells under the given orientation."""
-    perms = orientation_permutations(*mask.shape)
-    return np.flatnonzero(mask.ravel()[perms[orientation]])
+def canonicalize(
+    mask_blocks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical orientation of every block in an (n, cells) bool stack.
 
+    Returns `(orientation, ambiguous, key)`. `key[i]` is block i's mask under
+    its canonical orientation, packed into big-endian 64-bit words (word j
+    holds cells 64j..64j+63, the earliest cell in the most significant bit,
+    zero-padded). The canonical orientation is the one whose packed mask is
+    largest; `ambiguous[i]` is True when several orientations attain it, and
+    `orientation[i]` is then 0.
 
-@dataclass(frozen=True)
-class WithinOrder:
-    """Canonical within-block scan choice.
-
-    `signature` is always the minimal signature over all 8 orientations (an
-    orientation invariant). `orientation` is the unique minimizer, or the
-    identity when `ambiguous`.
+    Raises GeometryError when `cells` is not a square and ValueError when a
+    block has no marked cells: callers must skip slotless blocks.
     """
+    mask_blocks = np.asarray(mask_blocks, dtype=bool)
+    n, cells = mask_blocks.shape
+    side = math.isqrt(cells)
+    if side * side != cells:
+        raise GeometryError("mask blocks are not square")
+    perms = orientation_permutations(side, side)
+    n_words = -(-cells // 64)
+    packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
+    for o in range(N_ORIENTATIONS):
+        row = np.packbits(mask_blocks[:, perms[o]], axis=1)
+        packed[:, o, : row.shape[1]] = row
+    words = packed.view(">u8")  # (n, 8, n_words)
 
-    orientation: int
-    ambiguous: bool
-    signature: tuple[int, ...]
-
-
-def _packed_orientation_keys(flat_mask: np.ndarray) -> list[int]:
-    # Bit-packs the mask under each orientation. A 1 at an earlier scan
-    # position makes the big-endian integer larger and the signature
-    # lexicographically smaller, so max(keys) selects the canonical form.
-    perms = orientation_permutations(*_square_side(flat_mask.size))
-    packed = np.packbits(flat_mask[perms], axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
-
-
-def _square_side(n: int) -> tuple[int, int]:
-    side = int(round(n**0.5))
-    if side * side != n:
-        raise GeometryError("mask is not square")
-    return side, side
-
-
-def canonical_orientation(mask: np.ndarray) -> WithinOrder:
-    """Pick the orientation with the lexicographically smallest signature.
-
-    Raises ValueError on an empty mask: callers must skip slotless blocks.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape[0] != mask.shape[1]:
-        raise GeometryError("canonical orientation requires a square block")
-    flat = mask.ravel()
-    if not flat.any():
-        raise ValueError("mask has no marked cells")
-    keys = _packed_orientation_keys(flat)
-    best = max(keys)
-    winners = [o for o, k in enumerate(keys) if k == best]
-    ambiguous = len(winners) > 1
-    signature = tuple(int(i) for i in pp_signature(mask, winners[0]))
-    return WithinOrder(
-        orientation=0 if ambiguous else winners[0],
-        ambiguous=ambiguous,
-        signature=signature,
-    )
-
-
-def visiting_order(mask: np.ndarray, within: WithinOrder) -> np.ndarray:
-    """Block-local flat indices of marked cells, in visiting order."""
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if within.ambiguous:
-        return np.flatnonzero(flat)
-    perm = orientation_permutations(*_square_side(flat.size))[within.orientation]
-    return perm[np.array(within.signature, dtype=np.intp)]
-
-
-@dataclass(frozen=True)
-class BlockKey:
-    """Orientation- and position-invariant among-block sort key."""
-
-    n_marked: int
-    n_shifted: int
-    signature: tuple[int, ...]
-
-    def sort_key(self, index: int) -> tuple:
-        return (-self.n_marked, self.n_shifted, self.signature, index)
-
-
-def among_block_order(
-    entries: list[tuple[int, BlockKey]]
-) -> tuple[list[int], set[int]]:
-    """Sort marked blocks; return (ordered indices, index-tie-broken set)."""
-    ordered = sorted(entries, key=lambda e: e[1].sort_key(e[0]))
-    flagged: set[int] = set()
-    groups: dict[BlockKey, list[int]] = {}
-    for index, key in entries:
-        groups.setdefault(key, []).append(index)
-    for members in groups.values():
-        if len(members) > 1:
-            flagged.update(members)
-    return [index for index, _ in ordered], flagged
-
-
-@dataclass(frozen=True)
-class BlockOrder:
-    index: int
-    within: WithinOrder
-    key: BlockKey
-    visit: np.ndarray  # block-local flat indices, visiting order
+    # Lexicographic maximum over orientations, one word at a time: `cand`
+    # keeps the orientations that still match the best prefix.
+    cand = np.ones((n, N_ORIENTATIONS), dtype=bool)
+    key = np.empty((n, n_words), dtype=np.uint64)
+    for j in range(n_words):
+        w = words[:, :, j]
+        best = np.where(cand, w, 0).max(axis=1, initial=0)
+        cand &= w == best[:, None]
+        key[:, j] = best
+    if not key.any(axis=1).all():
+        raise ValueError("mask block has no marked cells")
+    ambiguous = cand.sum(axis=1) > 1
+    orientation = np.where(ambiguous, 0, cand.argmax(axis=1))
+    return orientation, ambiguous, key
 
 
 @dataclass(frozen=True)
 class OrderPlan:
     """Complete embedding order and encryption eligibility for one plane.
 
-    `tie_flagged`, `rot_eligible` and `scr_eligible` are boolean masks over
-    block indices, of length `grid.n_blocks`: entry `a` is True when block
-    `a` has a colliding sort key, may be rotated/flipped, or may be
-    scrambled. Blocks outside the plan's scope read False in all three.
+    `blocks` holds the marked (slot-carrying) block indices of the scope in
+    embedding order. `tie_flagged`, `rot_eligible` and `scr_eligible` are
+    boolean masks over block indices, of length `grid.n_blocks`: entry `a` is
+    True when block `a` has a colliding sort key, may be rotated/flipped, or
+    may be scrambled. Blocks outside the plan's scope read False in all three.
     """
 
     grid: BlockGrid
-    blocks: dict[int, BlockOrder]  # marked blocks only
-    among: list[int]
+    blocks: np.ndarray  # intp marked block indices, embedding order
     tie_flagged: np.ndarray  # bool per block index
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
@@ -205,79 +151,54 @@ def build_order_plan(
     if grid.block_w != grid.block_h:
         raise GeometryError("order plans require square blocks")
     if block_indices is None:
-        scope = np.arange(grid.n_blocks)
+        in_scope = np.ones(grid.n_blocks, dtype=bool)
     else:
-        scope = np.asarray(block_indices, dtype=np.intp)
+        in_scope = np.zeros(grid.n_blocks, dtype=bool)
+        in_scope[np.asarray(block_indices, dtype=np.intp)] = True
 
-    mask = marked_mask(plane, pair)
     cells = grid.block_h * grid.block_w
-    mask_blocks = block_stack(mask, grid).reshape(grid.n_blocks, cells)
+    mask_blocks = block_stack(marked_mask(plane, pair), grid).reshape(-1, cells)
     counts = mask_blocks.sum(axis=1)
-
     lo, hi = pair.band
     if lo <= hi:
         band = (plane >= lo) & (plane <= hi)
-        band_counts = block_stack(band, grid).reshape(grid.n_blocks, cells).sum(axis=1)
+        band_counts = block_stack(band, grid).reshape(-1, cells).sum(axis=1)
     else:
         band_counts = np.zeros(grid.n_blocks, dtype=np.intp)
 
-    marked_idx = scope[counts[scope] > 0]
-    unmarked_idx = scope[counts[scope] == 0]
+    marked = np.flatnonzero(in_scope & (counts > 0))
+    orientation, ambiguous, key = canonicalize(mask_blocks[marked])
+    shifted = band_counts[marked]
+    # Sort by (slot count desc, shifted count asc, signature asc, index).
+    # With equal slot counts the smaller signature is the larger packed key.
+    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked]))
+    blocks, orientation = marked[order], orientation[order]
+    key, shifted = key[order], shifted[order]
 
-    perms = orientation_permutations(grid.block_h, grid.block_w)
-    blocks: dict[int, BlockOrder] = {}
-    if marked_idx.size:
-        # One packbits pass covers every marked block under all orientations.
-        packed = np.packbits(mask_blocks[marked_idx][:, perms], axis=2)
-        for row, a in enumerate(marked_idx):
-            keys = [int.from_bytes(packed[row, o].tobytes(), "big") for o in range(N_ORIENTATIONS)]
-            best = max(keys)
-            winners = [o for o, k in enumerate(keys) if k == best]
-            ambiguous = len(winners) > 1
-            flat = mask_blocks[a]
-            sig = np.flatnonzero(flat[perms[winners[0]]])
-            within = WithinOrder(
-                orientation=0 if ambiguous else winners[0],
-                ambiguous=ambiguous,
-                signature=tuple(int(i) for i in sig),
-            )
-            visit = np.flatnonzero(flat) if ambiguous else perms[winners[0]][sig]
-            key = BlockKey(
-                n_marked=int(counts[a]),
-                n_shifted=int(band_counts[a]),
-                signature=within.signature,
-            )
-            blocks[int(a)] = BlockOrder(index=int(a), within=within, key=key, visit=visit)
-
-    among, flagged = among_block_order([(a, b.key) for a, b in blocks.items()])
-
+    # Equal sort keys sit in adjacent rows. Equal canonical masks imply
+    # equal slot counts, so the key words and shifted counts suffice.
+    same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
     tie_flagged = np.zeros(grid.n_blocks, dtype=bool)
-    tie_flagged[list(flagged)] = True
-    rot_eligible = np.zeros(grid.n_blocks, dtype=bool)
-    rot_eligible[unmarked_idx] = True
-    rot_eligible[[a for a, b in blocks.items() if not b.within.ambiguous]] = True
-    scr_eligible = np.zeros(grid.n_blocks, dtype=bool)
-    scr_eligible[scope] = True
-    scr_eligible &= ~tie_flagged
+    tie_flagged[blocks[1:][same]] = True
+    tie_flagged[blocks[:-1][same]] = True
+    rot_eligible = in_scope.copy()
+    rot_eligible[marked[ambiguous]] = False
+    scr_eligible = in_scope & ~tie_flagged
 
-    width = grid.plane_shape[1]
-    slot_chunks = []
-    for a in among:
-        r0, c0 = grid.origin(a)
-        visit = blocks[a].visit
-        rows = r0 + visit // grid.block_w
-        cols = c0 + visit % grid.block_w
-        slot_chunks.append(rows * width + cols)
-    slots = (
-        np.concatenate(slot_chunks) if slot_chunks else np.empty(0, dtype=np.intp)
-    )
+    # Visit each block's slots in its canonical scan order (raster order
+    # for ambiguous blocks, whose orientation reads 0).
+    perms = orientation_permutations(grid.block_h, grid.block_w)
+    row, pos = np.nonzero(mask_blocks[blocks[:, None], perms[orientation]])
+    cell = perms[orientation[row], pos]
+    br, bc = np.divmod(blocks[row], grid.cols)
+    slots = (br * grid.block_h + cell // grid.block_w) * grid.plane_shape[1]
+    slots += bc * grid.block_w + cell % grid.block_w
 
     return OrderPlan(
         grid=grid,
         blocks=blocks,
-        among=among,
         tie_flagged=tie_flagged,
         rot_eligible=rot_eligible,
         scr_eligible=scr_eligible,
-        slots=slots.astype(np.intp),
+        slots=slots,
     )

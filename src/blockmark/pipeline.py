@@ -205,8 +205,12 @@ def _subkeys(keys: KeySet, plane: int) -> tuple[bytes, bytes]:
     return plane_key(keys.k_scramble, idx), plane_key(keys.k_orient, idx)
 
 
-def _intersect(masks: list[np.ndarray]) -> np.ndarray:
-    return np.logical_and.reduce(masks)
+def _key_masks(keys: KeySet, masks: list[np.ndarray]) -> list[np.ndarray]:
+    """One eligibility mask per plane. With shared keys every plane moves the
+    same blocks, so each plane gets the blocks that all planes allow."""
+    if keys.per_plane:
+        return list(masks)
+    return [np.logical_and.reduce(masks)] * len(masks)
 
 
 def _region_tags(suffix: bytes) -> tuple[bytes, bytes]:
@@ -222,12 +226,8 @@ def _encrypt_planes(
 ) -> list[np.ndarray]:
     """Rotate/flip then scramble each plane's eligible blocks."""
     scr_tag, rot_tag = _region_tags(suffix)
-    if keys.per_plane:
-        rot_masks = [p.rot_eligible for p in plans]
-        scr_masks = [p.scr_eligible for p in plans]
-    else:
-        rot_masks = [_intersect([p.rot_eligible for p in plans])] * len(planes)
-        scr_masks = [_intersect([p.scr_eligible for p in plans])] * len(planes)
+    rot_masks = _key_masks(keys, [p.rot_eligible for p in plans])
+    scr_masks = _key_masks(keys, [p.scr_eligible for p in plans])
     out = []
     for i, plane in enumerate(planes):
         k1, k2 = _subkeys(keys, i)
@@ -258,6 +258,41 @@ def _plan_for_state(
     return build_order_plan(work, pair, grid, block_indices)
 
 
+def _shift_and_plan(
+    image: Image, grid: BlockGrid, *scopes: np.ndarray | None
+) -> tuple[list[HistPair], list[np.ndarray], list[list[OrderPlan]]]:
+    """Pick each plane's pair, shift its histogram, and build one order plan
+    per scope on every shifted plane: (pairs, shifted planes, plans per
+    scope)."""
+    pairs = [find_pp_zp(plane) for plane in image.planes]
+    inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
+    plans = [
+        [build_order_plan(inter, pair, grid, scope) for inter, pair in zip(inters, pairs)]
+        for scope in scopes
+    ]
+    return pairs, inters, plans
+
+
+def _result(
+    mode: Mode,
+    planes: list[np.ndarray],
+    pairs: list[HistPair],
+    lengths: list[int],
+    keys: KeySet,
+    block_size: int,
+) -> tuple[Image, SideInfo]:
+    """The marked image and the side info that describes it."""
+    side = SideInfo(
+        mode=mode,
+        block_w=block_size,
+        block_h=block_size,
+        pairs=tuple(pairs),
+        bit_lengths=tuple(lengths),
+        per_plane_keys=keys.per_plane,
+    )
+    return Image(tuple(planes)), side
+
+
 def _chunk_payload(bits: np.ndarray, capacities: list[int], what: str) -> list[np.ndarray]:
     total = sum(capacities)
     if bits.size > total:
@@ -279,31 +314,14 @@ def embed_plain_then_encrypt(
     """Shift, embed in the plain domain, then encrypt eligible blocks."""
     grid = _check_geometry(image, block_size)
     bits = _as_bits(payload)
-
-    pairs, inters, plans = [], [], []
-    for plane in image.planes:
-        pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
-        pairs.append(pair)
-        inters.append(inter)
-        plans.append(build_order_plan(inter, pair, grid))
+    pairs, inters, (plans,) = _shift_and_plan(image, grid, None)
 
     chunks = _chunk_payload(bits, [p.slots.size for p in plans], "payload")
-    marked = [
-        embed_bits(inter, pair, plan.slots, chunk)
-        for inter, pair, plan, chunk in zip(inters, pairs, plans, chunks)
-    ]
+    slots = [p.slots for p in plans]
+    marked = [embed_bits(*args) for args in zip(inters, pairs, slots, chunks)]
     encrypted = _encrypt_planes(marked, grid, plans, keys)
-
-    side = SideInfo(
-        mode=Mode.PLAIN_FIRST,
-        block_w=block_size,
-        block_h=block_size,
-        pairs=tuple(pairs),
-        bit_lengths=tuple(c.size for c in chunks),
-        per_plane_keys=keys.per_plane,
-    )
-    return Image(tuple(encrypted)), side
+    lengths = [c.size for c in chunks]
+    return _result(Mode.PLAIN_FIRST, encrypted, pairs, lengths, keys, block_size)
 
 
 def encrypt_then_embed(
@@ -317,31 +335,14 @@ def encrypt_then_embed(
     """
     grid = _check_geometry(image, block_size)
     bits = _as_bits(payload)
-
-    pairs, inters, plans = [], [], []
-    for plane in image.planes:
-        pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
-        pairs.append(pair)
-        inters.append(inter)
-        plans.append(build_order_plan(inter, pair, grid))
+    pairs, inters, (plans,) = _shift_and_plan(image, grid, None)
 
     chunks = _chunk_payload(bits, [p.slots.size for p in plans], "payload")
     encrypted = _encrypt_planes(inters, grid, plans, keys)
-    marked = []
-    for i, plane in enumerate(encrypted):
-        plan_enc = build_order_plan(plane, pairs[i], grid)
-        marked.append(embed_bits(plane, pairs[i], plan_enc.slots, chunks[i]))
-
-    side = SideInfo(
-        mode=Mode.ENCRYPT_FIRST,
-        block_w=block_size,
-        block_h=block_size,
-        pairs=tuple(pairs),
-        bit_lengths=tuple(c.size for c in chunks),
-        per_plane_keys=keys.per_plane,
-    )
-    return Image(tuple(marked)), side
+    slots = [build_order_plan(p, pair, grid).slots for p, pair in zip(encrypted, pairs)]
+    marked = [embed_bits(*args) for args in zip(encrypted, pairs, slots, chunks)]
+    lengths = [c.size for c in chunks]
+    return _result(Mode.ENCRYPT_FIRST, marked, pairs, lengths, keys, block_size)
 
 
 def embed_two_domain(
@@ -359,46 +360,22 @@ def embed_two_domain(
     bits_b = _as_bits(payload_b)
     regions = RegionMap.derive(keys.k_region, grid)
     idx_a, idx_b = regions.blocks("A"), regions.blocks("B")
-
-    pairs, inters = [], []
-    plans_a, plans_b = [], []
-    for plane in image.planes:
-        pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
-        pairs.append(pair)
-        inters.append(inter)
-        plans_a.append(build_order_plan(inter, pair, grid, idx_a))
-        plans_b.append(build_order_plan(inter, pair, grid, idx_b))
+    pairs, inters, (plans_a, plans_b) = _shift_and_plan(image, grid, idx_a, idx_b)
 
     chunks_a = _chunk_payload(bits_a, [p.slots.size for p in plans_a], "region A payload")
     chunks_b = _chunk_payload(bits_b, [p.slots.size for p in plans_b], "region B payload")
 
     # Region A: embed in the plain domain, then encrypt region A.
-    work = [
-        embed_bits(inter, pair, plan.slots, chunk)
-        for inter, pair, plan, chunk in zip(inters, pairs, plans_a, chunks_a)
-    ]
+    slots = [p.slots for p in plans_a]
+    work = [embed_bits(*args) for args in zip(inters, pairs, slots, chunks_a)]
     work = _encrypt_planes(work, grid, plans_a, keys, suffix=b"/A")
 
     # Region B: encrypt region B, then embed into the encrypted blocks.
     work = _encrypt_planes(work, grid, plans_b, keys, suffix=b"/B")
-    out = []
-    for i, plane in enumerate(work):
-        plan_enc = build_order_plan(plane, pairs[i], grid, idx_b)
-        out.append(embed_bits(plane, pairs[i], plan_enc.slots, chunks_b[i]))
-
-    lengths = []
-    for a, b in zip(chunks_a, chunks_b):
-        lengths.extend((a.size, b.size))
-    side = SideInfo(
-        mode=Mode.TWO_DOMAIN,
-        block_w=block_size,
-        block_h=block_size,
-        pairs=tuple(pairs),
-        bit_lengths=tuple(lengths),
-        per_plane_keys=keys.per_plane,
-    )
-    return Image(tuple(out)), side
+    slots = [build_order_plan(p, pair, grid, idx_b).slots for p, pair in zip(work, pairs)]
+    out = [embed_bits(*args) for args in zip(work, pairs, slots, chunks_b)]
+    lengths = [c.size for ab in zip(chunks_a, chunks_b) for c in ab]
+    return _result(Mode.TWO_DOMAIN, out, pairs, lengths, keys, block_size)
 
 
 def _validate_side(image: Image, side: SideInfo) -> BlockGrid:
@@ -501,33 +478,22 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     else:
         scopes = [(None, b"")]
 
-    work = [p.copy() for p in image.planes]
-    n = len(work)
+    work = list(image.planes)
+    subkeys = [_subkeys(keys, i) for i in range(len(work))]
 
+    # Regions are disjoint, so each scope is fully decrypted in turn. The
+    # rotation set travels with block content, so it is only recomputable
+    # once the scope is unscrambled. Planes are replaced one at a time to
+    # keep a single extra plane alive.
     for subset, suffix in scopes:
-        scr_tag, _ = _region_tags(suffix)
-        plans = [
-            _plan_for_state(work[i], side.pairs[i], grid, subset) for i in range(n)
-        ]
-        if keys.per_plane:
-            scr_masks = [p.scr_eligible for p in plans]
-        else:
-            scr_masks = [_intersect([p.scr_eligible for p in plans])] * n
-        for i in range(n):
-            k1, _ = _subkeys(keys, i)
-            work[i] = unscramble_blocks(work[i], grid, scr_masks[i], k1, tag=scr_tag)
-
-    for subset, suffix in scopes:
-        _, rot_tag = _region_tags(suffix)
-        plans = [
-            _plan_for_state(work[i], side.pairs[i], grid, subset) for i in range(n)
-        ]
-        if keys.per_plane:
-            rot_masks = [p.rot_eligible for p in plans]
-        else:
-            rot_masks = [_intersect([p.rot_eligible for p in plans])] * n
-        for i in range(n):
-            _, k2 = _subkeys(keys, i)
-            work[i] = unrotate_blocks(work[i], grid, rot_masks[i], k2, tag=rot_tag)
+        scr_tag, rot_tag = _region_tags(suffix)
+        plans = [_plan_for_state(p, pair, grid, subset) for p, pair in zip(work, side.pairs)]
+        masks = _key_masks(keys, [p.scr_eligible for p in plans])
+        for i, (k1, _) in enumerate(subkeys):
+            work[i] = unscramble_blocks(work[i], grid, masks[i], k1, tag=scr_tag)
+        plans = [_plan_for_state(p, pair, grid, subset) for p, pair in zip(work, side.pairs)]
+        masks = _key_masks(keys, [p.rot_eligible for p in plans])
+        for i, (_, k2) in enumerate(subkeys):
+            work[i] = unrotate_blocks(work[i], grid, masks[i], k2, tag=rot_tag)
 
     return Image(tuple(work))

@@ -129,6 +129,67 @@ def ref_canonical_signature(mask: np.ndarray) -> tuple[tuple[int, ...], bool]:
     return best, sigs.count(best) > 1
 
 
+def key_signature(key: np.ndarray, cells: int) -> tuple[int, ...]:
+    """Decode one row of `canonicalize`'s packed key into its signature."""
+    bits = np.unpackbits(np.asarray(key).astype(">u8").view(np.uint8))
+    assert not bits[cells:].any(), "padding bits must be zero"
+    return tuple(int(i) for i in np.flatnonzero(bits[:cells]))
+
+
+def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) -> dict:
+    """Per-block reference for `build_order_plan`, in plain Python.
+
+    Marked blocks are sorted by (-slot count, shifted count, minimal
+    signature, index); every block whose key is shared is tie-flagged; the
+    visit order is read off the unique minimizing form, or is raster order
+    when several forms minimize. Returns block lists, index sets and slots.
+    """
+    values = plane.tolist()
+    height, width = len(values), len(values[0])
+    cols = width // block
+    lo, hi = pair.band
+    marked_values = (pair.pp, pair.marked_value)
+    if scope is None:
+        scope = range((height // block) * cols)
+    scope = sorted({int(a) for a in scope})
+    cell_ids = [[r * block + c for c in range(block)] for r in range(block)]
+
+    entries, unmarked = {}, []
+    for a in scope:
+        r0, c0 = (a // cols) * block, (a % cols) * block
+        vals = [row[c0 : c0 + block] for row in values[r0 : r0 + block]]
+        mask = [[v in marked_values for v in row] for row in vals]
+        count = sum(sum(row) for row in mask)
+        if not count:
+            unmarked.append(a)
+            continue
+        shifted = sum(lo <= v <= hi for row in vals for v in row)
+        forms = list(zip(ref_all_orientations(mask), ref_all_orientations(cell_ids)))
+        sigs = [ref_signature(m) for m, _ in forms]
+        best = min(sigs)
+        ambiguous = sigs.count(best) > 1
+        if ambiguous:
+            visit = list(ref_signature(mask))  # raster order
+        else:
+            ids = [i for row in forms[sigs.index(best)][1] for i in row]
+            visit = [ids[s] for s in best]
+        slots = [
+            (r0 + v // block) * width + c0 + v % block for v in visit
+        ]
+        entries[a] = ((-count, shifted, best), ambiguous, slots)
+
+    order = sorted(entries, key=lambda a: (entries[a][0], a))
+    key_counts = Counter(key for key, _, _ in entries.values())
+    tied = {a for a, (key, _, _) in entries.items() if key_counts[key] > 1}
+    return {
+        "blocks": order,
+        "tie_flagged": tied,
+        "rot_eligible": set(unmarked) | {a for a, e in entries.items() if not e[1]},
+        "scr_eligible": set(scope) - tied,
+        "slots": [s for a in order for s in entries[a][2]],
+    }
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xB10C)

@@ -21,7 +21,7 @@ from blockmark import (
     Image,
     RegionMap,
     apply_orientation,
-    canonical_orientation,
+    canonicalize,
     capacity_report,
     compression_eval,
     correlation_report,
@@ -43,8 +43,8 @@ from blockmark import (
     shift_histogram,
     split_blocks,
 )
-from blockmark.ordering import build_order_plan
-from conftest import natural_plane, ref_canonical_signature, synth_image
+from blockmark.ordering import build_order_plan, orientation_permutations
+from conftest import key_signature, natural_plane, ref_canonical_signature, synth_image
 
 PSNR_FLOOR = 10 * math.log10(255**2)  # 48.1308 dB
 
@@ -209,16 +209,28 @@ def test_c2_dihedral_canonicalization():
     rng = np.random.default_rng(42)
     checked = 0
     for n in (8, 16):
+        masks = []
         for _ in range(500):
             density = rng.uniform(0.05, 0.6)
             mask = rng.random((n, n)) < density
             if not mask.any():
                 mask[rng.integers(n), rng.integers(n)] = True
+            masks.append(mask)
+        # One call per block size: row 8 * i + o is mask i under orientation o.
+        stack = np.stack(
+            [apply_orientation(m, o).ravel() for m in masks for o in range(8)]
+        )
+        orientation, ambiguous, key = canonicalize(stack)
+        # Each row read under its chosen orientation.
+        rows = np.arange(len(stack))[:, None]
+        oriented = stack[rows, orientation_permutations(n, n)[orientation]]
+        for i, mask in enumerate(masks):
             expected_sig, expected_amb = ref_canonical_signature(mask)
-            for o in range(8):
-                within = canonical_orientation(apply_orientation(mask, o))
-                assert within.signature == expected_sig
-                assert within.ambiguous == expected_amb
+            for row in range(8 * i, 8 * i + 8):
+                assert key_signature(key[row], n * n) == expected_sig
+                assert ambiguous[row] == expected_amb
+                if not expected_amb:
+                    assert tuple(np.flatnonzero(oriented[row])) == expected_sig
             checked += 1
     _report("C2 dihedral canonicalization oracle", checked == 1000, f"{checked} masks x 8 orientations")
     assert checked == 1000

@@ -12,10 +12,8 @@ from blockmark import (
     Image,
     ImageFormatError,
     block_stack,
-    concat_blocks,
     decode_image,
     encode_image,
-    get_block,
     split_blocks,
     stack_to_plane,
 )
@@ -125,35 +123,6 @@ class TestBlockGrid:
 
 
 class TestConcatSplit:
-    def test_round_trip(self, rng):
-        plane = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
-        grid = split_blocks(plane, 16, 16)
-        blocks = {a: get_block(plane, grid, a) for a in range(grid.n_blocks)}
-        assert np.array_equal(concat_blocks(grid, blocks), plane)
-
-    def test_order_does_not_matter(self, rng):
-        plane = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        grid = split_blocks(plane, 4, 4)
-        items = [(a, get_block(plane, grid, a)) for a in (3, 0, 2, 1)]
-        assert np.array_equal(concat_blocks(grid, items), plane)
-
-    def test_missing_block(self):
-        grid = BlockGrid(block_w=4, block_h=4, cols=2, rows=2)
-        blocks = {a: np.zeros((4, 4), np.uint8) for a in range(3)}
-        with pytest.raises(ValueError, match="missing"):
-            concat_blocks(grid, blocks)
-
-    def test_duplicate_block(self):
-        grid = BlockGrid(block_w=4, block_h=4, cols=2, rows=2)
-        items = [(0, np.zeros((4, 4))), (0, np.zeros((4, 4)))]
-        with pytest.raises(ValueError, match="duplicate"):
-            concat_blocks(grid, items)
-
-    def test_wrong_shape(self):
-        grid = BlockGrid(block_w=4, block_h=4, cols=1, rows=1)
-        with pytest.raises(ValueError, match="shape"):
-            concat_blocks(grid, [(0, np.zeros((2, 2)))])
-
     @settings(max_examples=30)
     @given(arrays(np.uint8, (24, 24)), st.sampled_from([2, 3, 4, 6, 8, 12]))
     def test_stack_round_trip(self, plane, size):
@@ -165,4 +134,4 @@ class TestConcatSplit:
         grid = split_blocks(plane, 4, 4)
         stacked = block_stack(plane, grid)
         for a in range(grid.n_blocks):
-            assert np.array_equal(stacked[a], get_block(plane, grid, a))
+            assert np.array_equal(stacked[a], plane[grid.block_slice(a)])
