@@ -199,8 +199,11 @@ def save_key_file(keys: KeySet, path) -> None:
 
 def load_key_file(path, per_plane: bool = True) -> KeySet:
     """Parse 32-hex-digit keys, one per line: scramble, orient, [region]."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise KeyFormatError("key file is not UTF-8 text") from None
     if len(lines) not in (2, 3):
         raise KeyFormatError(f"key file must hold 2 or 3 keys, found {len(lines)}")
     material = []

@@ -6,11 +6,13 @@ written before or after encryption and read before or after decryption; the
 receiver only needs the side information (pp/zp per plane, payload bit
 lengths, geometry) to extract, and only needs the keys to decrypt.
 
-Color payloads are consumed plane by plane in R, G, B order, each plane
-taking up to its own capacity. In two-domain mode every block is assigned to
-region A (embed, then encrypt) or region B (encrypt, then embed) by one fair
-key bit per block, and all ordering, eligibility, and scrambling stay inside
-the owning region.
+Every flow runs over scopes: sets of blocks that are ordered, encrypted
+and embedded on their own, with their own key tags and payload bits.
+Plain-first and encrypted-first hiding use one whole-grid scope, embedded
+before or after encryption. Two-domain hiding assigns every block to
+region A or B by one fair key bit per block; A is a plain-first scope and B
+an encrypted-first one. Payloads are consumed plane by plane in R, G, B
+order, each plane taking up to its own capacity in the scope.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .cipher import (
     unrotate_blocks,
     unscramble_blocks,
 )
-from .errors import CapacityExceededError, GeometryError, SideInfoError
+from .errors import CapacityExceededError, SideInfoError
 from .histshift import (
     HistPair,
     embed_bits,
@@ -82,19 +84,6 @@ class SideInfo:
                 f"expected {expected} bit lengths for mode {self.mode.name}, "
                 f"got {len(self.bit_lengths)}"
             )
-
-    def length_for(self, plane: int, region: str | None = None) -> int:
-        if self.mode == Mode.TWO_DOMAIN:
-            if region not in ("A", "B"):
-                raise ValueError("two-domain lengths need region 'A' or 'B'")
-            return self.bit_lengths[2 * plane + (0 if region == "A" else 1)]
-        if region is not None:
-            raise ValueError("single-domain side info has no regions")
-        return self.bit_lengths[plane]
-
-    @property
-    def total_bits(self) -> int:
-        return sum(self.bit_lengths)
 
     def to_bytes(self) -> bytes:
         body = bytearray()
@@ -186,18 +175,26 @@ class RegionMap:
         raise ValueError("region must be 'A' or 'B'")
 
 
-def _check_geometry(image: Image, block_size: int) -> BlockGrid:
-    if block_size <= 0:
-        raise GeometryError("block size must be positive")
-    grid = split_blocks(image.planes[0], block_size, block_size)
-    return grid
+@dataclass(frozen=True)
+class _Scope:
+    """Blocks (None for the whole grid), key-tag suffix, and whether the
+    payload goes in before encryption."""
+
+    blocks: np.ndarray | None
+    suffix: bytes
+    plain_first: bool
 
 
-def _as_bits(payload) -> np.ndarray:
-    bits = np.asarray(payload, dtype=np.uint8).ravel()
-    if bits.size and bits.max() > 1:
-        raise ValueError("payload bits must be 0 or 1")
-    return bits
+def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> list[_Scope]:
+    """The scopes of a mode, in processing order: one whole-grid scope for
+    single-domain modes; region A (plain-first), then region B
+    (encrypted-first) for two-domain hiding."""
+    if mode != Mode.TWO_DOMAIN:
+        return [_Scope(None, b"", mode == Mode.PLAIN_FIRST)]
+    if k_region is None:
+        raise SideInfoError("two-domain mode requires a region key")
+    regions = RegionMap.derive(k_region, grid)
+    return [_Scope(regions.blocks("A"), b"/A", True), _Scope(regions.blocks("B"), b"/B", False)]
 
 
 def _subkeys(keys: KeySet, plane: int) -> tuple[bytes, bytes]:
@@ -213,26 +210,21 @@ def _key_masks(keys: KeySet, masks: list[np.ndarray]) -> list[np.ndarray]:
     return [np.logical_and.reduce(masks)] * len(masks)
 
 
-def _region_tags(suffix: bytes) -> tuple[bytes, bytes]:
-    return TAG_SCRAMBLE + suffix, TAG_ORIENT + suffix
-
-
 def _encrypt_planes(
     planes: list[np.ndarray],
     grid: BlockGrid,
     plans: list[OrderPlan],
     keys: KeySet,
-    suffix: bytes = b"",
+    suffix: bytes,
 ) -> list[np.ndarray]:
     """Rotate/flip then scramble each plane's eligible blocks."""
-    scr_tag, rot_tag = _region_tags(suffix)
     rot_masks = _key_masks(keys, [p.rot_eligible for p in plans])
     scr_masks = _key_masks(keys, [p.scr_eligible for p in plans])
     out = []
     for i, plane in enumerate(planes):
         k1, k2 = _subkeys(keys, i)
-        enc = rotate_flip_blocks(plane, grid, rot_masks[i], k2, tag=rot_tag)
-        enc = scramble_blocks(enc, grid, scr_masks[i], k1, tag=scr_tag)
+        enc = rotate_flip_blocks(plane, grid, rot_masks[i], k2, tag=TAG_ORIENT + suffix)
+        enc = scramble_blocks(enc, grid, scr_masks[i], k1, tag=TAG_SCRAMBLE + suffix)
         out.append(enc)
     return out
 
@@ -246,82 +238,76 @@ def _plane_is_unshifted(plane: np.ndarray, pair: HistPair) -> bool:
     return not (plane == pair.zp).any()
 
 
-def _plan_for_state(
-    plane: np.ndarray,
-    pair: HistPair,
-    grid: BlockGrid,
-    block_indices: np.ndarray | None = None,
-) -> OrderPlan:
-    """Order plan matching the embed-time plan, whether or not the plane has
-    already been un-shifted."""
-    work = shift_histogram(plane, pair) if _plane_is_unshifted(plane, pair) else plane
-    return build_order_plan(work, pair, grid, block_indices)
-
-
-def _shift_and_plan(
-    image: Image, grid: BlockGrid, *scopes: np.ndarray | None
-) -> tuple[list[HistPair], list[np.ndarray], list[list[OrderPlan]]]:
-    """Pick each plane's pair, shift its histogram, and build one order plan
-    per scope on every shifted plane: (pairs, shifted planes, plans per
-    scope)."""
-    pairs = [find_pp_zp(plane) for plane in image.planes]
-    inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
-    plans = [
-        [build_order_plan(inter, pair, grid, scope) for inter, pair in zip(inters, pairs)]
-        for scope in scopes
-    ]
-    return pairs, inters, plans
-
-
-def _result(
-    mode: Mode,
-    planes: list[np.ndarray],
-    pairs: list[HistPair],
-    lengths: list[int],
-    keys: KeySet,
-    block_size: int,
-) -> tuple[Image, SideInfo]:
-    """The marked image and the side info that describes it."""
-    side = SideInfo(
-        mode=mode,
-        block_w=block_size,
-        block_h=block_size,
-        pairs=tuple(pairs),
-        bit_lengths=tuple(lengths),
-        per_plane_keys=keys.per_plane,
-    )
-    return Image(tuple(planes)), side
-
-
 def _chunk_payload(bits: np.ndarray, capacities: list[int], what: str) -> list[np.ndarray]:
     total = sum(capacities)
     if bits.size > total:
         raise CapacityExceededError(
             f"{what} of {bits.size} bits exceeds capacity of {total} bits"
         )
-    chunks = []
-    offset = 0
-    for cap in capacities:
-        take = min(cap, bits.size - offset)
-        chunks.append(bits[offset : offset + take])
-        offset += take
-    return chunks
+    return np.split(bits, np.cumsum(capacities)[:-1])
+
+
+def _embed(
+    mode: Mode, image: Image, payloads: tuple, keys: KeySet, block_size: int
+) -> tuple[Image, SideInfo]:
+    """Shift every plane, plan every scope, then embed and encrypt scope by
+    scope in the order each scope asks for."""
+    grid = split_blocks(image.planes[0], block_size, block_size)
+    scopes = _scopes(mode, keys.k_region, grid)
+    payloads = [np.asarray(p, dtype=np.uint8).ravel() for p in payloads]
+    if any(bits.size and bits.max() > 1 for bits in payloads):
+        raise ValueError("payload bits must be 0 or 1")
+    pairs = [find_pp_zp(plane) for plane in image.planes]
+    # `inters` stays referenced until the end: releasing it early measured a
+    # higher peak RSS (9.72x -> 9.99x the image, smooth-rgb-b32-2d in bench/)
+    # although fewer bytes were live; the cause is not established.
+    inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
+    plans = [
+        [build_order_plan(inter, pair, grid, s.blocks) for inter, pair in zip(inters, pairs)]
+        for s in scopes
+    ]
+    # Every capacity is checked before any plane is written.
+    chunks = [
+        _chunk_payload(
+            bits,
+            [p.slots.size for p in scope_plans],
+            f"region {s.suffix[1:].decode()} payload" if s.suffix else "payload",
+        )
+        for bits, scope_plans, s in zip(payloads, plans, scopes)
+    ]
+
+    work = inters
+    for s, scope_plans, scope_chunks in zip(scopes, plans, chunks):
+        if not s.plain_first:
+            # The slot order is recomputed on the encrypted planes and lands
+            # on the same content cells.
+            work = _encrypt_planes(work, grid, scope_plans, keys, s.suffix)
+            scope_plans = [
+                build_order_plan(p, pair, grid, s.blocks) for p, pair in zip(work, pairs)
+            ]
+        work = [
+            embed_bits(p, pair, plan.slots, c)
+            for p, pair, plan, c in zip(work, pairs, scope_plans, scope_chunks)
+        ]
+        if s.plain_first:
+            work = _encrypt_planes(work, grid, scope_plans, keys, s.suffix)
+
+    side = SideInfo(
+        mode=mode,
+        block_w=block_size,
+        block_h=block_size,
+        pairs=tuple(pairs),
+        bit_lengths=tuple(c.size for plane_chunks in zip(*chunks) for c in plane_chunks),
+        per_plane_keys=keys.per_plane,
+    )
+    return Image(tuple(work)), side
 
 
 def embed_plain_then_encrypt(
     image: Image, payload, keys: KeySet, block_size: int
 ) -> tuple[Image, SideInfo]:
     """Shift, embed in the plain domain, then encrypt eligible blocks."""
-    grid = _check_geometry(image, block_size)
-    bits = _as_bits(payload)
-    pairs, inters, (plans,) = _shift_and_plan(image, grid, None)
-
-    chunks = _chunk_payload(bits, [p.slots.size for p in plans], "payload")
-    slots = [p.slots for p in plans]
-    marked = [embed_bits(*args) for args in zip(inters, pairs, slots, chunks)]
-    encrypted = _encrypt_planes(marked, grid, plans, keys)
-    lengths = [c.size for c in chunks]
-    return _result(Mode.PLAIN_FIRST, encrypted, pairs, lengths, keys, block_size)
+    return _embed(Mode.PLAIN_FIRST, image, (payload,), keys, block_size)
 
 
 def encrypt_then_embed(
@@ -333,16 +319,7 @@ def encrypt_then_embed(
     the slot order is recomputed on the encrypted plane and lands on the
     same content cells.
     """
-    grid = _check_geometry(image, block_size)
-    bits = _as_bits(payload)
-    pairs, inters, (plans,) = _shift_and_plan(image, grid, None)
-
-    chunks = _chunk_payload(bits, [p.slots.size for p in plans], "payload")
-    encrypted = _encrypt_planes(inters, grid, plans, keys)
-    slots = [build_order_plan(p, pair, grid).slots for p, pair in zip(encrypted, pairs)]
-    marked = [embed_bits(*args) for args in zip(encrypted, pairs, slots, chunks)]
-    lengths = [c.size for c in chunks]
-    return _result(Mode.ENCRYPT_FIRST, marked, pairs, lengths, keys, block_size)
+    return _embed(Mode.ENCRYPT_FIRST, image, (payload,), keys, block_size)
 
 
 def embed_two_domain(
@@ -353,29 +330,7 @@ def embed_two_domain(
     block_size: int,
 ) -> tuple[Image, SideInfo]:
     """Embed payload A before and payload B after region-wise encryption."""
-    if keys.k_region is None:
-        raise SideInfoError("two-domain mode requires a region key")
-    grid = _check_geometry(image, block_size)
-    bits_a = _as_bits(payload_a)
-    bits_b = _as_bits(payload_b)
-    regions = RegionMap.derive(keys.k_region, grid)
-    idx_a, idx_b = regions.blocks("A"), regions.blocks("B")
-    pairs, inters, (plans_a, plans_b) = _shift_and_plan(image, grid, idx_a, idx_b)
-
-    chunks_a = _chunk_payload(bits_a, [p.slots.size for p in plans_a], "region A payload")
-    chunks_b = _chunk_payload(bits_b, [p.slots.size for p in plans_b], "region B payload")
-
-    # Region A: embed in the plain domain, then encrypt region A.
-    slots = [p.slots for p in plans_a]
-    work = [embed_bits(*args) for args in zip(inters, pairs, slots, chunks_a)]
-    work = _encrypt_planes(work, grid, plans_a, keys, suffix=b"/A")
-
-    # Region B: encrypt region B, then embed into the encrypted blocks.
-    work = _encrypt_planes(work, grid, plans_b, keys, suffix=b"/B")
-    slots = [build_order_plan(p, pair, grid, idx_b).slots for p, pair in zip(work, pairs)]
-    out = [embed_bits(*args) for args in zip(work, pairs, slots, chunks_b)]
-    lengths = [c.size for ab in zip(chunks_a, chunks_b) for c in ab]
-    return _result(Mode.TWO_DOMAIN, out, pairs, lengths, keys, block_size)
+    return _embed(Mode.TWO_DOMAIN, image, (payload_a, payload_b), keys, block_size)
 
 
 def _validate_side(image: Image, side: SideInfo) -> BlockGrid:
@@ -385,30 +340,35 @@ def _validate_side(image: Image, side: SideInfo) -> BlockGrid:
         )
     if side.block_w != side.block_h:
         raise SideInfoError("side info must describe square blocks")
-    return _check_geometry(image, side.block_w)
+    return split_blocks(image.planes[0], side.block_w, side.block_h)
 
 
-def _extract_plane(
-    plane: np.ndarray,
-    pair: HistPair,
-    grid: BlockGrid,
-    length: int,
-    block_indices: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read `length` bits from one plane (optionally one region) and restore
-    the slots; the caller un-shifts afterwards."""
-    if _plane_is_unshifted(plane, pair) and pair.zp != pair.marked_value:
-        raise SideInfoError(
-            "image histogram is not in the shifted state; "
-            "was the payload already extracted?"
-        )
-    plan = build_order_plan(plane, pair, grid, block_indices)
-    if length > plan.slots.size:
-        raise SideInfoError(
-            f"side info declares {length} bits but only "
-            f"{plan.slots.size} slots exist"
-        )
-    return extract_bits(plane, pair, plan.slots[:length])
+def _extract(
+    image: Image, side: SideInfo, k_region: bytes | None
+) -> tuple[list[np.ndarray], Image]:
+    """Each scope's payload bits and the payload-free image."""
+    grid = _validate_side(image, side)
+    scopes = _scopes(side.mode, k_region, grid)
+    bits = [[] for _ in scopes]
+    planes_out = []
+    for i, (plane, pair) in enumerate(zip(image.planes, side.pairs)):
+        if _plane_is_unshifted(plane, pair) and pair.zp != pair.marked_value:
+            raise SideInfoError(
+                "image histogram is not in the shifted state; "
+                "was the payload already extracted?"
+            )
+        for j, s in enumerate(scopes):
+            length = side.bit_lengths[len(scopes) * i + j]
+            plan = build_order_plan(plane, pair, grid, s.blocks)
+            if length > plan.slots.size:
+                raise SideInfoError(
+                    f"side info declares {length} bits but only "
+                    f"{plan.slots.size} slots exist"
+                )
+            scope_bits, plane = extract_bits(plane, pair, plan.slots[:length])
+            bits[j].append(scope_bits)
+        planes_out.append(unshift_histogram(plane, pair))
+    return [np.concatenate(b) for b in bits], Image(tuple(planes_out))
 
 
 def extract_payload(image: Image, side: SideInfo) -> tuple[np.ndarray, Image]:
@@ -420,16 +380,8 @@ def extract_payload(image: Image, side: SideInfo) -> tuple[np.ndarray, Image]:
     """
     if side.mode == Mode.TWO_DOMAIN:
         raise SideInfoError("two-domain side info requires extract_two_domain")
-    grid = _validate_side(image, side)
-    all_bits = []
-    planes_out = []
-    for i, plane in enumerate(image.planes):
-        pair = side.pairs[i]
-        bits, restored = _extract_plane(plane, pair, grid, side.length_for(i))
-        all_bits.append(bits)
-        planes_out.append(unshift_histogram(restored, pair))
-    payload = np.concatenate(all_bits) if all_bits else np.empty(0, dtype=np.uint8)
-    return payload, Image(tuple(planes_out))
+    (bits,), planes = _extract(image, side, None)
+    return bits, planes
 
 
 def extract_two_domain(
@@ -438,26 +390,8 @@ def extract_two_domain(
     """Recover both region payloads and the payload-free image."""
     if side.mode != Mode.TWO_DOMAIN:
         raise SideInfoError("side info does not describe two-domain hiding")
-    grid = _validate_side(image, side)
-    regions = RegionMap.derive(k_region, grid)
-    idx_a, idx_b = regions.blocks("A"), regions.blocks("B")
-    bits_a, bits_b, planes_out = [], [], []
-    for i, plane in enumerate(image.planes):
-        pair = side.pairs[i]
-        ba, restored = _extract_plane(
-            plane, pair, grid, side.length_for(i, "A"), idx_a
-        )
-        bb, restored = _extract_plane(
-            restored, pair, grid, side.length_for(i, "B"), idx_b
-        )
-        bits_a.append(ba)
-        bits_b.append(bb)
-        planes_out.append(unshift_histogram(restored, pair))
-    return (
-        np.concatenate(bits_a),
-        np.concatenate(bits_b),
-        Image(tuple(planes_out)),
-    )
+    (bits_a, bits_b), planes = _extract(image, side, k_region)
+    return bits_a, bits_b, planes
 
 
 def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
@@ -470,30 +404,31 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     grid = _validate_side(image, side)
     if side.per_plane_keys != keys.per_plane:
         raise SideInfoError("per-plane key flag does not match side info")
-    if side.mode == Mode.TWO_DOMAIN:
-        if keys.k_region is None:
-            raise SideInfoError("two-domain decryption requires a region key")
-        regions = RegionMap.derive(keys.k_region, grid)
-        scopes = [(regions.blocks("A"), b"/A"), (regions.blocks("B"), b"/B")]
-    else:
-        scopes = [(None, b"")]
+    scopes = _scopes(side.mode, keys.k_region, grid)
 
+    # Every plan was built on shifted planes. Block moves commute with the
+    # per-value shift, so an un-shifted plane is shifted once, decrypted in
+    # the shifted state and un-shifted at the end.
     work = list(image.planes)
+    unshifted = [i for i, p in enumerate(work) if _plane_is_unshifted(p, side.pairs[i])]
+    for i in unshifted:
+        work[i] = shift_histogram(work[i], side.pairs[i])
     subkeys = [_subkeys(keys, i) for i in range(len(work))]
 
     # Regions are disjoint, so each scope is fully decrypted in turn. The
     # rotation set travels with block content, so it is only recomputable
-    # once the scope is unscrambled. Planes are replaced one at a time to
-    # keep a single extra plane alive.
-    for subset, suffix in scopes:
-        scr_tag, rot_tag = _region_tags(suffix)
-        plans = [_plan_for_state(p, pair, grid, subset) for p, pair in zip(work, side.pairs)]
+    # once the scope is unscrambled. Planes are replaced one at a time so
+    # that the planes they replace can be freed.
+    for s in scopes:
+        plans = [build_order_plan(p, pair, grid, s.blocks) for p, pair in zip(work, side.pairs)]
         masks = _key_masks(keys, [p.scr_eligible for p in plans])
         for i, (k1, _) in enumerate(subkeys):
-            work[i] = unscramble_blocks(work[i], grid, masks[i], k1, tag=scr_tag)
-        plans = [_plan_for_state(p, pair, grid, subset) for p, pair in zip(work, side.pairs)]
+            work[i] = unscramble_blocks(work[i], grid, masks[i], k1, tag=TAG_SCRAMBLE + s.suffix)
+        plans = [build_order_plan(p, pair, grid, s.blocks) for p, pair in zip(work, side.pairs)]
         masks = _key_masks(keys, [p.rot_eligible for p in plans])
         for i, (_, k2) in enumerate(subkeys):
-            work[i] = unrotate_blocks(work[i], grid, masks[i], k2, tag=rot_tag)
+            work[i] = unrotate_blocks(work[i], grid, masks[i], k2, tag=TAG_ORIENT + s.suffix)
 
+    for i in unshifted:
+        work[i] = unshift_histogram(work[i], side.pairs[i])
     return Image(tuple(work))

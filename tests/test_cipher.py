@@ -1,9 +1,13 @@
 """Keyed stream, shuffle fairness, and block-permutation encryption."""
 
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from blockmark import (
@@ -199,6 +203,27 @@ class TestKeySet:
         path.write_text(content)
         with pytest.raises(KeyFormatError):
             load_key_file(path)
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            st.binary(),
+            st.lists(
+                st.sampled_from([b"ab" * 16, b"\n", b"\r", b" ", b"\xff", b"\xc3\xa9", b"0"]),
+                max_size=8,
+            ).map(b"".join),
+        )
+    )
+    @example(b"\xff\xfe\x00garbage\n")
+    def test_arbitrary_key_file_bytes(self, data):
+        # Whatever the file holds, a malformed key file raises KeyFormatError.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "keys.txt"
+            path.write_bytes(data)
+            try:
+                load_key_file(path)
+            except KeyFormatError:
+                pass
 
 
 def random_plane(rng, h=16, w=16):

@@ -226,11 +226,16 @@ class TestTwoDomain:
         with pytest.raises(CapacityExceededError, match="region B"):
             embed_two_domain(img, [], np.ones(caps["B"] + 1, np.uint8), keys, 16)
 
-    def test_requires_region_key(self, rng):
+    def test_requires_region_key(self, rng, keys):
         img = synth_image(64, 64, rng, color=False)
-        keys = generate_keys(seed=3)
+        no_region = generate_keys(seed=3)
         with pytest.raises(SideInfoError, match="region key"):
-            embed_two_domain(img, [], [], keys, 16)
+            embed_two_domain(img, [], [], no_region, 16)
+        out, side = embed_two_domain(img, [1, 0, 1], [], keys, 16)
+        with pytest.raises(SideInfoError, match="region key"):
+            extract_two_domain(out, side, None)
+        with pytest.raises(SideInfoError, match="region key"):
+            decrypt(out, side, no_region)
 
     def test_region_with_no_marked_blocks(self, keys):
         # All slot pixels sit in region A's blocks; region B still encrypts
