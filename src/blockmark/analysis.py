@@ -45,12 +45,10 @@ def psnr(a: Image, b: Image) -> float:
     return 10.0 * math.log10(255.0**2 / err)
 
 
-def resize_topleft(image: Image, block_w: int, block_h: int | None = None) -> Image:
+def resize_topleft(image: Image, block: int) -> Image:
     """One pixel per block: the block's top-left sample."""
-    if block_h is None:
-        block_h = block_w
-    split_blocks(image.planes[0], block_w, block_h)  # geometry check
-    return Image(tuple(p[::block_h, ::block_w].copy() for p in image.planes))
+    split_blocks(image.planes[0], block)  # geometry check
+    return Image(tuple(p[::block, ::block].copy() for p in image.planes))
 
 
 def correlation(
@@ -111,7 +109,7 @@ def capacity_report(image: Image, block_size: int | None = None) -> dict:
     size; when one is given it is only validated against the geometry.
     """
     if block_size is not None:
-        split_blocks(image.planes[0], block_size, block_size)
+        split_blocks(image.planes[0], block_size)
     per_plane = [capacity(p, find_pp_zp(p)) for p in image.planes]
     return {"per_plane": per_plane, "total": int(sum(per_plane))}
 

@@ -3,7 +3,7 @@
 Two operations, both restricted to the eligible block positions and both
 histogram-preserving: position scrambling (an unbiased keyed shuffle of the
 eligible blocks) and per-block rotation/flip (3 key bits per eligible block
-select one of the 8 square symmetries).
+select one of the 8 symmetries of the `grid.block` x `grid.block` square).
 
 Eligibility is a boolean mask over block indices (``mask[a]`` is True when
 block ``a`` may move), as produced by ``ordering.build_order_plan``; any
@@ -179,6 +179,8 @@ def generate_keys(
     if seed is None:
         material = [os.urandom(KEY_BYTES) for _ in range(3)]
     else:
+        if not -(2**63) <= seed < 2**63:
+            raise KeyFormatError("seed must fit in a signed 64-bit integer")
         stream = KeyedBitStream(seed.to_bytes(8, "big", signed=True), b"keygen")
         material = [stream.next_bytes(KEY_BYTES) for _ in range(3)]
     return KeySet(
@@ -284,8 +286,6 @@ _INVERSE_ORIENTATION = np.array(
 
 
 def _transform_blocks(plane, grid, eligible, key, tag, inverse: bool) -> np.ndarray:
-    if grid.block_w != grid.block_h:
-        raise GeometryError("rotation/flip requires square blocks")
     e = _eligible_array(eligible, grid)
     out = plane.copy()
     if e.size:
@@ -294,16 +294,16 @@ def _transform_blocks(plane, grid, eligible, key, tag, inverse: bool) -> np.ndar
         ids = (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
         if inverse:
             ids = _INVERSE_ORIENTATION[ids]
-        perms = orientation_permutations(grid.block_h, grid.block_w)
+        perms = orientation_permutations(grid.block)
         rows, cols = np.divmod(e, grid.cols)
         view = block_view(out, grid)
-        b_h, b_w = grid.block_h, grid.block_w
+        side = grid.block
         for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
             sel = ids == o
             if sel.any():
                 at = (rows[sel], cols[sel])
-                cells = view[at].reshape(-1, b_h * b_w)
-                view[at] = cells[:, perms[o]].reshape(-1, b_h, b_w)
+                cells = view[at].reshape(-1, side * side)
+                view[at] = cells[:, perms[o]].reshape(-1, side, side)
     return out
 
 

@@ -73,6 +73,8 @@ def _cmd_embed(ns) -> int:
         payload_b = _read_payload_bits(ns.payload_b)
         out, side = pipeline.embed_two_domain(image, payload, payload_b, keys, ns.block)
     else:
+        if ns.payload_b is not None:
+            raise BlockmarkError("--payload-b is only valid in two-domain mode")
         keys = _load_keys(ns)
         embed = (
             pipeline.embed_plain_then_encrypt
@@ -100,6 +102,8 @@ def _cmd_extract(ns) -> int:
         _write_payload_bits(bits_a, ns.payload_out)
         _write_payload_bits(bits_b, ns.payload_b_out)
     else:
+        if ns.payload_b_out is not None:
+            raise BlockmarkError("--payload-b-out is only valid for two-domain side info")
         bits, etc_image = pipeline.extract_payload(image, side)
         _write_payload_bits(bits, ns.payload_out)
     if ns.image_out:
@@ -131,17 +135,16 @@ def _cmd_analyze_capacity(ns) -> int:
         if keys.k_region is None:
             raise BlockmarkError("region capacities need a key file with a region key")
         block = ns.block or 16
-        grid = split_blocks(image.planes[0], block, block)
+        grid = split_blocks(image.planes[0], block)
         regions = pipeline.RegionMap.derive(keys.k_region, grid)
+        pairs = [find_pp_zp(plane) for plane in image.planes]
+        inters = [shift_histogram(plane, pair) for plane, pair in zip(image.planes, pairs)]
         for region in ("A", "B"):
             idx = regions.blocks(region)
-            total = 0
-            for plane in image.planes:
-                pair = find_pp_zp(plane)
-                inter = shift_histogram(plane, pair)
-                plan = build_order_plan(inter, pair, grid, idx)
-                total += plan.slots.size
-            lines[f"region_{region.lower()}"] = int(total)
+            lines[f"region_{region.lower()}"] = sum(
+                build_order_plan(inter, pair, grid, idx).slots.size
+                for inter, pair in zip(inters, pairs)
+            )
     _emit(lines, ns.json)
     return 0
 

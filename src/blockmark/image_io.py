@@ -5,6 +5,9 @@ Images are one (grayscale) or three (RGB) planes of 8-bit samples stored as
 maxval 255 are supported: they are the simplest containers that round-trip
 pixel payloads byte-for-byte. Comments are tolerated on read and never
 emitted on write.
+
+Planes are cut into `block` x `block` tiles, the one shape that the cipher's
+8 dihedral symmetries map onto itself.
 """
 
 from __future__ import annotations
@@ -148,10 +151,9 @@ def save_image(image: Image, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class BlockGrid:
-    """Partition of a plane into rows x cols blocks of block_h x block_w pixels."""
+    """Partition of a plane into rows x cols blocks of `block` x `block` pixels."""
 
-    block_w: int
-    block_h: int
+    block: int
     cols: int
     rows: int
 
@@ -161,50 +163,39 @@ class BlockGrid:
 
     @property
     def plane_shape(self) -> tuple[int, int]:
-        return (self.rows * self.block_h, self.cols * self.block_w)
+        return (self.rows * self.block, self.cols * self.block)
 
     def origin(self, index: int) -> tuple[int, int]:
         """Top-left pixel (row, col) of block `index` in raster order."""
         if not 0 <= index < self.n_blocks:
             raise IndexError(f"block index {index} out of range [0, {self.n_blocks})")
         br, bc = divmod(index, self.cols)
-        return br * self.block_h, bc * self.block_w
+        return br * self.block, bc * self.block
 
     def block_slice(self, index: int) -> tuple[slice, slice]:
         r0, c0 = self.origin(index)
-        return slice(r0, r0 + self.block_h), slice(c0, c0 + self.block_w)
+        return slice(r0, r0 + self.block), slice(c0, c0 + self.block)
 
 
-def split_blocks(plane: np.ndarray, block_w: int, block_h: int) -> BlockGrid:
+def split_blocks(plane: np.ndarray, block: int) -> BlockGrid:
     """Build the block grid for a plane; partial blocks are unsupported."""
-    if block_w <= 0 or block_h <= 0:
-        raise GeometryError(f"block size must be positive, got {block_w}x{block_h}")
+    if block <= 0:
+        raise GeometryError(f"block size must be positive, got {block}")
     h, w = plane.shape
-    if w % block_w or h % block_h:
-        raise GeometryError(
-            f"plane {w}x{h} is not divisible into {block_w}x{block_h} blocks"
-        )
-    return BlockGrid(block_w=block_w, block_h=block_h, cols=w // block_w, rows=h // block_h)
+    if w % block or h % block:
+        raise GeometryError(f"plane {w}x{h} is not divisible into {block}x{block} blocks")
+    return BlockGrid(block=block, cols=w // block, rows=h // block)
 
 
 def block_view(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """(rows, cols, block_h, block_w) view of a C-contiguous plane; writes
-    to it reach the plane."""
+    """(rows, cols, block, block) view of a C-contiguous plane; writes to it
+    reach the plane."""
     h, w = grid.plane_shape
     if plane.shape != (h, w):
         raise GeometryError(f"plane shape {plane.shape} does not match grid {h}x{w}")
-    return plane.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w).swapaxes(1, 2)
+    return plane.reshape(grid.rows, grid.block, grid.cols, grid.block).swapaxes(1, 2)
 
 
 def block_stack(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """All blocks as an (n_blocks, block_h, block_w) array in raster order."""
-    return block_view(plane, grid).reshape(grid.n_blocks, grid.block_h, grid.block_w)
-
-
-def stack_to_plane(blocks: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """Inverse of block_stack."""
-    return (
-        blocks.reshape(grid.rows, grid.cols, grid.block_h, grid.block_w)
-        .swapaxes(1, 2)
-        .reshape(grid.plane_shape)
-    )
+    """All blocks as an (n_blocks, block, block) array in raster order."""
+    return block_view(plane, grid).reshape(grid.n_blocks, grid.block, grid.block)

@@ -62,12 +62,10 @@ def invert_orientation(orientation: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def orientation_permutations(block_h: int, block_w: int) -> np.ndarray:
-    """(8, block_h*block_w) table: row o holds, per transformed scan position,
+def orientation_permutations(block: int) -> np.ndarray:
+    """(8, block*block) table: row o holds, per transformed scan position,
     the flat index of the source cell."""
-    if block_h != block_w:
-        raise GeometryError("orientations require square blocks")
-    idx = np.arange(block_h * block_w).reshape(block_h, block_w)
+    idx = np.arange(block * block).reshape(block, block)
     return np.stack(
         [apply_orientation(idx, o).ravel() for o in range(N_ORIENTATIONS)]
     )
@@ -93,7 +91,7 @@ def canonicalize(
     side = math.isqrt(cells)
     if side * side != cells:
         raise GeometryError("mask blocks are not square")
-    perms = orientation_permutations(side, side)
+    perms = orientation_permutations(side)
     n_words = -(-cells // 64)
     packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
     for o in range(N_ORIENTATIONS):
@@ -148,15 +146,13 @@ def build_order_plan(
     region-partitioned processing); ordering, eligibility, and slots are all
     confined to that subset.
     """
-    if grid.block_w != grid.block_h:
-        raise GeometryError("order plans require square blocks")
     if block_indices is None:
         in_scope = np.ones(grid.n_blocks, dtype=bool)
     else:
         in_scope = np.zeros(grid.n_blocks, dtype=bool)
         in_scope[np.asarray(block_indices, dtype=np.intp)] = True
 
-    cells = grid.block_h * grid.block_w
+    cells = grid.block * grid.block
     mask_blocks = block_stack(marked_mask(plane, pair), grid).reshape(-1, cells)
     counts = mask_blocks.sum(axis=1)
     lo, hi = pair.band
@@ -187,12 +183,11 @@ def build_order_plan(
 
     # Visit each block's slots in its canonical scan order (raster order
     # for ambiguous blocks, whose orientation reads 0).
-    perms = orientation_permutations(grid.block_h, grid.block_w)
+    perms = orientation_permutations(grid.block)
     row, pos = np.nonzero(mask_blocks[blocks[:, None], perms[orientation]])
-    cell = perms[orientation[row], pos]
     br, bc = np.divmod(blocks[row], grid.cols)
-    slots = (br * grid.block_h + cell // grid.block_w) * grid.plane_shape[1]
-    slots += bc * grid.block_w + cell % grid.block_w
+    cr, cc = np.divmod(perms[orientation[row], pos], grid.block)
+    slots = (br * grid.block + cr) * grid.plane_shape[1] + bc * grid.block + cc
 
     return OrderPlan(
         grid=grid,

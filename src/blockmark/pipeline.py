@@ -68,8 +68,7 @@ class SideInfo:
     """
 
     mode: Mode
-    block_w: int
-    block_h: int
+    block: int
     pairs: tuple[HistPair, ...]
     bit_lengths: tuple[int, ...]
     per_plane_keys: bool = True
@@ -93,8 +92,8 @@ class SideInfo:
             self.version,
             int(self.mode),
             1 if self.per_plane_keys else 0,
-            self.block_w,
-            self.block_h,
+            self.block,
+            self.block,
             len(self.pairs),
         )
         for pair in self.pairs:
@@ -138,10 +137,11 @@ class SideInfo:
             mode = Mode(mode_v)
         except ValueError:
             raise SideInfoError(f"unknown mode {mode_v}") from None
+        if bw != bh:
+            raise SideInfoError("side info must describe square blocks")
         return cls(
             mode=mode,
-            block_w=bw,
-            block_h=bh,
+            block=bw,
             pairs=tuple(pairs),
             bit_lengths=tuple(int(v) for v in lengths),
             per_plane_keys=bool(per_plane),
@@ -252,7 +252,7 @@ def _embed(
 ) -> tuple[Image, SideInfo]:
     """Shift every plane, plan every scope, then embed and encrypt scope by
     scope in the order each scope asks for."""
-    grid = split_blocks(image.planes[0], block_size, block_size)
+    grid = split_blocks(image.planes[0], block_size)
     scopes = _scopes(mode, keys.k_region, grid)
     payloads = [np.asarray(p, dtype=np.uint8).ravel() for p in payloads]
     if any(bits.size and bits.max() > 1 for bits in payloads):
@@ -294,8 +294,7 @@ def _embed(
 
     side = SideInfo(
         mode=mode,
-        block_w=block_size,
-        block_h=block_size,
+        block=block_size,
         pairs=tuple(pairs),
         bit_lengths=tuple(c.size for plane_chunks in zip(*chunks) for c in plane_chunks),
         per_plane_keys=keys.per_plane,
@@ -338,9 +337,7 @@ def _validate_side(image: Image, side: SideInfo) -> BlockGrid:
         raise SideInfoError(
             f"side info describes {len(side.pairs)} planes, image has {len(image.planes)}"
         )
-    if side.block_w != side.block_h:
-        raise SideInfoError("side info must describe square blocks")
-    return split_blocks(image.planes[0], side.block_w, side.block_h)
+    return split_blocks(image.planes[0], side.block)
 
 
 def _extract(

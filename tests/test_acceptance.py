@@ -78,7 +78,7 @@ def _plane_hists(image: Image) -> list[list[int]]:
 def _marked_plain_reference(image, payload, keys, block, mode):
     """Plain-domain marked image rebuilt from primitives only (no cipher),
     used as the non-circular before-encryption histogram reference."""
-    grid = split_blocks(image.planes[0], block, block)
+    grid = split_blocks(image.planes[0], block)
     if mode == "two-domain":
         regions = RegionMap.derive(keys.k_region, grid)
         scopes = [regions.blocks("A"), regions.blocks("B")]
@@ -102,7 +102,7 @@ def _marked_plain_reference(image, payload, keys, block, mode):
 
 
 def _regional_capacities(image, k_region, block):
-    grid = split_blocks(image.planes[0], block, block)
+    grid = split_blocks(image.planes[0], block)
     regions = RegionMap.derive(k_region, grid)
     caps = []
     for region in ("A", "B"):
@@ -223,7 +223,7 @@ def test_c2_dihedral_canonicalization():
         orientation, ambiguous, key = canonicalize(stack)
         # Each row read under its chosen orientation.
         rows = np.arange(len(stack))[:, None]
-        oriented = stack[rows, orientation_permutations(n, n)[orientation]]
+        oriented = stack[rows, orientation_permutations(n)[orientation]]
         for i, mask in enumerate(masks):
             expected_sig, expected_amb = ref_canonical_signature(mask)
             for row in range(8 * i, 8 * i + 8):
@@ -293,7 +293,7 @@ def test_c5_capacity_block_size_independence():
     report_total = capacity_report(image)["total"]
     slot_totals = {}
     for block in (16, 32, 64):
-        grid = split_blocks(image.planes[0], block, block)
+        grid = split_blocks(image.planes[0], block)
         total = 0
         for plane in image.planes:
             pair = find_pp_zp(plane)

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from blockmark import capacity_report, load_image, save_image
+from blockmark import (
+    CapacityExceededError,
+    capacity_report,
+    embed_two_domain,
+    load_image,
+    load_key_file,
+    save_image,
+    shift_histogram,
+)
+from blockmark import cli
 from blockmark.cli import main
 from conftest import natural_image, synth_image
 
@@ -162,6 +171,33 @@ class TestExitCodes:
         assert rc == 3
         assert "boom" in capsys.readouterr().err
 
+    def test_payload_b_in_single_domain_is_2(self, workdir, capsys):
+        rc = _run(
+            "embed", "--mode", "plain-first", "--block", "16",
+            "--key", workdir / "keys.txt", "--payload", workdir / "p.bin",
+            "--payload-b", workdir / "p.bin", "--sideinfo", workdir / "out.etrd",
+            workdir / "in.ppm", workdir / "out.ppm",
+        )
+        assert rc == 2
+        assert "--payload-b" in capsys.readouterr().err
+        assert not (workdir / "out.ppm").exists()
+
+    def test_payload_b_out_on_single_domain_is_2(self, workdir, capsys):
+        rc = _run(
+            "embed", "--mode", "encrypted-first", "--block", "16",
+            "--key", workdir / "keys.txt", "--payload", workdir / "p.bin",
+            "--sideinfo", workdir / "out.etrd", workdir / "in.ppm", workdir / "out.ppm",
+        )
+        assert rc == 0
+        rc = _run(
+            "extract", "--sideinfo", workdir / "out.etrd",
+            "--payload-b-out", workdir / "b.bin",
+            workdir / "out.ppm", workdir / "a.bin",
+        )
+        assert rc == 2
+        assert "--payload-b-out" in capsys.readouterr().err
+        assert not (workdir / "b.bin").exists()
+
     def test_geometry_error_is_2(self, workdir, rng, capsys):
         save_image(synth_image(30, 30, rng, color=False), workdir / "odd.pgm")
         rc = _run(
@@ -184,6 +220,12 @@ class TestKeygen:
         main(["keygen", "--out", str(tmp_path / "b.txt")])
         assert (tmp_path / "a.txt").read_text() != (tmp_path / "b.txt").read_text()
 
+    def test_seed_outside_int64_is_2(self, tmp_path, capsys):
+        rc = _run("keygen", "--out", tmp_path / "k.txt", "--seed", 10**20)
+        assert rc == 2
+        assert "error: KeyFormatError" in capsys.readouterr().err
+        assert not (tmp_path / "k.txt").exists()
+
     def test_two_lines_without_region(self, tmp_path):
         main(["keygen", "--out", str(tmp_path / "k.txt")])
         assert len((tmp_path / "k.txt").read_text().strip().splitlines()) == 2
@@ -203,16 +245,32 @@ class TestAnalyze:
         assert f"total={report['total']}" in out
         assert f"plane0={report['per_plane'][0]}" in out
 
-    def test_capacity_regions(self, workdir, capsys):
+    def test_capacity_regions(self, workdir, monkeypatch, capsys):
+        shifts = []
+
+        def counting_shift(plane, pair):
+            shifts.append(pair)
+            return shift_histogram(plane, pair)
+
+        monkeypatch.setattr(cli, "shift_histogram", counting_shift)
         rc = _run(
             "analyze", "capacity", workdir / "in.ppm",
             "--block", "16", "--key", workdir / "keys.txt",
         )
         assert rc == 0
+        assert len(shifts) == 3  # one per RGB plane, shared by both regions
         out = capsys.readouterr().out
         lines = dict(ln.split("=") for ln in out.strip().splitlines())
         total = int(lines["total"])
-        assert int(lines["region_a"]) + int(lines["region_b"]) == total
+        region_a, region_b = int(lines["region_a"]), int(lines["region_b"])
+        assert region_a + region_b == total
+        # Both figures are exact: each region takes that many bits and no more.
+        image, keys = load_image(workdir / "in.ppm"), load_key_file(workdir / "keys.txt")
+        embed_two_domain(image, np.ones(region_a), np.ones(region_b), keys, 16)
+        with pytest.raises(CapacityExceededError, match="region A"):
+            embed_two_domain(image, np.ones(region_a + 1), [], keys, 16)
+        with pytest.raises(CapacityExceededError, match="region B"):
+            embed_two_domain(image, [], np.ones(region_b + 1), keys, 16)
 
     def test_correlation_with_subsample_and_json(self, tmp_path, capsys):
         save_image(natural_image(128, 128, seed=4), tmp_path / "nat.pgm")

@@ -1,0 +1,129 @@
+"""Malformed input may raise only BlockmarkError subclasses.
+
+Images and side info arrive from outside the program, so every decoder and
+every receiver-side flow is fed arbitrary and mutated bytes. Any exception
+that is not a BlockmarkError fails the test.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockmark import (
+    BlockmarkError,
+    Mode,
+    SideInfo,
+    decode_image,
+    decrypt,
+    embed_plain_then_encrypt,
+    embed_two_domain,
+    encode_image,
+    encrypt_then_embed,
+    extract_payload,
+    extract_two_domain,
+    generate_keys,
+)
+from conftest import random_bits, synth_image
+
+
+def _case(mode, color, per_plane):
+    rng = np.random.default_rng(3)
+    image = synth_image(64, 64, rng, color=color)
+    keys = generate_keys(two_domain=mode == Mode.TWO_DOMAIN, per_plane=per_plane, seed=9)
+    if mode == Mode.TWO_DOMAIN:
+        out, side = embed_two_domain(image, random_bits(rng, 20), random_bits(rng, 20), keys, 8)
+    else:
+        embed = embed_plain_then_encrypt if mode == Mode.PLAIN_FIRST else encrypt_then_embed
+        out, side = embed(image, random_bits(rng, 40), keys, 8)
+    return encode_image(out), side.to_bytes(), keys
+
+
+CASES = [
+    _case(Mode.PLAIN_FIRST, False, True),
+    _case(Mode.ENCRYPT_FIRST, True, False),
+    _case(Mode.TWO_DOMAIN, True, True),
+]
+
+
+def _receive(image, side, keys):
+    """Extract and decrypt, each allowed to refuse with a BlockmarkError."""
+    try:
+        if side.mode == Mode.TWO_DOMAIN:
+            extract_two_domain(image, side, keys.k_region)
+        else:
+            extract_payload(image, side)
+    except BlockmarkError:
+        pass
+    try:
+        decrypt(image, side, keys)
+    except BlockmarkError:
+        pass
+
+
+# Bytes that change what a header token or a small field means.
+_BYTE = st.sampled_from(b"-0189 #\n\x00\xff") | st.integers(0, 255)
+
+
+@st.composite
+def mutated(draw, data: bytes, hot: int):
+    """`data` with 1-3 byte replacements, insertions or deletions, half of
+    them within its first `hot` bytes."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        limit = min(hot, len(out)) if draw(st.booleans()) else len(out)
+        pos = draw(st.integers(0, max(limit - 1, 0)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or not out:
+            out.insert(pos, draw(_BYTE))
+        elif op == "replace":
+            out[pos] = draw(_BYTE)
+        else:
+            del out[pos]
+    return bytes(out)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+class TestImageBytes:
+    @settings(max_examples=300)
+    @given(st.binary(max_size=64) | st.builds(lambda b: b"P5" + b, st.binary(max_size=64)))
+    def test_arbitrary_bytes(self, data):
+        try:
+            decode_image(data)
+        except BlockmarkError:
+            pass
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mutated_image(self, case, data):
+        image_bytes, side_bytes, keys = CASES[case]
+        try:
+            image = decode_image(data.draw(mutated(image_bytes, 16)))
+        except BlockmarkError:
+            return
+        _receive(image, SideInfo.from_bytes(side_bytes), keys)
+
+
+class TestSideInfoBytes:
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mutated_side_info(self, case, data):
+        image_bytes, side_bytes, keys = CASES[case]
+        body = bytearray(side_bytes[:-4])
+        if data.draw(st.booleans()):
+            # The two block-size fields (bytes 7-10) must agree to parse,
+            # which byte mutations alone rarely achieve.
+            body[7:11] = data.draw(st.integers(0, 2**16 - 1)).to_bytes(2, "big") * 2
+        body = data.draw(mutated(bytes(body), len(body)))
+        try:
+            side = SideInfo.from_bytes(_with_crc(body))
+        except BlockmarkError:
+            return
+        _receive(decode_image(image_bytes), side, keys)

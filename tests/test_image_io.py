@@ -15,8 +15,8 @@ from blockmark import (
     decode_image,
     encode_image,
     split_blocks,
-    stack_to_plane,
 )
+from blockmark.image_io import block_view
 
 
 class TestDecode:
@@ -98,26 +98,26 @@ class TestImage:
 
 class TestBlockGrid:
     def test_even_split(self):
-        grid = split_blocks(np.zeros((32, 32), np.uint8), 16, 16)
+        grid = split_blocks(np.zeros((32, 32), np.uint8), 16)
         assert (grid.rows, grid.cols, grid.n_blocks) == (2, 2, 4)
 
     def test_large_landscape_split(self):
         # 3072-wide landscape plane: 3072/16 = 192 columns of blocks.
-        grid = split_blocks(np.zeros((2048, 3072), np.uint8), 16, 16)
+        grid = split_blocks(np.zeros((2048, 3072), np.uint8), 16)
         assert (grid.rows, grid.cols) == (128, 192)
 
     def test_indivisible(self):
         with pytest.raises(GeometryError):
-            split_blocks(np.zeros((10, 10), np.uint8), 16, 16)
+            split_blocks(np.zeros((10, 10), np.uint8), 16)
 
     def test_index_mapping_is_bijective(self):
-        grid = BlockGrid(block_w=4, block_h=8, cols=5, rows=3)
+        grid = BlockGrid(block=4, cols=5, rows=3)
         origins = {grid.origin(a) for a in range(grid.n_blocks)}
         assert len(origins) == grid.n_blocks
-        assert origins == {(r * 8, c * 4) for r in range(3) for c in range(5)}
+        assert origins == {(r * 4, c * 4) for r in range(3) for c in range(5)}
 
     def test_origin_out_of_range(self):
-        grid = BlockGrid(block_w=4, block_h=4, cols=2, rows=2)
+        grid = BlockGrid(block=4, cols=2, rows=2)
         with pytest.raises(IndexError):
             grid.origin(4)
 
@@ -126,12 +126,16 @@ class TestConcatSplit:
     @settings(max_examples=30)
     @given(arrays(np.uint8, (24, 24)), st.sampled_from([2, 3, 4, 6, 8, 12]))
     def test_stack_round_trip(self, plane, size):
-        grid = split_blocks(plane, size, size)
-        assert np.array_equal(stack_to_plane(block_stack(plane, grid), grid), plane)
+        grid = split_blocks(plane, size)
+        out = np.zeros_like(plane)
+        block_view(out, grid)[:] = block_stack(plane, grid).reshape(
+            grid.rows, grid.cols, size, size
+        )
+        assert np.array_equal(out, plane)
 
     def test_stack_matches_get_block(self, rng):
         plane = rng.integers(0, 256, size=(12, 20), dtype=np.uint8)
-        grid = split_blocks(plane, 4, 4)
+        grid = split_blocks(plane, 4)
         stacked = block_stack(plane, grid)
         for a in range(grid.n_blocks):
             assert np.array_equal(stacked[a], plane[grid.block_slice(a)])

@@ -22,8 +22,8 @@ from blockmark import (
     scramble_blocks,
     shift_histogram,
     split_blocks,
-    stack_to_plane,
 )
+from blockmark.image_io import block_view
 from conftest import key_signature, ref_canonical_signature, ref_order_plan, valid_pair_plane
 
 mask_strategy = arrays(
@@ -51,13 +51,15 @@ def _canonical(*masks):
 def _plane_of_blocks(masks, block, rows, cols, shifted=None):
     """Plane of rows x cols blocks: block `a` is marked where `masks[a]` is
     True, and its first `shifted[a]` unmarked cells read 9."""
-    grid = BlockGrid(block_w=block, block_h=block, cols=cols, rows=rows)
+    grid = BlockGrid(block=block, cols=cols, rows=rows)
     stack = np.full((grid.n_blocks, block * block), 50, dtype=np.uint8)
     for a, mask in masks.items():
         stack[a][np.asarray(mask, dtype=bool).ravel()] = MARK.pp
     for a, n in (shifted or {}).items():
         stack[a][np.flatnonzero(stack[a] == 50)[:n]] = 9
-    return stack_to_plane(stack.reshape(-1, block, block), grid), grid
+    plane = np.empty(grid.plane_shape, dtype=np.uint8)
+    block_view(plane, grid)[:] = stack.reshape(rows, cols, block, block)
+    return plane, grid
 
 
 class TestOrientations:
@@ -148,9 +150,6 @@ class TestCanonical:
     def test_non_square_rejected(self):
         with pytest.raises(GeometryError):
             canonicalize(np.ones((2, 8), dtype=bool))
-        grid = BlockGrid(block_w=4, block_h=2, cols=1, rows=2)
-        with pytest.raises(GeometryError):
-            build_order_plan(np.full((4, 4), 7, np.uint8), MARK, grid)
 
     @settings(max_examples=150)
     @given(mask_strategy)
@@ -258,7 +257,7 @@ class TestPlanOracle:
     @given(plan_cases())
     def test_matches_reference_plan(self, case):
         plane, pair, block, scope = case
-        plan = build_order_plan(plane, pair, split_blocks(plane, block, block), scope)
+        plan = build_order_plan(plane, pair, split_blocks(plane, block), scope)
         ref = ref_order_plan(plane, pair, block, scope)
         assert plan.blocks.dtype == np.intp
         assert plan.blocks.tolist() == ref["blocks"]
@@ -270,7 +269,7 @@ class TestPlanOracle:
 class TestOrderPlan:
     def test_no_marked_blocks(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
-        grid = split_blocks(plane, 16, 16)
+        grid = split_blocks(plane, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.blocks.tolist() == []
         assert plan.slots.size == 0
@@ -281,7 +280,7 @@ class TestOrderPlan:
         plane = np.full((32, 32), 50, dtype=np.uint8)
         plane[0, 1] = 7
         plane[2, 3] = 7
-        grid = split_blocks(plane, 16, 16)
+        grid = split_blocks(plane, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.blocks.tolist() == [0]
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
@@ -292,7 +291,7 @@ class TestOrderPlan:
         plane = np.full((16, 32), 50, dtype=np.uint8)
         plane[0, 1] = 7
         plane[0, 17] = 7
-        grid = split_blocks(plane, 16, 16)
+        grid = split_blocks(plane, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.blocks.tolist() == [0, 1]
         assert np.flatnonzero(plan.tie_flagged).tolist() == [0, 1]
@@ -302,7 +301,7 @@ class TestOrderPlan:
     def test_ambiguous_block_not_rotation_eligible(self):
         plane = np.full((16, 16), 50, dtype=np.uint8)
         plane[[0, 0, 15, 15], [0, 15, 0, 15]] = 7
-        grid = split_blocks(plane, 16, 16)
+        grid = split_blocks(plane, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert np.flatnonzero(plan.rot_eligible).tolist() == []
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0]
@@ -311,7 +310,7 @@ class TestOrderPlan:
         plane = np.full((16, 32), 50, dtype=np.uint8)
         plane[0, 1] = 7
         plane[0, 20] = 7
-        grid = split_blocks(plane, 16, 16)
+        grid = split_blocks(plane, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid, np.array([1]))
         assert plan.blocks.tolist() == [1]
         assert not plan.rot_eligible[0]
@@ -323,7 +322,7 @@ class TestOrderPlan:
         plane[0, 1] = 7
         plane[0, 9] = 7
         plane[1, 9] = 7
-        grid = split_blocks(plane, 8, 8)
+        grid = split_blocks(plane, 8)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.blocks.tolist() == [1, 0]
         assert plan.slots.tolist() == [9, 16 + 9, 1]
@@ -340,7 +339,7 @@ class TestOrderPlan:
             plane = valid_pair_plane(rng, 32, 32)
             pair = find_pp_zp(plane)
             inter = shift_histogram(plane, pair)
-            plan = build_order_plan(inter, pair, split_blocks(inter, 4, 4))
+            plan = build_order_plan(inter, pair, split_blocks(inter, 4))
             masks.append(getattr(plan, field))
         sets = [set(np.flatnonzero(m).tolist()) for m in masks]
         common = set.intersection(*sets)
@@ -360,7 +359,7 @@ class TestPlanStability:
 
     def _content_keys(self, plane, pair, plan):
         """(slot count, shifted count, canonical key) per block, plan order."""
-        cells = plan.grid.block_h * plan.grid.block_w
+        cells = plan.grid.block**2
         mask = block_stack(marked_mask(plane, pair), plan.grid).reshape(-1, cells)
         lo, hi = pair.band
         band = block_stack((plane >= lo) & (plane <= hi), plan.grid)
@@ -379,7 +378,7 @@ class TestPlanStability:
         plane = valid_pair_plane(rng, 32, 32)
         pair = find_pp_zp(plane)
         inter = shift_histogram(plane, pair)
-        grid = split_blocks(inter, 8, 8)
+        grid = split_blocks(inter, 8)
 
         plan1 = build_order_plan(inter, pair, grid)
         bits = rng.integers(0, 2, size=plan1.slots.size, dtype=np.uint8)

@@ -1,5 +1,7 @@
 """End-to-end flows: all modes, both receiver orders, side-info transport."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ class TestSingleDomain:
         payload = random_bits(rng, capacity_report(img)["total"])
         out, side = embed_plain_then_encrypt(img, payload, keys, 16)
         pair = side.pairs[0]
-        grid = split_blocks(out.planes[0], 16, 16)
+        grid = split_blocks(out.planes[0], 16)
         plan = build_order_plan(out.planes[0], pair, grid)
         hit = 3  # flip the fourth slot between pp and the marked value
         plane = out.planes[0].copy()
@@ -175,7 +177,7 @@ class TestSingleDomain:
 
 class TestTwoDomain:
     def _regional_capacities(self, img, k_region, block):
-        grid = split_blocks(img.planes[0], block, block)
+        grid = split_blocks(img.planes[0], block)
         regions = RegionMap.derive(k_region, grid)
         caps = {"A": 0, "B": 0}
         for plane in img.planes:
@@ -240,7 +242,7 @@ class TestTwoDomain:
     def test_region_with_no_marked_blocks(self, keys):
         # All slot pixels sit in region A's blocks; region B still encrypts
         # but carries an empty payload.
-        grid = split_blocks(np.zeros((16, 32), np.uint8), 16, 16)
+        grid = split_blocks(np.zeros((16, 32), np.uint8), 16)
         regions = RegionMap.derive(keys.k_region, grid)
         plane = np.full((16, 32), 50, dtype=np.uint8)
         target = int(regions.blocks("A")[0])
@@ -255,7 +257,7 @@ class TestTwoDomain:
         assert decrypt(etc_img, side, keys) == img
 
     def test_region_map_regenerates(self, keys):
-        grid = split_blocks(np.zeros((64, 64), np.uint8), 8, 8)
+        grid = split_blocks(np.zeros((64, 64), np.uint8), 8)
         a = RegionMap.derive(keys.k_region, grid)
         b = RegionMap.derive(keys.k_region, grid)
         assert np.array_equal(a.labels, b.labels)
@@ -296,8 +298,7 @@ class TestSideInfo:
     def _sample(self):
         return SideInfo(
             mode=Mode.TWO_DOMAIN,
-            block_w=16,
-            block_h=16,
+            block=16,
             pairs=(HistPair(12, 17), HistPair(200, 190), HistPair(3, 4)),
             bit_lengths=(10, 0, 99, 1, 2**40, 7),
             per_plane_keys=False,
@@ -331,12 +332,20 @@ class TestSideInfo:
         with pytest.raises(SideInfoError):
             SideInfo.from_bytes(raw[:-4] + b"\x00" + raw[-4:])
 
+    def test_non_square_blocks_rejected(self):
+        # Block width and height sit at bytes 7-10; declare 16x8 blocks and
+        # recompute the CRC so that only the geometry is wrong.
+        raw = bytearray(self._sample().to_bytes())
+        raw[9:11] = (8).to_bytes(2, "big")
+        raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
+        with pytest.raises(SideInfoError, match="square blocks"):
+            SideInfo.from_bytes(bytes(raw))
+
     def test_length_count_must_match_mode(self):
         with pytest.raises(SideInfoError):
             SideInfo(
                 mode=Mode.PLAIN_FIRST,
-                block_w=16,
-                block_h=16,
+                block=16,
                 pairs=(HistPair(1, 2),),
                 bit_lengths=(1, 2),
             )
@@ -346,8 +355,7 @@ class TestSideInfo:
         out, side = embed_plain_then_encrypt(img, [], keys, 16)
         bogus = SideInfo(
             mode=side.mode,
-            block_w=16,
-            block_h=16,
+            block=16,
             pairs=side.pairs,
             bit_lengths=(10**6,),
         )
