@@ -103,15 +103,16 @@ def correlation_report(
 
 
 def capacity_report(image: Image, block_size: int | None = None) -> dict:
-    """Embeddable bits per plane and in total.
+    """Embeddable bits per plane and in total, and each plane's (pp, zp) pair.
 
     Capacity counts peak-bin pixels, so it does not depend on the block
     size; when one is given it is only validated against the geometry.
     """
     if block_size is not None:
         split_blocks(image.planes[0], block_size)
-    per_plane = [capacity(p, find_pp_zp(p)) for p in image.planes]
-    return {"per_plane": per_plane, "total": int(sum(per_plane))}
+    pairs = [find_pp_zp(p) for p in image.planes]
+    per_plane = [capacity(p, pair) for p, pair in zip(image.planes, pairs)]
+    return {"per_plane": per_plane, "total": int(sum(per_plane)), "pairs": pairs}
 
 
 @dataclass(frozen=True)

@@ -106,24 +106,12 @@ class KeyedBitStream:
             self._bitbuf = tail & ((1 << self._bitcount) - 1)
         return out
 
-    def randbelow(self, n: int) -> int:
-        """Uniform draw from [0, n) via rejection sampling (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("randbelow needs a positive bound")
-        if n == 1:
-            return 0
-        k = (n - 1).bit_length()
-        while True:
-            v = self.take_bits(k)
-            if v < n:
-                return v
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle driven by the stream.
 
-        Draws exactly what ``j = randbelow(i + 1)`` for i = len-1 .. 1 would,
-        but reads them from a local big-int buffer instead of a method call
-        per draw.
+        For i = len-1 .. 1, swaps items i and j, where j is the next
+        ``i.bit_length()`` stream bits, redrawn while it exceeds i (unbiased
+        rejection sampling). Bits are read from a local big-int buffer.
         """
         buf, count = self._bitbuf, self._bitcount
         block_bits = 8 * self._BLOCK

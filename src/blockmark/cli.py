@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, pipeline
 from .cipher import KeySet, generate_keys, load_key_file, save_key_file
 from .errors import BlockmarkError, CodecError
-from .histshift import find_pp_zp, shift_histogram
+from .histshift import shift_histogram
 from .image_io import load_image, save_image, split_blocks
 from .ordering import build_order_plan
 
@@ -104,6 +104,8 @@ def _cmd_extract(ns) -> int:
     else:
         if ns.payload_b_out is not None:
             raise BlockmarkError("--payload-b-out is only valid for two-domain side info")
+        if ns.key is not None:
+            raise BlockmarkError("--key is only valid for two-domain side info")
         bits, etc_image = pipeline.extract_payload(image, side)
         _write_payload_bits(bits, ns.payload_out)
     if ns.image_out:
@@ -134,17 +136,13 @@ def _cmd_analyze_capacity(ns) -> int:
         keys = load_key_file(ns.key)
         if keys.k_region is None:
             raise BlockmarkError("region capacities need a key file with a region key")
-        block = ns.block or 16
-        grid = split_blocks(image.planes[0], block)
-        regions = pipeline.RegionMap.derive(keys.k_region, grid)
-        pairs = [find_pp_zp(plane) for plane in image.planes]
-        inters = [shift_histogram(plane, pair) for plane, pair in zip(image.planes, pairs)]
-        for region in ("A", "B"):
-            idx = regions.blocks(region)
-            lines[f"region_{region.lower()}"] = sum(
-                build_order_plan(inter, pair, grid, idx).slots.size
-                for inter, pair in zip(inters, pairs)
-            )
+        grid = split_blocks(image.planes[0], ns.block or 16)
+        labels = pipeline.RegionMap.derive(keys.k_region, grid).labels
+        caps = np.zeros(2, dtype=np.intp)
+        for plane, pair in zip(image.planes, report["pairs"]):
+            plan = build_order_plan(shift_histogram(plane, pair), pair, grid, labels)
+            caps += np.bincount(plan.slot_labels, minlength=2)
+        lines["region_a"], lines["region_b"] = caps.tolist()
     _emit(lines, ns.json)
     return 0
 

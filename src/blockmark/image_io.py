@@ -60,9 +60,6 @@ class Image:
     def is_color(self) -> bool:
         return len(self.planes) == 3
 
-    def copy(self) -> "Image":
-        return Image(tuple(p.copy() for p in self.planes))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Image):
             return NotImplemented

@@ -14,13 +14,15 @@ that possible:
   invariant too. Blocks where several orientations tie are "ambiguous":
   they are scanned as-is and must never be rotated or flipped.
 
-* Among blocks, marked blocks are sorted by (slot count descending,
-  shifted-band count ascending, canonical signature ascending). For equal
-  slot counts a smaller signature is exactly a larger canonical key, so one
-  `np.lexsort` orders them. Blocks whose key collides with another block's
-  (equal adjacent rows after the sort) fall back to block-index order and
-  must never be relocated; everything else may move freely because its
-  key, not its position, fixes its place in the sequence.
+* Among blocks, marked blocks are sorted by (scope label, slot count
+  descending, shifted-band count ascending, canonical signature ascending).
+  For equal slot counts a smaller signature is exactly a larger canonical
+  key, so one `np.lexsort` orders them. Blocks whose key collides with
+  another block's of the same label (equal adjacent rows after the sort)
+  fall back to block-index order and must never be relocated; everything
+  else may move freely because its key, not its position, fixes its place
+  in the sequence. A scope is a label: each label's slice of the plan is
+  the plan of that label's blocks alone.
 
 Blocks without slots carry no ordering constraints and are always eligible
 for both encryption steps.
@@ -119,11 +121,13 @@ def canonicalize(
 class OrderPlan:
     """Complete embedding order and encryption eligibility for one plane.
 
-    `blocks` holds the marked (slot-carrying) block indices of the scope in
-    embedding order. `tie_flagged`, `rot_eligible` and `scr_eligible` are
-    boolean masks over block indices, of length `grid.n_blocks`: entry `a` is
-    True when block `a` has a colliding sort key, may be rotated/flipped, or
-    may be scrambled. Blocks outside the plan's scope read False in all three.
+    `blocks` holds the marked (slot-carrying) block indices in embedding
+    order, label by label, and `slots` their slots in the same order;
+    `slot_labels` holds each slot's scope label, so scope `j` embeds into
+    `slots[slot_labels == j]`. `tie_flagged`, `rot_eligible` and
+    `scr_eligible` are boolean masks of length `grid.n_blocks`: entry `a` is
+    True when block `a` shares its sort key within its label, may be
+    rotated/flipped, or may be scrambled. Scope `j`'s are `mask & (labels == j)`.
     """
 
     grid: BlockGrid
@@ -132,25 +136,24 @@ class OrderPlan:
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
     slots: np.ndarray  # plane-flat pixel indices, global embedding order
+    slot_labels: np.ndarray  # scope label per slot
 
 
 def build_order_plan(
     plane: np.ndarray,
     pair: HistPair,
     grid: BlockGrid,
-    block_indices: np.ndarray | None = None,
+    labels: np.ndarray | None = None,
 ) -> OrderPlan:
     """Derive the full plan from an intermediate or marked plane.
 
-    `block_indices` restricts the plan to a subset of blocks (used for
-    region-partitioned processing); ordering, eligibility, and slots are all
-    confined to that subset.
+    `labels` gives every block a scope label (all zero by default). Ordering
+    and tie flags never cross labels, so each label's slice of the plan is
+    the plan of that label's blocks alone.
     """
-    if block_indices is None:
-        in_scope = np.ones(grid.n_blocks, dtype=bool)
-    else:
-        in_scope = np.zeros(grid.n_blocks, dtype=bool)
-        in_scope[np.asarray(block_indices, dtype=np.intp)] = True
+    labels = np.zeros(grid.n_blocks, np.intp) if labels is None else np.asarray(labels)
+    if labels.shape != (grid.n_blocks,):
+        raise ValueError(f"labels must hold one entry per block ({grid.n_blocks})")
 
     cells = grid.block * grid.block
     mask_blocks = block_stack(marked_mask(plane, pair), grid).reshape(-1, cells)
@@ -162,24 +165,24 @@ def build_order_plan(
     else:
         band_counts = np.zeros(grid.n_blocks, dtype=np.intp)
 
-    marked = np.flatnonzero(in_scope & (counts > 0))
+    marked = np.flatnonzero(counts > 0)
     orientation, ambiguous, key = canonicalize(mask_blocks[marked])
     shifted = band_counts[marked]
-    # Sort by (slot count desc, shifted count asc, signature asc, index).
+    # Sort by (label, slot count desc, shifted asc, signature asc, index).
     # With equal slot counts the smaller signature is the larger packed key.
-    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked]))
+    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked], labels[marked]))
     blocks, orientation = marked[order], orientation[order]
-    key, shifted = key[order], shifted[order]
+    key, shifted, block_labels = key[order], shifted[order], labels[blocks]
 
     # Equal sort keys sit in adjacent rows. Equal canonical masks imply
-    # equal slot counts, so the key words and shifted counts suffice.
+    # equal slot counts, so the labels, key words and shifted counts suffice.
     same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
+    same &= block_labels[1:] == block_labels[:-1]
     tie_flagged = np.zeros(grid.n_blocks, dtype=bool)
     tie_flagged[blocks[1:][same]] = True
     tie_flagged[blocks[:-1][same]] = True
-    rot_eligible = in_scope.copy()
+    rot_eligible = np.ones(grid.n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
-    scr_eligible = in_scope & ~tie_flagged
 
     # Visit each block's slots in its canonical scan order (raster order
     # for ambiguous blocks, whose orientation reads 0).
@@ -194,6 +197,7 @@ def build_order_plan(
         blocks=blocks,
         tie_flagged=tie_flagged,
         rot_eligible=rot_eligible,
-        scr_eligible=scr_eligible,
+        scr_eligible=~tie_flagged,
         slots=slots,
+        slot_labels=block_labels[row],
     )

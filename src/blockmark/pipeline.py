@@ -7,12 +7,14 @@ receiver only needs the side information (pp/zp per plane, payload bit
 lengths, geometry) to extract, and only needs the keys to decrypt.
 
 Every flow runs over scopes: sets of blocks that are ordered, encrypted
-and embedded on their own, with their own key tags and payload bits.
-Plain-first and encrypted-first hiding use one whole-grid scope, embedded
-before or after encryption. Two-domain hiding assigns every block to
-region A or B by one fair key bit per block; A is a plain-first scope and B
-an encrypted-first one. Payloads are consumed plane by plane in R, G, B
-order, each plane taking up to its own capacity in the scope.
+and embedded on their own, with their own key tags and payload bits. A scope
+is a block label, and each scope's plan is its label's slice of the one
+order plan per plane. Plain-first and encrypted-first hiding use one
+whole-grid scope, embedded before or after encryption. Two-domain hiding
+labels every block region A (0) or B (1) by one fair key bit per block; A
+is a plain-first scope and B an encrypted-first one. Payloads are consumed
+plane by plane in R, G, B order, each plane taking up to its own capacity
+in the scope.
 """
 
 from __future__ import annotations
@@ -167,34 +169,26 @@ class RegionMap:
         stream = KeyedBitStream(k_region, TAG_REGION)
         return cls(labels=stream.bits(grid.n_blocks).astype(bool))
 
-    def blocks(self, region: str) -> np.ndarray:
-        if region == "A":
-            return np.flatnonzero(~self.labels)
-        if region == "B":
-            return np.flatnonzero(self.labels)
-        raise ValueError("region must be 'A' or 'B'")
-
 
 @dataclass(frozen=True)
 class _Scope:
-    """Blocks (None for the whole grid), key-tag suffix, and whether the
-    payload goes in before encryption."""
+    """Key-tag suffix, and whether the payload goes in before encryption.
+    Scope `j` owns the blocks labelled `j`."""
 
-    blocks: np.ndarray | None
     suffix: bytes
     plain_first: bool
 
 
-def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> list[_Scope]:
-    """The scopes of a mode, in processing order: one whole-grid scope for
-    single-domain modes; region A (plain-first), then region B
-    (encrypted-first) for two-domain hiding."""
+def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.ndarray, list[_Scope]]:
+    """Per-block scope labels and the scopes of a mode, in processing order:
+    one whole-grid scope for single-domain modes; region A (plain-first),
+    then region B (encrypted-first) for two-domain hiding."""
     if mode != Mode.TWO_DOMAIN:
-        return [_Scope(None, b"", mode == Mode.PLAIN_FIRST)]
+        return np.zeros(grid.n_blocks, dtype=bool), [_Scope(b"", mode == Mode.PLAIN_FIRST)]
     if k_region is None:
         raise SideInfoError("two-domain mode requires a region key")
-    regions = RegionMap.derive(k_region, grid)
-    return [_Scope(regions.blocks("A"), b"/A", True), _Scope(regions.blocks("B"), b"/B", False)]
+    labels = RegionMap.derive(k_region, grid).labels
+    return labels, [_Scope(b"/A", True), _Scope(b"/B", False)]
 
 
 def _subkeys(keys: KeySet, plane: int) -> tuple[bytes, bytes]:
@@ -215,18 +209,37 @@ def _encrypt_planes(
     grid: BlockGrid,
     plans: list[OrderPlan],
     keys: KeySet,
-    suffix: bytes,
+    labels: np.ndarray,
+    scopes: list[_Scope],
 ) -> list[np.ndarray]:
-    """Rotate/flip then scramble each plane's eligible blocks."""
-    rot_masks = _key_masks(keys, [p.rot_eligible for p in plans])
-    scr_masks = _key_masks(keys, [p.scr_eligible for p in plans])
-    out = []
-    for i, plane in enumerate(planes):
-        k1, k2 = _subkeys(keys, i)
-        enc = rotate_flip_blocks(plane, grid, rot_masks[i], k2, tag=TAG_ORIENT + suffix)
-        enc = scramble_blocks(enc, grid, scr_masks[i], k1, tag=TAG_SCRAMBLE + suffix)
-        out.append(enc)
+    """Rotate/flip then scramble each plane's eligible blocks, scope by scope."""
+    out = list(planes)
+    for j, s in enumerate(scopes):
+        rot = _key_masks(keys, [p.rot_eligible & (labels == j) for p in plans])
+        scr = _key_masks(keys, [p.scr_eligible & (labels == j) for p in plans])
+        for i, plane in enumerate(out):
+            k1, k2 = _subkeys(keys, i)
+            enc = rotate_flip_blocks(plane, grid, rot[i], k2, tag=TAG_ORIENT + s.suffix)
+            out[i] = scramble_blocks(enc, grid, scr[i], k1, tag=TAG_SCRAMBLE + s.suffix)
     return out
+
+
+def _embed_scopes(
+    planes: list[np.ndarray],
+    pairs: list[HistPair],
+    plans: list[OrderPlan],
+    chunks: list[list[np.ndarray]],
+    scopes: list[_Scope],
+    plain_first: bool,
+) -> list[np.ndarray]:
+    """Write the payload chunks of the scopes embedded in the given domain."""
+    for j, s in enumerate(scopes):
+        if s.plain_first == plain_first:
+            planes = [
+                embed_bits(p, pair, plan.slots[plan.slot_labels == j], c)
+                for p, pair, plan, c in zip(planes, pairs, plans, chunks[j])
+            ]
+    return planes
 
 
 def _plane_is_unshifted(plane: np.ndarray, pair: HistPair) -> bool:
@@ -250,10 +263,10 @@ def _chunk_payload(bits: np.ndarray, capacities: list[int], what: str) -> list[n
 def _embed(
     mode: Mode, image: Image, payloads: tuple, keys: KeySet, block_size: int
 ) -> tuple[Image, SideInfo]:
-    """Shift every plane, plan every scope, then embed and encrypt scope by
-    scope in the order each scope asks for."""
+    """Shift and plan every plane, embed the plain-first scopes, encrypt
+    every scope, then replan and embed the encrypted-first scopes."""
     grid = split_blocks(image.planes[0], block_size)
-    scopes = _scopes(mode, keys.k_region, grid)
+    labels, scopes = _scopes(mode, keys.k_region, grid)
     payloads = [np.asarray(p, dtype=np.uint8).ravel() for p in payloads]
     if any(bits.size and bits.max() > 1 for bits in payloads):
         raise ValueError("payload bits must be 0 or 1")
@@ -262,35 +275,24 @@ def _embed(
     # higher peak RSS (9.72x -> 9.99x the image, smooth-rgb-b32-2d in bench/)
     # although fewer bytes were live; the cause is not established.
     inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
-    plans = [
-        [build_order_plan(inter, pair, grid, s.blocks) for inter, pair in zip(inters, pairs)]
-        for s in scopes
-    ]
+    plans = [build_order_plan(inter, pair, grid, labels) for inter, pair in zip(inters, pairs)]
     # Every capacity is checked before any plane is written.
     chunks = [
         _chunk_payload(
             bits,
-            [p.slots.size for p in scope_plans],
+            [np.count_nonzero(p.slot_labels == j) for p in plans],
             f"region {s.suffix[1:].decode()} payload" if s.suffix else "payload",
         )
-        for bits, scope_plans, s in zip(payloads, plans, scopes)
+        for j, (bits, s) in enumerate(zip(payloads, scopes))
     ]
 
-    work = inters
-    for s, scope_plans, scope_chunks in zip(scopes, plans, chunks):
-        if not s.plain_first:
-            # The slot order is recomputed on the encrypted planes and lands
-            # on the same content cells.
-            work = _encrypt_planes(work, grid, scope_plans, keys, s.suffix)
-            scope_plans = [
-                build_order_plan(p, pair, grid, s.blocks) for p, pair in zip(work, pairs)
-            ]
-        work = [
-            embed_bits(p, pair, plan.slots, c)
-            for p, pair, plan, c in zip(work, pairs, scope_plans, scope_chunks)
-        ]
-        if s.plain_first:
-            work = _encrypt_planes(work, grid, scope_plans, keys, s.suffix)
+    work = _embed_scopes(inters, pairs, plans, chunks, scopes, plain_first=True)
+    work = _encrypt_planes(work, grid, plans, keys, labels, scopes)
+    if not all(s.plain_first for s in scopes):
+        # The slot order is recomputed on the encrypted planes and lands on
+        # the same content cells.
+        plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, pairs)]
+        work = _embed_scopes(work, pairs, plans, chunks, scopes, plain_first=False)
 
     side = SideInfo(
         mode=mode,
@@ -345,7 +347,7 @@ def _extract(
 ) -> tuple[list[np.ndarray], Image]:
     """Each scope's payload bits and the payload-free image."""
     grid = _validate_side(image, side)
-    scopes = _scopes(side.mode, k_region, grid)
+    labels, scopes = _scopes(side.mode, k_region, grid)
     bits = [[] for _ in scopes]
     planes_out = []
     for i, (plane, pair) in enumerate(zip(image.planes, side.pairs)):
@@ -354,15 +356,15 @@ def _extract(
                 "image histogram is not in the shifted state; "
                 "was the payload already extracted?"
             )
-        for j, s in enumerate(scopes):
+        plan = build_order_plan(plane, pair, grid, labels)
+        for j in range(len(scopes)):
             length = side.bit_lengths[len(scopes) * i + j]
-            plan = build_order_plan(plane, pair, grid, s.blocks)
-            if length > plan.slots.size:
+            slots = plan.slots[plan.slot_labels == j]
+            if length > slots.size:
                 raise SideInfoError(
-                    f"side info declares {length} bits but only "
-                    f"{plan.slots.size} slots exist"
+                    f"side info declares {length} bits but only {slots.size} slots exist"
                 )
-            scope_bits, plane = extract_bits(plane, pair, plan.slots[:length])
+            scope_bits, plane = extract_bits(plane, pair, slots[:length])
             bits[j].append(scope_bits)
         planes_out.append(unshift_histogram(plane, pair))
     return [np.concatenate(b) for b in bits], Image(tuple(planes_out))
@@ -401,7 +403,7 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     grid = _validate_side(image, side)
     if side.per_plane_keys != keys.per_plane:
         raise SideInfoError("per-plane key flag does not match side info")
-    scopes = _scopes(side.mode, keys.k_region, grid)
+    labels, scopes = _scopes(side.mode, keys.k_region, grid)
 
     # Every plan was built on shifted planes. Block moves commute with the
     # per-value shift, so an un-shifted plane is shifted once, decrypted in
@@ -412,17 +414,19 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
         work[i] = shift_histogram(work[i], side.pairs[i])
     subkeys = [_subkeys(keys, i) for i in range(len(work))]
 
-    # Regions are disjoint, so each scope is fully decrypted in turn. The
-    # rotation set travels with block content, so it is only recomputable
-    # once the scope is unscrambled. Planes are replaced one at a time so
-    # that the planes they replace can be freed.
-    for s in scopes:
-        plans = [build_order_plan(p, pair, grid, s.blocks) for p, pair in zip(work, side.pairs)]
-        masks = _key_masks(keys, [p.scr_eligible for p in plans])
+    # Scopes are disjoint and each one's plan depends only on its own
+    # blocks, so one plan per plane serves every scope. The rotation set
+    # travels with block content, so it is only recomputable once every
+    # scope is unscrambled. Planes are replaced one at a time so that the
+    # planes they replace can be freed.
+    plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, side.pairs)]
+    for j, s in enumerate(scopes):
+        masks = _key_masks(keys, [p.scr_eligible & (labels == j) for p in plans])
         for i, (k1, _) in enumerate(subkeys):
             work[i] = unscramble_blocks(work[i], grid, masks[i], k1, tag=TAG_SCRAMBLE + s.suffix)
-        plans = [build_order_plan(p, pair, grid, s.blocks) for p, pair in zip(work, side.pairs)]
-        masks = _key_masks(keys, [p.rot_eligible for p in plans])
+    plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, side.pairs)]
+    for j, s in enumerate(scopes):
+        masks = _key_masks(keys, [p.rot_eligible & (labels == j) for p in plans])
         for i, (_, k2) in enumerate(subkeys):
             work[i] = unrotate_blocks(work[i], grid, masks[i], k2, tag=TAG_ORIENT + s.suffix)
 

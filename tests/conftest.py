@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blockmark import HistPair, Image
+from blockmark import HistPair, Image, RegionMap, find_pp_zp, shift_histogram, split_blocks
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -188,6 +188,21 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
         "scr_eligible": set(scope) - tied,
         "slots": [s for a in order for s in entries[a][2]],
     }
+
+
+def region_capacities(image: Image, k_region: bytes, block: int) -> dict[str, int]:
+    """Bits regions A and B can carry: the peak-valued pixels of the shifted
+    planes inside each region's blocks, counted without an order plan."""
+    grid = split_blocks(image.planes[0], block)
+    labels = RegionMap.derive(k_region, grid).labels.reshape(grid.rows, grid.cols)
+    in_b = np.repeat(np.repeat(labels, block, axis=0), block, axis=1)
+    caps = {"A": 0, "B": 0}
+    for plane in image.planes:
+        pair = find_pp_zp(plane)
+        slots = shift_histogram(plane, pair) == pair.pp
+        caps["A"] += int((slots & ~in_b).sum())
+        caps["B"] += int((slots & in_b).sum())
+    return caps
 
 
 @pytest.fixture

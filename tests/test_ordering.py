@@ -214,6 +214,25 @@ class TestAmongOrder:
         assert plan.blocks.tolist() == [2, 7]
         assert np.flatnonzero(plan.tie_flagged).tolist() == [2, 7]
 
+    @pytest.mark.parametrize(
+        "label_2, label_7, order, flagged",
+        [(0, 0, [2, 7], [2, 7]), (1, 1, [2, 7], [2, 7]), (0, 1, [2, 7], []), (1, 0, [7, 2], [])],
+    )
+    def test_tie_needs_equal_labels(self, label_2, label_7, order, flagged):
+        # The colliding pair of test_forced_tie_uses_index ties only within
+        # one label; across labels each block is alone in its scope.
+        mask = _single_mask(4, 0, 0) | _single_mask(4, 1, 3)
+        plane, grid = _plane_of_blocks(
+            {7: apply_orientation(mask, 1), 2: mask}, 4, 2, 4, shifted={2: 3, 7: 3}
+        )
+        labels = np.zeros(grid.n_blocks, dtype=np.intp)
+        labels[[2, 7]] = label_2, label_7
+        plan = build_order_plan(plane, MARK, grid, labels)
+        assert plan.blocks.tolist() == order
+        assert np.flatnonzero(plan.tie_flagged).tolist() == flagged
+        assert np.flatnonzero(~plan.scr_eligible).tolist() == flagged
+        assert plan.slot_labels.tolist() == sorted([label_2] * 2 + [label_7] * 2)
+
     def test_signature_breaks_ties(self):
         # Equal slot and shifted counts; block 1's canonical signature
         # (0, 6) precedes block 0's (5, 6).
@@ -229,7 +248,7 @@ class TestAmongOrder:
 @st.composite
 def plan_cases(draw):
     """Small-valued planes (ties and ambiguous blocks are common) or tiles of
-    one block under random orientations, with or without a scope."""
+    one block under random orientations, with or without scope labels."""
     block = draw(st.sampled_from([2, 3, 4, 5, 8, 16]))  # 16: multi-word keys
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -243,27 +262,37 @@ def plan_cases(draw):
             [[apply_orientation(tile, ids[r * cols + c]) for c in range(cols)] for r in range(rows)]
         )
     pair = HistPair(pp=draw(st.integers(10, 13)), zp=draw(st.sampled_from([8, 15])))
-    scope = draw(
+    labels = draw(
         st.none()
-        | st.lists(st.integers(0, rows * cols - 1), unique=True).map(
+        | st.lists(st.integers(0, 2), min_size=rows * cols, max_size=rows * cols).map(
             lambda a: np.array(a, dtype=np.intp)
         )
     )
-    return plane, pair, block, scope
+    return plane, pair, block, labels
 
 
 class TestPlanOracle:
     @settings(max_examples=300)
     @given(plan_cases())
     def test_matches_reference_plan(self, case):
-        plane, pair, block, scope = case
-        plan = build_order_plan(plane, pair, split_blocks(plane, block), scope)
-        ref = ref_order_plan(plane, pair, block, scope)
+        # Each label's slice of the plan is the reference plan of that
+        # label's blocks alone.
+        plane, pair, block, labels = case
+        grid = split_blocks(plane, block)
+        plan = build_order_plan(plane, pair, grid, labels)
+        if labels is None:
+            labels = np.zeros(grid.n_blocks, dtype=np.intp)
         assert plan.blocks.dtype == np.intp
-        assert plan.blocks.tolist() == ref["blocks"]
-        for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
-            assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
-        assert plan.slots.tolist() == ref["slots"]
+        block_labels = labels[plan.blocks]
+        assert (np.diff(block_labels) >= 0).all()
+        assert plan.slot_labels.shape == plan.slots.shape
+        for j in range(3):
+            ref = ref_order_plan(plane, pair, block, np.flatnonzero(labels == j))
+            assert plan.blocks[block_labels == j].tolist() == ref["blocks"]
+            for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
+                got = getattr(plan, field) & (labels == j)
+                assert set(np.flatnonzero(got).tolist()) == ref[field]
+            assert plan.slots[plan.slot_labels == j].tolist() == ref["slots"]
 
 
 class TestOrderPlan:
@@ -311,10 +340,17 @@ class TestOrderPlan:
         plane[0, 1] = 7
         plane[0, 20] = 7
         grid = split_blocks(plane, 16)
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid, np.array([1]))
-        assert plan.blocks.tolist() == [1]
-        assert not plan.rot_eligible[0]
-        assert plan.slots.tolist() == [20]
+        labels = np.array([0, 1])
+        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid, labels)
+        assert plan.blocks[labels[plan.blocks] == 1].tolist() == [1]
+        assert not (plan.rot_eligible & (labels == 1))[0]
+        assert plan.slots[plan.slot_labels == 1].tolist() == [20]
+
+    def test_labels_length_checked(self):
+        plane = np.full((16, 32), 50, dtype=np.uint8)
+        grid = split_blocks(plane, 16)
+        with pytest.raises(ValueError, match="one entry per block"):
+            build_order_plan(plane, HistPair(pp=7, zp=9), grid, np.zeros(3, dtype=np.intp))
 
     def test_slot_order_among_blocks(self):
         # Block 1 holds two slots, block 0 holds one: block 1 leads.

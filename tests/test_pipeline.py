@@ -21,15 +21,14 @@ from blockmark import (
     encrypt_then_embed,
     extract_payload,
     extract_two_domain,
-    find_pp_zp,
     generate_keys,
     histogram,
     psnr,
-    shift_histogram,
     split_blocks,
 )
+from blockmark import pipeline
 from blockmark.ordering import build_order_plan
-from conftest import random_bits, synth_image
+from conftest import random_bits, region_capacities, synth_image
 
 
 def _plane_hists(image):
@@ -165,10 +164,10 @@ class TestSingleDomain:
 
     def test_operations_never_mutate_inputs(self, rng, keys):
         img = synth_image(64, 64, rng, color=True)
-        snapshot = img.copy()
+        snapshot = Image(tuple(p.copy() for p in img.planes))
         payload = random_bits(rng, capacity_report(img)["total"])
         out, side = embed_plain_then_encrypt(img, payload, keys, 16)
-        out_snapshot = out.copy()
+        out_snapshot = Image(tuple(p.copy() for p in out.planes))
         extract_payload(out, side)
         decrypt(out, side, keys)
         assert img == snapshot
@@ -176,21 +175,9 @@ class TestSingleDomain:
 
 
 class TestTwoDomain:
-    def _regional_capacities(self, img, k_region, block):
-        grid = split_blocks(img.planes[0], block)
-        regions = RegionMap.derive(k_region, grid)
-        caps = {"A": 0, "B": 0}
-        for plane in img.planes:
-            pair = find_pp_zp(plane)
-            inter = shift_histogram(plane, pair)
-            for region in ("A", "B"):
-                plan = build_order_plan(inter, pair, grid, regions.blocks(region))
-                caps[region] += plan.slots.size
-        return caps
-
     def test_both_payloads_at_capacity(self, rng, keys):
         img = synth_image(64, 64, rng, color=True)
-        caps = self._regional_capacities(img, keys.k_region, 16)
+        caps = region_capacities(img, keys.k_region, 16)
         pa, pb = random_bits(rng, caps["A"]), random_bits(rng, caps["B"])
         out, side = embed_two_domain(img, pa, pb, keys, 16)
 
@@ -207,7 +194,7 @@ class TestTwoDomain:
 
     def test_empty_region_b_payload(self, rng, keys):
         img = synth_image(64, 64, rng, color=False)
-        caps = self._regional_capacities(img, keys.k_region, 8)
+        caps = region_capacities(img, keys.k_region, 8)
         pa = random_bits(rng, caps["A"])
         out, side = embed_two_domain(img, pa, [], keys, 8)
         bits_a, bits_b, etc_img = extract_two_domain(out, side, keys.k_region)
@@ -217,12 +204,12 @@ class TestTwoDomain:
 
     def test_regional_capacity_sums_to_single_domain(self, rng, keys):
         img = synth_image(64, 64, rng, color=True)
-        caps = self._regional_capacities(img, keys.k_region, 16)
+        caps = region_capacities(img, keys.k_region, 16)
         assert caps["A"] + caps["B"] == capacity_report(img)["total"]
 
     def test_per_region_capacity_errors(self, rng, keys):
         img = synth_image(64, 64, rng, color=False)
-        caps = self._regional_capacities(img, keys.k_region, 16)
+        caps = region_capacities(img, keys.k_region, 16)
         with pytest.raises(CapacityExceededError, match="region A"):
             embed_two_domain(img, np.ones(caps["A"] + 1, np.uint8), [], keys, 16)
         with pytest.raises(CapacityExceededError, match="region B"):
@@ -245,7 +232,7 @@ class TestTwoDomain:
         grid = split_blocks(np.zeros((16, 32), np.uint8), 16)
         regions = RegionMap.derive(keys.k_region, grid)
         plane = np.full((16, 32), 50, dtype=np.uint8)
-        target = int(regions.blocks("A")[0])
+        target = int(np.flatnonzero(~regions.labels)[0])
         rs, cs = grid.block_slice(target)
         plane[rs.start, cs.start] = 40
         plane[rs.start + 1, cs.start + 2] = 40
@@ -261,8 +248,9 @@ class TestTwoDomain:
         a = RegionMap.derive(keys.k_region, grid)
         b = RegionMap.derive(keys.k_region, grid)
         assert np.array_equal(a.labels, b.labels)
-        assert set(a.blocks("A")) | set(a.blocks("B")) == set(range(64))
-        assert not set(a.blocks("A")) & set(a.blocks("B"))
+        region_a, region_b = np.flatnonzero(~a.labels), np.flatnonzero(a.labels)
+        assert set(region_a) | set(region_b) == set(range(64))
+        assert not set(region_a) & set(region_b)
 
     def test_joint_keys_two_domain(self, rng, keys):
         joint = KeySet(
@@ -272,7 +260,7 @@ class TestTwoDomain:
             per_plane=False,
         )
         img = synth_image(64, 64, rng, color=True)
-        caps = self._regional_capacities(img, joint.k_region, 8)
+        caps = region_capacities(img, joint.k_region, 8)
         pa, pb = random_bits(rng, caps["A"]), random_bits(rng, caps["B"])
         out, side = embed_two_domain(img, pa, pb, joint, 8)
         bits_a, bits_b, etc_img = extract_two_domain(out, side, joint.k_region)
@@ -282,7 +270,7 @@ class TestTwoDomain:
 
     def test_wrong_region_key_garbles(self, rng, keys):
         img = synth_image(64, 64, rng, color=False)
-        caps = self._regional_capacities(img, keys.k_region, 16)
+        caps = region_capacities(img, keys.k_region, 16)
         pa, pb = random_bits(rng, caps["A"]), random_bits(rng, caps["B"])
         out, side = embed_two_domain(img, pa, pb, keys, 16)
         try:
@@ -292,6 +280,42 @@ class TestTwoDomain:
             )
         except SideInfoError:
             pass  # detected inconsistency is equally acceptable
+
+
+class TestPlanBuilds:
+    """One order plan per plane serves every scope: embedding replans only
+    after encrypting an encrypted-first scope, extraction plans once, and
+    decryption plans before unscrambling and again before unrotating."""
+
+    @pytest.mark.parametrize(
+        "mode, embed_builds",
+        [(Mode.PLAIN_FIRST, 1), (Mode.ENCRYPT_FIRST, 2), (Mode.TWO_DOMAIN, 2)],
+    )
+    def test_builds_per_plane(self, rng, keys, monkeypatch, mode, embed_builds):
+        calls = []
+
+        def counting_plan(*args, **kwargs):
+            calls.append(args[0].shape)
+            return build_order_plan(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_order_plan", counting_plan)
+        img = synth_image(64, 64, rng, color=True)
+        if mode == Mode.TWO_DOMAIN:
+            out, side = embed_two_domain(img, [1, 0, 1], [0, 1], keys, 16)
+        elif mode == Mode.PLAIN_FIRST:
+            out, side = embed_plain_then_encrypt(img, [1, 0, 1], keys, 16)
+        else:
+            out, side = encrypt_then_embed(img, [1, 0, 1], keys, 16)
+        assert len(calls) == embed_builds * 3
+        calls.clear()
+        if mode == Mode.TWO_DOMAIN:
+            *_, etc_img = extract_two_domain(out, side, keys.k_region)
+        else:
+            _, etc_img = extract_payload(out, side)
+        assert len(calls) == 3
+        calls.clear()
+        assert decrypt(etc_img, side, keys) == img
+        assert len(calls) == 2 * 3
 
 
 class TestSideInfo:
