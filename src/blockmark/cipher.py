@@ -16,8 +16,16 @@ mode, ``blake2b(tag + counter_be64, key=key)``, 64 bytes per counter step.
 Identical (key, tag) always reproduces the identical stream; distinct tags
 give independent streams. Bits are consumed most-significant first, and
 bounded draws use rejection sampling so every permutation is equally likely.
-Rotation draws all its orientation bits in one ``bits`` call and applies
-each of the 8 symmetries to its blocks with one gather.
+
+Each operation is a draw followed by an apply. The draws depend only on
+(count, key, tag): `draw_permutation` is the keyed shuffle of the eligible
+blocks and `draw_orientations` their orientation ids, taken from one
+``bits`` call. The applies move a plane's blocks from a given draw:
+`move_blocks` puts the content of block ``src[k]`` at ``dst[k]`` and
+`orient_blocks` transforms block ``blocks[k]`` by orientation ``ids[k]``.
+The four public operations are a draw and an apply each; a caller that
+needs the draw too (to carry an order plan along with the blocks, or to
+apply one shared-key draw to every plane) calls the two halves itself.
 """
 
 from __future__ import annotations
@@ -227,22 +235,42 @@ def _eligible_array(eligible, grid: BlockGrid) -> np.ndarray:
     return np.asarray(sorted({int(a) for a in eligible}), dtype=np.intp)
 
 
-def _permutation(n: int, key: bytes, tag: bytes) -> list[int]:
+def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
+    """Keyed permutation of range(n): the scramble draw for n eligible blocks."""
     order = list(range(n))
     KeyedBitStream(key, tag).shuffle(order)
-    return order
+    return np.array(order, dtype=np.intp)
 
 
-def _permute_blocks(plane, grid, eligible, key, tag, inverse: bool) -> np.ndarray:
-    e = _eligible_array(eligible, grid)
+def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
+    """Orientation ids for n eligible blocks: 3 stream bits each, MSB first."""
+    b = KeyedBitStream(key, tag).bits(3 * n).reshape(n, 3)
+    return (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
+
+
+def move_blocks(plane: np.ndarray, grid: BlockGrid, src, dst) -> np.ndarray:
+    """Copy of the plane where block `dst[k]` holds what block `src[k]` held."""
     out = plane.copy()
-    if e.size > 1:
-        dst = e
-        src = e[_permutation(e.size, key, tag)]
-        if inverse:
-            dst, src = src, dst
+    if len(dst) > 1:
         view = block_view(out, grid)
         view[np.divmod(dst, grid.cols)] = view[np.divmod(src, grid.cols)]
+    return out
+
+
+def orient_blocks(plane: np.ndarray, grid: BlockGrid, blocks, ids) -> np.ndarray:
+    """Copy of the plane where block `blocks[k]` is transformed by orientation
+    `ids[k]`; each of the 8 symmetries is applied to its blocks with one gather."""
+    out = plane.copy()
+    perms = orientation_permutations(grid.block)
+    rows, cols = np.divmod(blocks, grid.cols)
+    view = block_view(out, grid)
+    side = grid.block
+    for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
+        sel = ids == o
+        if sel.any():
+            at = (rows[sel], cols[sel])
+            cells = view[at].reshape(-1, side * side)
+            view[at] = cells[:, perms[o]].reshape(-1, side, side)
     return out
 
 
@@ -254,7 +282,8 @@ def scramble_blocks(
     tag: bytes = TAG_SCRAMBLE,
 ) -> np.ndarray:
     """Permute the eligible blocks among their own positions."""
-    return _permute_blocks(plane, grid, eligible, key, tag, inverse=False)
+    e = _eligible_array(eligible, grid)
+    return move_blocks(plane, grid, e[draw_permutation(e.size, key, tag)], e)
 
 
 def unscramble_blocks(
@@ -264,35 +293,14 @@ def unscramble_blocks(
     key: bytes,
     tag: bytes = TAG_SCRAMBLE,
 ) -> np.ndarray:
-    return _permute_blocks(plane, grid, eligible, key, tag, inverse=True)
+    e = _eligible_array(eligible, grid)
+    return move_blocks(plane, grid, e, e[draw_permutation(e.size, key, tag)])
 
 
 # Orientation id -> id of its inverse.
-_INVERSE_ORIENTATION = np.array(
+INVERSE_ORIENTATION = np.array(
     [invert_orientation(o) for o in range(N_ORIENTATIONS)], dtype=np.uint8
 )
-
-
-def _transform_blocks(plane, grid, eligible, key, tag, inverse: bool) -> np.ndarray:
-    e = _eligible_array(eligible, grid)
-    out = plane.copy()
-    if e.size:
-        # 3 bits per eligible block in ascending block order, MSB first.
-        b = KeyedBitStream(key, tag).bits(3 * e.size).reshape(e.size, 3)
-        ids = (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
-        if inverse:
-            ids = _INVERSE_ORIENTATION[ids]
-        perms = orientation_permutations(grid.block)
-        rows, cols = np.divmod(e, grid.cols)
-        view = block_view(out, grid)
-        side = grid.block
-        for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
-            sel = ids == o
-            if sel.any():
-                at = (rows[sel], cols[sel])
-                cells = view[at].reshape(-1, side * side)
-                view[at] = cells[:, perms[o]].reshape(-1, side, side)
-    return out
 
 
 def rotate_flip_blocks(
@@ -303,7 +311,8 @@ def rotate_flip_blocks(
     tag: bytes = TAG_ORIENT,
 ) -> np.ndarray:
     """Apply a key-drawn symmetry (identity allowed) to each eligible block."""
-    return _transform_blocks(plane, grid, eligible, key, tag, inverse=False)
+    e = _eligible_array(eligible, grid)
+    return orient_blocks(plane, grid, e, draw_orientations(e.size, key, tag))
 
 
 def unrotate_blocks(
@@ -313,4 +322,6 @@ def unrotate_blocks(
     key: bytes,
     tag: bytes = TAG_ORIENT,
 ) -> np.ndarray:
-    return _transform_blocks(plane, grid, eligible, key, tag, inverse=True)
+    e = _eligible_array(eligible, grid)
+    ids = draw_orientations(e.size, key, tag)
+    return orient_blocks(plane, grid, e, INVERSE_ORIENTATION[ids])

@@ -70,30 +70,30 @@ def find_pp_zp(plane: np.ndarray) -> HistPair:
     return HistPair(pp=pp, zp=int(nearest.max()))
 
 
+def _step_band(plane: np.ndarray, lo: int, hi: int, step: int) -> np.ndarray:
+    """Copy of the plane with `step` (+1 or -1) added to every value in
+    [lo, hi]; an unchanged copy when lo > hi."""
+    if lo > hi:
+        return plane.copy()
+    # Unsigned wrap-around maps [lo, hi] onto [0, hi - lo], so one compare
+    # finds the band. Its 0/1 flags are written into the output buffer,
+    # which then becomes plane +/- flag: no other whole-plane temporary.
+    out = plane - np.uint8(lo)
+    np.less_equal(out, hi - lo, out=out.view(np.bool_))
+    return (np.add if step > 0 else np.subtract)(plane, out, out=out)
+
+
 def shift_histogram(plane: np.ndarray, pair: HistPair) -> np.ndarray:
     """Move every value strictly between pp and zp one step toward zp."""
-    out = plane.copy()
     if pair.up:
-        sel = (out > pair.pp) & (out < pair.zp)
-        out[sel] += 1
-    else:
-        sel = (out > pair.zp) & (out < pair.pp)
-        out[sel] -= 1
-    return out
+        return _step_band(plane, pair.pp + 1, pair.zp - 1, +1)
+    return _step_band(plane, pair.zp + 1, pair.pp - 1, -1)
 
 
 def unshift_histogram(plane: np.ndarray, pair: HistPair) -> np.ndarray:
     """Exact inverse of shift_histogram on a plane without 1-bit pixels."""
-    out = plane.copy()
     lo, hi = pair.band
-    if lo > hi:
-        return out
-    sel = (out >= lo) & (out <= hi)
-    if pair.up:
-        out[sel] -= 1
-    else:
-        out[sel] += 1
-    return out
+    return _step_band(plane, lo, hi, -1 if pair.up else +1)
 
 
 def marked_mask(plane: np.ndarray, pair: HistPair) -> np.ndarray:

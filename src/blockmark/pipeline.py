@@ -15,6 +15,12 @@ labels every block region A (0) or B (1) by one fair key bit per block; A
 is a plain-first scope and B an encrypted-first one. Payloads are consumed
 plane by plane in R, G, B order, each plane taking up to its own capacity
 in the scope.
+
+Each call builds one plan per plane. Encryption only moves block content,
+so the plan of the plane before a block move determines the plan after it:
+an encrypted-first scope embeds into its plan's slots carried through the
+cipher's moves, and decryption carries the rotation set through the
+unscramble instead of planning again.
 """
 
 from __future__ import annotations
@@ -28,16 +34,17 @@ from pathlib import Path
 import numpy as np
 
 from .cipher import (
+    INVERSE_ORIENTATION,
     TAG_ORIENT,
     TAG_REGION,
     TAG_SCRAMBLE,
     KeyedBitStream,
     KeySet,
+    draw_orientations,
+    draw_permutation,
+    move_blocks,
+    orient_blocks,
     plane_key,
-    rotate_flip_blocks,
-    scramble_blocks,
-    unrotate_blocks,
-    unscramble_blocks,
 )
 from .errors import CapacityExceededError, SideInfoError
 from .histshift import (
@@ -49,7 +56,7 @@ from .histshift import (
     unshift_histogram,
 )
 from .image_io import BlockGrid, Image, split_blocks
-from .ordering import OrderPlan, build_order_plan
+from .ordering import OrderPlan, build_order_plan, transport_mask, transport_slots
 
 SIDEINFO_MAGIC = b"ETRD"
 SIDEINFO_VERSION = 1
@@ -191,11 +198,6 @@ def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.nda
     return labels, [_Scope(b"/A", True), _Scope(b"/B", False)]
 
 
-def _subkeys(keys: KeySet, plane: int) -> tuple[bytes, bytes]:
-    idx = plane if keys.per_plane else None
-    return plane_key(keys.k_scramble, idx), plane_key(keys.k_orient, idx)
-
-
 def _key_masks(keys: KeySet, masks: list[np.ndarray]) -> list[np.ndarray]:
     """One eligibility mask per plane. With shared keys every plane moves the
     same blocks, so each plane gets the blocks that all planes allow."""
@@ -204,30 +206,85 @@ def _key_masks(keys: KeySet, masks: list[np.ndarray]) -> list[np.ndarray]:
     return [np.logical_and.reduce(masks)] * len(masks)
 
 
+def _scope_masks(
+    keys: KeySet, plans: list[OrderPlan], labels: np.ndarray, n_scopes: int
+) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Per scope, the rotation and the scramble mask of every plane."""
+    return [
+        (
+            _key_masks(keys, [p.rot_eligible & (labels == j) for p in plans]),
+            _key_masks(keys, [p.scr_eligible & (labels == j) for p in plans]),
+        )
+        for j in range(n_scopes)
+    ]
+
+
+def _draws(keys: KeySet, key: bytes, masks: list[np.ndarray], draw, tag: bytes):
+    """Per plane, the blocks its mask allows and `draw` for them under
+    `key`'s plane subkey. With shared keys every plane has the same mask and
+    key, so one draw serves them all."""
+    drawn = None
+    for i, mask in enumerate(masks):
+        if drawn is None or keys.per_plane:
+            blocks = np.flatnonzero(mask)
+            drawn = blocks, draw(blocks.size, plane_key(key, i if keys.per_plane else None), tag)
+        yield drawn
+
+
 def _encrypt_planes(
     planes: list[np.ndarray],
     grid: BlockGrid,
-    plans: list[OrderPlan],
+    masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
     keys: KeySet,
-    labels: np.ndarray,
     scopes: list[_Scope],
-) -> list[np.ndarray]:
-    """Rotate/flip then scramble each plane's eligible blocks, scope by scope."""
+) -> tuple[list[np.ndarray], list]:
+    """Rotate/flip then scramble each plane's eligible blocks, scope by scope.
+
+    Also returns, per scope, each plane's block move `(rotated, ids, src,
+    dst)` for `transport_slots`; None for plain-first scopes, whose slots
+    are already written.
+    """
     out = list(planes)
-    for j, s in enumerate(scopes):
-        rot = _key_masks(keys, [p.rot_eligible & (labels == j) for p in plans])
-        scr = _key_masks(keys, [p.scr_eligible & (labels == j) for p in plans])
-        for i, plane in enumerate(out):
-            k1, k2 = _subkeys(keys, i)
-            enc = rotate_flip_blocks(plane, grid, rot[i], k2, tag=TAG_ORIENT + s.suffix)
-            out[i] = scramble_blocks(enc, grid, scr[i], k1, tag=TAG_SCRAMBLE + s.suffix)
-    return out
+    moves = []
+    for s, (rot, scr) in zip(scopes, masks):
+        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s.suffix)
+        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s.suffix)
+        scope_moves = []
+        for i, ((rotated, ids), (blocks, perm)) in enumerate(zip(orients, perms)):
+            src = blocks[perm]
+            out[i] = move_blocks(orient_blocks(out[i], grid, rotated, ids), grid, src, blocks)
+            if not s.plain_first:
+                scope_moves.append((rotated, ids, src, blocks))
+        moves.append(None if s.plain_first else scope_moves)
+    return out, moves
+
+
+def _unscramble_planes(
+    work: list[np.ndarray],
+    grid: BlockGrid,
+    masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
+    keys: KeySet,
+    scopes: list[_Scope],
+) -> list[list[np.ndarray]]:
+    """Unscramble each plane's eligible blocks, scope by scope, replacing the
+    planes of `work` in place. Returns each scope's rotation masks, carried
+    along with the blocks they describe."""
+    rots = []
+    for s, (rot, scr) in zip(scopes, masks):
+        rot = list(rot)
+        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s.suffix)
+        for i, (blocks, perm) in enumerate(perms):
+            dst = blocks[perm]
+            work[i] = move_blocks(work[i], grid, blocks, dst)
+            rot[i] = transport_mask(rot[i], blocks, dst)
+        rots.append(rot)
+    return rots
 
 
 def _embed_scopes(
     planes: list[np.ndarray],
     pairs: list[HistPair],
-    plans: list[OrderPlan],
+    slots: list[list[np.ndarray]],
     chunks: list[list[np.ndarray]],
     scopes: list[_Scope],
     plain_first: bool,
@@ -236,8 +293,8 @@ def _embed_scopes(
     for j, s in enumerate(scopes):
         if s.plain_first == plain_first:
             planes = [
-                embed_bits(p, pair, plan.slots[plan.slot_labels == j], c)
-                for p, pair, plan, c in zip(planes, pairs, plans, chunks[j])
+                embed_bits(p, pair, sl, c)
+                for p, pair, sl, c in zip(planes, pairs, slots[j], chunks[j])
             ]
     return planes
 
@@ -264,7 +321,8 @@ def _embed(
     mode: Mode, image: Image, payloads: tuple, keys: KeySet, block_size: int
 ) -> tuple[Image, SideInfo]:
     """Shift and plan every plane, embed the plain-first scopes, encrypt
-    every scope, then replan and embed the encrypted-first scopes."""
+    every scope, then embed the encrypted-first scopes into their slots,
+    carried through the cipher's block moves."""
     grid = split_blocks(image.planes[0], block_size)
     labels, scopes = _scopes(mode, keys.k_region, grid)
     payloads = [np.asarray(p, dtype=np.uint8).ravel() for p in payloads]
@@ -276,23 +334,27 @@ def _embed(
     # although fewer bytes were live; the cause is not established.
     inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
     plans = [build_order_plan(inter, pair, grid, labels) for inter, pair in zip(inters, pairs)]
+    slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(scopes))]
+    masks = _scope_masks(keys, plans, labels, len(scopes))
+    del plans  # the plans' arrays are not needed through the block moves
     # Every capacity is checked before any plane is written.
     chunks = [
         _chunk_payload(
             bits,
-            [np.count_nonzero(p.slot_labels == j) for p in plans],
+            [sl.size for sl in slots[j]],
             f"region {s.suffix[1:].decode()} payload" if s.suffix else "payload",
         )
         for j, (bits, s) in enumerate(zip(payloads, scopes))
     ]
 
-    work = _embed_scopes(inters, pairs, plans, chunks, scopes, plain_first=True)
-    work = _encrypt_planes(work, grid, plans, keys, labels, scopes)
-    if not all(s.plain_first for s in scopes):
-        # The slot order is recomputed on the encrypted planes and lands on
-        # the same content cells.
-        plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, pairs)]
-        work = _embed_scopes(work, pairs, plans, chunks, scopes, plain_first=False)
+    work = _embed_scopes(inters, pairs, slots, chunks, scopes, plain_first=True)
+    work, moves = _encrypt_planes(work, grid, masks, keys, scopes)
+    # Encryption only moves content, so an encrypted-first scope's slots are
+    # its plan's slots carried along with their blocks.
+    for j, scope_moves in enumerate(moves):
+        if scope_moves is not None:
+            slots[j] = [transport_slots(sl, grid, *m) for sl, m in zip(slots[j], scope_moves)]
+    work = _embed_scopes(work, pairs, slots, chunks, scopes, plain_first=False)
 
     side = SideInfo(
         mode=mode,
@@ -317,8 +379,8 @@ def encrypt_then_embed(
     """Shift, encrypt eligible blocks, then embed in the encrypted domain.
 
     Produces the same pixels as embed_plain_then_encrypt for equal inputs:
-    the slot order is recomputed on the encrypted plane and lands on the
-    same content cells.
+    the slots are the intermediate plane's, carried along with the blocks
+    that encryption moves, so they hold the same content cells.
     """
     return _embed(Mode.ENCRYPT_FIRST, image, (payload,), keys, block_size)
 
@@ -394,8 +456,8 @@ def extract_two_domain(
 
 
 def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
-    """Invert scrambling, then rotation/flip, recomputing eligibility from
-    the received pixels.
+    """Invert scrambling, then rotation/flip, deriving eligibility from one
+    plan of the received pixels per plane.
 
     Commutes with extraction: applied before extraction it yields the marked
     plain image; applied after it yields the exact original.
@@ -412,23 +474,20 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     unshifted = [i for i, p in enumerate(work) if _plane_is_unshifted(p, side.pairs[i])]
     for i in unshifted:
         work[i] = shift_histogram(work[i], side.pairs[i])
-    subkeys = [_subkeys(keys, i) for i in range(len(work))]
 
     # Scopes are disjoint and each one's plan depends only on its own
     # blocks, so one plan per plane serves every scope. The rotation set
-    # travels with block content, so it is only recomputable once every
-    # scope is unscrambled. Planes are replaced one at a time so that the
-    # planes they replace can be freed.
+    # travels with block content, so each unscramble carries it along.
+    # Planes are replaced one at a time so that the planes they replace can
+    # be freed.
     plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, side.pairs)]
-    for j, s in enumerate(scopes):
-        masks = _key_masks(keys, [p.scr_eligible & (labels == j) for p in plans])
-        for i, (k1, _) in enumerate(subkeys):
-            work[i] = unscramble_blocks(work[i], grid, masks[i], k1, tag=TAG_SCRAMBLE + s.suffix)
-    plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, side.pairs)]
-    for j, s in enumerate(scopes):
-        masks = _key_masks(keys, [p.rot_eligible & (labels == j) for p in plans])
-        for i, (_, k2) in enumerate(subkeys):
-            work[i] = unrotate_blocks(work[i], grid, masks[i], k2, tag=TAG_ORIENT + s.suffix)
+    masks = _scope_masks(keys, plans, labels, len(scopes))
+    del plans  # the plans' arrays are not needed through the block moves
+    rots = _unscramble_planes(work, grid, masks, keys, scopes)
+    for s, rot in zip(scopes, rots):
+        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s.suffix)
+        for i, (blocks, ids) in enumerate(orients):
+            work[i] = orient_blocks(work[i], grid, blocks, INVERSE_ORIENTATION[ids])
 
     for i in unshifted:
         work[i] = unshift_histogram(work[i], side.pairs[i])

@@ -113,6 +113,30 @@ class TestShift:
         )
 
 
+class TestEveryPair:
+    """Shift and un-shift map each value on its own, so all 256 values
+    under every pair (both directions) cover them: each must give the
+    bytes of the per-value mask formula."""
+
+    def test_every_pair_matches_mask_formula(self):
+        values = np.arange(256, dtype=np.uint8)
+        v = values.astype(int)
+        for pp in range(256):
+            for zp in range(256):
+                if zp == pp:
+                    continue
+                pair = HistPair(pp=pp, zp=zp)
+                lo, hi = pair.band
+                step = 1 if pair.up else -1
+                between = (v > min(pp, zp)) & (v < max(pp, zp))
+                in_band = (v >= lo) & (v <= hi)
+                shifted = shift_histogram(values, pair)
+                unshifted = unshift_histogram(values, pair)
+                assert shifted.dtype == unshifted.dtype == np.uint8
+                assert np.array_equal(shifted, v + step * between), (pp, zp)
+                assert np.array_equal(unshifted, v - step * in_band), (pp, zp)
+
+
 class TestUnshift:
     def test_round_trip_many_planes(self):
         rng = np.random.default_rng(123)

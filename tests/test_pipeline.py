@@ -4,6 +4,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockmark import (
     CapacityExceededError,
@@ -21,13 +24,15 @@ from blockmark import (
     encrypt_then_embed,
     extract_payload,
     extract_two_domain,
+    find_pp_zp,
     generate_keys,
     histogram,
     psnr,
+    shift_histogram,
     split_blocks,
 )
 from blockmark import pipeline
-from blockmark.ordering import build_order_plan
+from blockmark.ordering import apply_orientation, build_order_plan, transport_slots
 from conftest import random_bits, region_capacities, synth_image
 
 
@@ -283,15 +288,13 @@ class TestTwoDomain:
 
 
 class TestPlanBuilds:
-    """One order plan per plane serves every scope: embedding replans only
-    after encrypting an encrypted-first scope, extraction plans once, and
-    decryption plans before unscrambling and again before unrotating."""
+    """One order plan per plane serves every scope and every step: embedding
+    carries the plan through encryption for encrypted-first scopes,
+    extraction plans once, and decryption carries the rotation set through
+    unscrambling."""
 
-    @pytest.mark.parametrize(
-        "mode, embed_builds",
-        [(Mode.PLAIN_FIRST, 1), (Mode.ENCRYPT_FIRST, 2), (Mode.TWO_DOMAIN, 2)],
-    )
-    def test_builds_per_plane(self, rng, keys, monkeypatch, mode, embed_builds):
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_builds_per_plane(self, rng, keys, monkeypatch, mode):
         calls = []
 
         def counting_plan(*args, **kwargs):
@@ -306,7 +309,7 @@ class TestPlanBuilds:
             out, side = embed_plain_then_encrypt(img, [1, 0, 1], keys, 16)
         else:
             out, side = encrypt_then_embed(img, [1, 0, 1], keys, 16)
-        assert len(calls) == embed_builds * 3
+        assert len(calls) == 3
         calls.clear()
         if mode == Mode.TWO_DOMAIN:
             *_, etc_img = extract_two_domain(out, side, keys.k_region)
@@ -315,7 +318,101 @@ class TestPlanBuilds:
         assert len(calls) == 3
         calls.clear()
         assert decrypt(etc_img, side, keys) == img
-        assert len(calls) == 2 * 3
+        assert len(calls) == 3
+
+
+@st.composite
+def transport_cases(draw):
+    """Three planes of small values (ties and ambiguous blocks are common)
+    or of one tile under random orientations, a mode, and per-plane or
+    shared keys."""
+    block = draw(st.sampled_from([2, 3, 4, 5, 8, 16]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    planes = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            plane = draw(
+                arrays(np.uint8, (rows * block, cols * block), elements=st.integers(10, 13))
+            )
+        else:
+            tile = draw(arrays(np.uint8, (block, block), elements=st.integers(10, 12)))
+            ids = draw(st.lists(st.integers(0, 7), min_size=rows * cols, max_size=rows * cols))
+            plane = np.block(
+                [[apply_orientation(tile, ids[r * cols + c]) for c in range(cols)]
+                 for r in range(rows)]
+            )
+        planes.append(plane)
+    keys = generate_keys(
+        two_domain=True, per_plane=draw(st.booleans()), seed=draw(st.integers(0, 2**32))
+    )
+    return planes, block, draw(st.sampled_from(list(Mode))), keys
+
+
+class TestPlanTransport:
+    """The plan is carried through the cipher, not rebuilt: the rebuilt plan
+    is the reference for the carried one."""
+
+    @settings(max_examples=200)
+    @given(transport_cases())
+    def test_carried_plan_equals_rebuilt(self, case):
+        planes, block, mode, keys = case
+        grid = split_blocks(planes[0], block)
+        labels, scopes = pipeline._scopes(mode, keys.k_region, grid)
+        pairs = [find_pp_zp(p) for p in planes]
+        inters = [shift_histogram(p, pair) for p, pair in zip(planes, pairs)]
+        plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(inters, pairs)]
+
+        # Encryption: each encrypted-first scope's carried slots are the
+        # slots of the plan rebuilt on the encrypted planes.
+        masks = pipeline._scope_masks(keys, plans, labels, len(scopes))
+        enc, moves = pipeline._encrypt_planes(inters, grid, masks, keys, scopes)
+        rebuilt = [build_order_plan(p, pair, grid, labels) for p, pair in zip(enc, pairs)]
+        for j, scope_moves in enumerate(moves):
+            assert (scope_moves is None) == scopes[j].plain_first
+            for plan, again, move in zip(plans, rebuilt, scope_moves or ()):
+                carried = transport_slots(plan.slots[plan.slot_labels == j], grid, *move)
+                assert np.array_equal(carried, again.slots[again.slot_labels == j])
+
+        # Decryption: after unscrambling, each scope's carried rotation
+        # masks are those of the plan rebuilt on the unscrambled planes.
+        work = list(enc)
+        rots = pipeline._unscramble_planes(
+            work, grid, pipeline._scope_masks(keys, rebuilt, labels, len(scopes)), keys, scopes
+        )
+        after = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, pairs)]
+        for j, rot in enumerate(rots):
+            want = [p.rot_eligible & (labels == j) for p in after]
+            if not keys.per_plane:
+                want = [np.logical_and.reduce(want)] * len(want)
+            for got, expected in zip(rot, want):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("per_plane", [True, False])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_shared_keys_draw_once(self, rng, monkeypatch, mode, per_plane):
+        # One draw of each kind per scope and plane, or per scope when every
+        # plane shares the keys.
+        calls = []
+
+        def counting(draw):
+            def counted(*args):
+                calls.append(draw.__name__)
+                return draw(*args)
+
+            return counted
+
+        for draw in (pipeline.draw_permutation, pipeline.draw_orientations):
+            monkeypatch.setattr(pipeline, draw.__name__, counting(draw))
+        keys = generate_keys(two_domain=True, per_plane=per_plane, seed=7)
+        img = synth_image(64, 64, rng, color=True)
+        n_scopes = 2 if mode == Mode.TWO_DOMAIN else 1
+        per_kind = n_scopes * (3 if per_plane else 1)
+        payloads = ([1, 0], [1]) if mode == Mode.TWO_DOMAIN else ([1, 0],)
+        out, side = pipeline._embed(mode, img, payloads, keys, 8)
+        assert sorted(calls) == ["draw_orientations"] * per_kind + ["draw_permutation"] * per_kind
+        calls.clear()
+        decrypt(out, side, keys)
+        assert sorted(calls) == ["draw_orientations"] * per_kind + ["draw_permutation"] * per_kind
 
 
 class TestSideInfo:
