@@ -7,9 +7,10 @@ select one of the 8 symmetries of the `grid.block` x `grid.block` square).
 
 Eligibility is a boolean mask over block indices (``mask[a]`` is True when
 block ``a`` may move), as produced by ``ordering.build_order_plan``; any
-iterable of block indices is accepted too. Blocks are visited in ascending
-index order, so the key stream assigns its draws to the same blocks however
-the eligible set is written.
+iterable of block indices in ``[0, grid.n_blocks)`` is accepted too, and an
+index outside raises `GeometryError`. Blocks are visited in ascending index
+order, so the key stream assigns its draws to the same blocks however the
+eligible set is written.
 
 All randomness comes from a deterministic keyed stream: BLAKE2b in counter
 mode, ``blake2b(tag + counter_be64, key=key)``, 64 bytes per counter step.
@@ -24,7 +25,7 @@ blocks and `draw_orientations` their orientation ids, taken from one
 `move_blocks` puts the content of block ``src[k]`` at ``dst[k]`` and
 `orient_blocks` transforms block ``blocks[k]`` by orientation ``ids[k]``.
 The four public operations are a draw and an apply each; a caller that
-needs the draw too (to carry an order plan along with the blocks, or to
+needs the draw too (to carry a block mask along with the blocks, or to
 apply one shared-key draw to every plane) calls the two halves itself.
 """
 
@@ -232,7 +233,10 @@ def _eligible_array(eligible, grid: BlockGrid) -> np.ndarray:
                 f"grid has {grid.n_blocks} blocks"
             )
         return np.flatnonzero(eligible)
-    return np.asarray(sorted({int(a) for a in eligible}), dtype=np.intp)
+    e = np.asarray(sorted({int(a) for a in eligible}), dtype=np.intp)
+    if e.size and not (0 <= e[0] and e[-1] < grid.n_blocks):
+        raise GeometryError(f"block indices must lie in [0, {grid.n_blocks})")
+    return e
 
 
 def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:

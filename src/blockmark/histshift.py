@@ -124,13 +124,14 @@ def embed_bits(
     0-bit; slots beyond len(bits) are untouched.
     """
     slots = np.asarray(slots, dtype=np.intp)
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
     if bits.size > slots.size:
         raise CapacityExceededError(
             f"payload of {bits.size} bits exceeds {slots.size} available slots"
         )
-    if np.any(bits > 1):
+    if not ((bits == 0) | (bits == 1)).all():  # before the cast truncates
         raise ValueError("payload bits must be 0 or 1")
+    bits = bits.astype(np.uint8, copy=False)
     out = plane.copy()
     flat = out.ravel()
     used = slots[: bits.size]

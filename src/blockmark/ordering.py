@@ -73,45 +73,6 @@ def orientation_permutations(block: int) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=16)
-def _inverse_permutations(block: int) -> np.ndarray:
-    """(8, block*block) table: row o holds, per source cell, its scan
-    position after orientation o."""
-    inv = np.argsort(orientation_permutations(block), axis=1)
-    inv.flags.writeable = False  # shared by every caller through the cache
-    return inv
-
-
-def transport_slots(
-    slots: np.ndarray,
-    grid: BlockGrid,
-    rotated: np.ndarray,
-    ids: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> np.ndarray:
-    """Slots carried along with their blocks' content.
-
-    Block `rotated[k]` is transformed by orientation `ids[k]`, then the
-    content of block `src[k]` moves to block `dst[k]` (as `cipher` orients,
-    then scrambles). The slot at block b, cell c lands at block dest[b],
-    cell inv[id[b]][c], where dest maps `src` to `dst` and inv inverts
-    `orientation_permutations`. The slot order is kept.
-    """
-    side, width = grid.block, grid.plane_shape[1]
-    dest = np.arange(grid.n_blocks)
-    dest[src] = dst
-    origin = dest // grid.cols * (side * width) + dest % grid.cols * side
-    orientation = np.zeros(grid.n_blocks, dtype=np.uint8)
-    orientation[rotated] = ids
-    inv = _inverse_permutations(side)
-    cell_offset = inv // side * width + inv % side
-    row, col = np.divmod(slots, width)
-    block = row // side * grid.cols + col // side
-    cell = row % side * side + col % side
-    return origin[block] + cell_offset[orientation[block], cell]
-
-
 def transport_mask(mask: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Block mask carried along when the content of block `src[k]` moves to
     block `dst[k]`."""

@@ -10,17 +10,17 @@ Every flow runs over scopes: sets of blocks that are ordered, encrypted
 and embedded on their own, with their own key tags and payload bits. A scope
 is a block label, and each scope's plan is its label's slice of the one
 order plan per plane. Plain-first and encrypted-first hiding use one
-whole-grid scope, embedded before or after encryption. Two-domain hiding
-labels every block region A (0) or B (1) by one fair key bit per block; A
-is a plain-first scope and B an encrypted-first one. Payloads are consumed
-plane by plane in R, G, B order, each plane taking up to its own capacity
-in the scope.
+whole-grid scope. Two-domain hiding labels every block region A (0) or B
+(1) by one fair key bit per block; A holds the plain-domain payload and B
+the encrypted-domain one. Payloads are consumed plane by plane in R, G, B
+order, each plane taking up to its own capacity in the scope.
 
 Each call builds one plan per plane. Encryption only moves block content,
-so the plan of the plane before a block move determines the plan after it:
-an encrypted-first scope embeds into its plan's slots carried through the
-cipher's moves, and decryption carries the rotation set through the
-unscramble instead of planning again.
+and every slot moves with its block, so embedding writes every scope into
+its plan's slots before any block moves: an encrypted-first scope gets the
+pixels a hider working on the ciphertext would write. The mode is recorded
+in the side info and changes no pixel. Decryption carries the rotation set
+through the unscramble instead of planning again.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .histshift import (
     unshift_histogram,
 )
 from .image_io import BlockGrid, Image, split_blocks
-from .ordering import OrderPlan, build_order_plan, transport_mask, transport_slots
+from .ordering import OrderPlan, build_order_plan, transport_mask
 
 SIDEINFO_MAGIC = b"ETRD"
 SIDEINFO_VERSION = 1
@@ -177,25 +177,15 @@ class RegionMap:
         return cls(labels=stream.bits(grid.n_blocks).astype(bool))
 
 
-@dataclass(frozen=True)
-class _Scope:
-    """Key-tag suffix, and whether the payload goes in before encryption.
-    Scope `j` owns the blocks labelled `j`."""
-
-    suffix: bytes
-    plain_first: bool
-
-
-def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.ndarray, list[_Scope]]:
-    """Per-block scope labels and the scopes of a mode, in processing order:
-    one whole-grid scope for single-domain modes; region A (plain-first),
-    then region B (encrypted-first) for two-domain hiding."""
+def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.ndarray, list[bytes]]:
+    """Per-block scope labels and each scope's key-tag suffix, in processing
+    order: one whole-grid scope for single-domain modes; region A, then
+    region B for two-domain hiding. Scope `j` owns the blocks labelled `j`."""
     if mode != Mode.TWO_DOMAIN:
-        return np.zeros(grid.n_blocks, dtype=bool), [_Scope(b"", mode == Mode.PLAIN_FIRST)]
+        return np.zeros(grid.n_blocks, dtype=bool), [b""]
     if k_region is None:
         raise SideInfoError("two-domain mode requires a region key")
-    labels = RegionMap.derive(k_region, grid).labels
-    return labels, [_Scope(b"/A", True), _Scope(b"/B", False)]
+    return RegionMap.derive(k_region, grid).labels, [b"/A", b"/B"]
 
 
 def _key_masks(keys: KeySet, masks: list[np.ndarray]) -> list[np.ndarray]:
@@ -236,27 +226,18 @@ def _encrypt_planes(
     grid: BlockGrid,
     masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
     keys: KeySet,
-    scopes: list[_Scope],
-) -> tuple[list[np.ndarray], list]:
-    """Rotate/flip then scramble each plane's eligible blocks, scope by scope.
-
-    Also returns, per scope, each plane's block move `(rotated, ids, src,
-    dst)` for `transport_slots`; None for plain-first scopes, whose slots
-    are already written.
-    """
+    suffixes: list[bytes],
+) -> list[np.ndarray]:
+    """Rotate/flip then scramble each plane's eligible blocks, scope by scope."""
     out = list(planes)
-    moves = []
-    for s, (rot, scr) in zip(scopes, masks):
-        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s.suffix)
-        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s.suffix)
-        scope_moves = []
+    for s, (rot, scr) in zip(suffixes, masks):
+        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s)
+        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s)
         for i, ((rotated, ids), (blocks, perm)) in enumerate(zip(orients, perms)):
-            src = blocks[perm]
-            out[i] = move_blocks(orient_blocks(out[i], grid, rotated, ids), grid, src, blocks)
-            if not s.plain_first:
-                scope_moves.append((rotated, ids, src, blocks))
-        moves.append(None if s.plain_first else scope_moves)
-    return out, moves
+            out[i] = move_blocks(
+                orient_blocks(out[i], grid, rotated, ids), grid, blocks[perm], blocks
+            )
+    return out
 
 
 def _unscramble_planes(
@@ -264,39 +245,21 @@ def _unscramble_planes(
     grid: BlockGrid,
     masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
     keys: KeySet,
-    scopes: list[_Scope],
+    suffixes: list[bytes],
 ) -> list[list[np.ndarray]]:
     """Unscramble each plane's eligible blocks, scope by scope, replacing the
     planes of `work` in place. Returns each scope's rotation masks, carried
     along with the blocks they describe."""
     rots = []
-    for s, (rot, scr) in zip(scopes, masks):
+    for s, (rot, scr) in zip(suffixes, masks):
         rot = list(rot)
-        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s.suffix)
+        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s)
         for i, (blocks, perm) in enumerate(perms):
             dst = blocks[perm]
             work[i] = move_blocks(work[i], grid, blocks, dst)
             rot[i] = transport_mask(rot[i], blocks, dst)
         rots.append(rot)
     return rots
-
-
-def _embed_scopes(
-    planes: list[np.ndarray],
-    pairs: list[HistPair],
-    slots: list[list[np.ndarray]],
-    chunks: list[list[np.ndarray]],
-    scopes: list[_Scope],
-    plain_first: bool,
-) -> list[np.ndarray]:
-    """Write the payload chunks of the scopes embedded in the given domain."""
-    for j, s in enumerate(scopes):
-        if s.plain_first == plain_first:
-            planes = [
-                embed_bits(p, pair, sl, c)
-                for p, pair, sl, c in zip(planes, pairs, slots[j], chunks[j])
-            ]
-    return planes
 
 
 def _plane_is_unshifted(plane: np.ndarray, pair: HistPair) -> bool:
@@ -320,41 +283,45 @@ def _chunk_payload(bits: np.ndarray, capacities: list[int], what: str) -> list[n
 def _embed(
     mode: Mode, image: Image, payloads: tuple, keys: KeySet, block_size: int
 ) -> tuple[Image, SideInfo]:
-    """Shift and plan every plane, embed the plain-first scopes, encrypt
-    every scope, then embed the encrypted-first scopes into their slots,
-    carried through the cipher's block moves."""
+    """Shift and plan every plane, write every scope's payload into its
+    label's slice of the plan, then encrypt every scope.
+
+    Encryption only moves block content and each slot moves with its block,
+    so a scope written before the moves holds what an encrypted-first hider
+    writes into the same content cells after them: the mode changes the side
+    info, not the pixels.
+    """
     grid = split_blocks(image.planes[0], block_size)
-    labels, scopes = _scopes(mode, keys.k_region, grid)
-    payloads = [np.asarray(p, dtype=np.uint8).ravel() for p in payloads]
-    if any(bits.size and bits.max() > 1 for bits in payloads):
+    labels, suffixes = _scopes(mode, keys.k_region, grid)
+    payloads = [np.asarray(p).ravel() for p in payloads]
+    # Checked before the cast, which would truncate 0.6 to 0.
+    if not all(((bits == 0) | (bits == 1)).all() for bits in payloads):
         raise ValueError("payload bits must be 0 or 1")
+    payloads = [bits.astype(np.uint8, copy=False) for bits in payloads]
     pairs = [find_pp_zp(plane) for plane in image.planes]
     # `inters` stays referenced until the end: releasing it early measured a
-    # higher peak RSS (9.72x -> 9.99x the image, smooth-rgb-b32-2d in bench/)
-    # although fewer bytes were live; the cause is not established.
+    # higher peak RSS (up to 15.2x against 14.4x the image, smooth-gray-b4 in
+    # bench/) although fewer bytes were live; the cause is not established.
     inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
     plans = [build_order_plan(inter, pair, grid, labels) for inter, pair in zip(inters, pairs)]
-    slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(scopes))]
-    masks = _scope_masks(keys, plans, labels, len(scopes))
+    slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
+    masks = _scope_masks(keys, plans, labels, len(suffixes))
     del plans  # the plans' arrays are not needed through the block moves
     # Every capacity is checked before any plane is written.
     chunks = [
         _chunk_payload(
             bits,
             [sl.size for sl in slots[j]],
-            f"region {s.suffix[1:].decode()} payload" if s.suffix else "payload",
+            f"region {s[1:].decode()} payload" if s else "payload",
         )
-        for j, (bits, s) in enumerate(zip(payloads, scopes))
+        for j, (bits, s) in enumerate(zip(payloads, suffixes))
     ]
 
-    work = _embed_scopes(inters, pairs, slots, chunks, scopes, plain_first=True)
-    work, moves = _encrypt_planes(work, grid, masks, keys, scopes)
-    # Encryption only moves content, so an encrypted-first scope's slots are
-    # its plan's slots carried along with their blocks.
-    for j, scope_moves in enumerate(moves):
-        if scope_moves is not None:
-            slots[j] = [transport_slots(sl, grid, *m) for sl, m in zip(slots[j], scope_moves)]
-    work = _embed_scopes(work, pairs, slots, chunks, scopes, plain_first=False)
+    work = list(inters)
+    for i, pair in enumerate(pairs):
+        for j in range(len(suffixes)):
+            work[i] = embed_bits(work[i], pair, slots[j][i], chunks[j][i])
+    work = _encrypt_planes(work, grid, masks, keys, suffixes)
 
     side = SideInfo(
         mode=mode,
@@ -379,8 +346,9 @@ def encrypt_then_embed(
     """Shift, encrypt eligible blocks, then embed in the encrypted domain.
 
     Produces the same pixels as embed_plain_then_encrypt for equal inputs:
-    the slots are the intermediate plane's, carried along with the blocks
-    that encryption moves, so they hold the same content cells.
+    the encrypted plane's slots are the intermediate plane's, moved along
+    with their blocks, so the payload is written into them before the blocks
+    move. Only the side info records the encrypted domain.
     """
     return _embed(Mode.ENCRYPT_FIRST, image, (payload,), keys, block_size)
 
@@ -392,7 +360,10 @@ def embed_two_domain(
     keys: KeySet,
     block_size: int,
 ) -> tuple[Image, SideInfo]:
-    """Embed payload A before and payload B after region-wise encryption."""
+    """Embed payload A in the plain domain and payload B in the encrypted
+    domain of region-wise encryption. Both are written before the blocks
+    move, which gives the pixels of writing B after them (see
+    `encrypt_then_embed`)."""
     return _embed(Mode.TWO_DOMAIN, image, (payload_a, payload_b), keys, block_size)
 
 
@@ -409,8 +380,8 @@ def _extract(
 ) -> tuple[list[np.ndarray], Image]:
     """Each scope's payload bits and the payload-free image."""
     grid = _validate_side(image, side)
-    labels, scopes = _scopes(side.mode, k_region, grid)
-    bits = [[] for _ in scopes]
+    labels, suffixes = _scopes(side.mode, k_region, grid)
+    bits = [[] for _ in suffixes]
     planes_out = []
     for i, (plane, pair) in enumerate(zip(image.planes, side.pairs)):
         if _plane_is_unshifted(plane, pair) and pair.zp != pair.marked_value:
@@ -419,8 +390,8 @@ def _extract(
                 "was the payload already extracted?"
             )
         plan = build_order_plan(plane, pair, grid, labels)
-        for j in range(len(scopes)):
-            length = side.bit_lengths[len(scopes) * i + j]
+        for j in range(len(suffixes)):
+            length = side.bit_lengths[len(suffixes) * i + j]
             slots = plan.slots[plan.slot_labels == j]
             if length > slots.size:
                 raise SideInfoError(
@@ -465,7 +436,7 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     grid = _validate_side(image, side)
     if side.per_plane_keys != keys.per_plane:
         raise SideInfoError("per-plane key flag does not match side info")
-    labels, scopes = _scopes(side.mode, keys.k_region, grid)
+    labels, suffixes = _scopes(side.mode, keys.k_region, grid)
 
     # Every plan was built on shifted planes. Block moves commute with the
     # per-value shift, so an un-shifted plane is shifted once, decrypted in
@@ -481,11 +452,11 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     # Planes are replaced one at a time so that the planes they replace can
     # be freed.
     plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, side.pairs)]
-    masks = _scope_masks(keys, plans, labels, len(scopes))
+    masks = _scope_masks(keys, plans, labels, len(suffixes))
     del plans  # the plans' arrays are not needed through the block moves
-    rots = _unscramble_planes(work, grid, masks, keys, scopes)
-    for s, rot in zip(scopes, rots):
-        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s.suffix)
+    rots = _unscramble_planes(work, grid, masks, keys, suffixes)
+    for s, rot in zip(suffixes, rots):
+        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s)
         for i, (blocks, ids) in enumerate(orients):
             work[i] = orient_blocks(work[i], grid, blocks, INVERSE_ORIENTATION[ids])
 

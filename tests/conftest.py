@@ -13,7 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blockmark import HistPair, Image, RegionMap, find_pp_zp, shift_histogram, split_blocks
+from blockmark import (
+    HistPair,
+    Image,
+    Mode,
+    RegionMap,
+    build_order_plan,
+    embed_bits,
+    find_pp_zp,
+    plane_key,
+    rotate_flip_blocks,
+    scramble_blocks,
+    shift_histogram,
+    split_blocks,
+)
+from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -188,6 +202,64 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
         "scr_eligible": set(scope) - tied,
         "slots": [s for a in order for s in entries[a][2]],
     }
+
+
+def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: Mode) -> Image:
+    """The paper's keyless hider: the ciphertext's own plan places the
+    encrypted-domain payload.
+
+    Shifts and plans each plane and embeds the plain-first scope. Then it
+    encrypts each scope with the public cipher operations (each scope's
+    masks from that plan, its own key tag suffix, and with shared keys the
+    masks intersected over planes), plans the ciphertext again and embeds
+    the encrypted-first scope into its label's slice of that plan. Nothing
+    is carried through the cipher. `payloads` holds one bit sequence per
+    scope (A then B in two-domain mode); each plane takes up to its own
+    capacity in the scope, in plane order.
+    """
+    grid = split_blocks(image.planes[0], block)
+    if mode == Mode.TWO_DOMAIN:
+        labels = RegionMap.derive(keys.k_region, grid).labels.astype(np.intp)
+        scopes = [(b"/A", True), (b"/B", False)]
+    else:
+        labels = np.zeros(grid.n_blocks, dtype=np.intp)
+        scopes = [(b"", mode == Mode.PLAIN_FIRST)]
+    pairs = [find_pp_zp(p) for p in image.planes]
+    planes = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
+
+    def plan(planes):
+        return [build_order_plan(p, pair, grid, labels) for p, pair in zip(planes, pairs)]
+
+    def embed_scope(planes, plans, j):
+        bits, out = list(payloads[j]), []
+        for plane, pair, p in zip(planes, pairs, plans):
+            slots = p.slots[p.slot_labels == j]
+            out.append(embed_bits(plane, pair, slots, bits[: slots.size]))
+            bits = bits[slots.size :]
+        assert not bits, "payload exceeds the scope's capacity"
+        return out
+
+    plans = plan(planes)
+    for j, (_, plain_first) in enumerate(scopes):
+        if plain_first:
+            planes = embed_scope(planes, plans, j)
+    for j, (suffix, _) in enumerate(scopes):
+        for step, key, tag, field in (
+            (rotate_flip_blocks, keys.k_orient, TAG_ORIENT, "rot_eligible"),
+            (scramble_blocks, keys.k_scramble, TAG_SCRAMBLE, "scr_eligible"),
+        ):
+            masks = [getattr(p, field) & (labels == j) for p in plans]
+            if not keys.per_plane:
+                masks = [np.logical_and.reduce(masks)] * len(masks)
+            planes = [
+                step(p, grid, m, plane_key(key, i if keys.per_plane else None), tag + suffix)
+                for i, (p, m) in enumerate(zip(planes, masks))
+            ]
+    plans = plan(planes)
+    for j, (_, plain_first) in enumerate(scopes):
+        if not plain_first:
+            planes = embed_scope(planes, plans, j)
+    return Image(tuple(planes))
 
 
 def region_capacities(image: Image, k_region: bytes, block: int) -> dict[str, int]:

@@ -19,6 +19,7 @@ import pytest
 from blockmark import (
     CodecSpec,
     Image,
+    Mode,
     RegionMap,
     apply_orientation,
     canonicalize,
@@ -45,6 +46,7 @@ from blockmark import (
 )
 from blockmark.ordering import build_order_plan, orientation_permutations
 from conftest import (
+    encrypted_domain_reference,
     key_signature,
     natural_plane,
     ref_canonical_signature,
@@ -331,7 +333,8 @@ def test_c6_correlation():
 
 
 def test_c7_mode_equivalence():
-    """Plain-first and encrypted-first outputs pixel-identical, 100 trials."""
+    """Plain-first and encrypted-first outputs pixel-identical, and equal to
+    the keyless encrypted-domain hider's, 100 trials."""
     mismatches = 0
     for trial in range(100):
         rng = np.random.default_rng(3_000 + trial)
@@ -343,7 +346,8 @@ def test_c7_mode_equivalence():
         block = 8 if trial % 3 == 0 else 16
         a, side_a = embed_plain_then_encrypt(image, payload, keys, block)
         b, side_b = encrypt_then_embed(image, payload, keys, block)
-        if not (a == b and side_a.pairs == side_b.pairs):
+        ref = encrypted_domain_reference(image, (payload,), keys, block, Mode.ENCRYPT_FIRST)
+        if not (a == b == ref and side_a.pairs == side_b.pairs):
             mismatches += 1
     _report("C7 mode equivalence (100 trials)", mismatches == 0)
     assert mismatches == 0

@@ -286,6 +286,20 @@ class TestScramble:
         assert not np.array_equal(scramble_blocks(plane, grid, range(64), KEY), plane)
 
 
+@pytest.mark.parametrize(
+    "op", [scramble_blocks, unscramble_blocks, rotate_flip_blocks, unrotate_blocks]
+)
+@pytest.mark.parametrize("past_end", [False, True])
+def test_block_indices_range_checked(rng, op, past_end):
+    # -1 would silently wrap to the last block and take its draw out of
+    # ascending order; n_blocks would reach past the grid.
+    plane = random_plane(rng, 8, 8)
+    grid = split_blocks(plane, 4)
+    indices = [0, grid.n_blocks] if past_end else [-1, 0]
+    with pytest.raises(GeometryError, match="block indices"):
+        op(plane, grid, indices, KEY)
+
+
 class TestRotateFlip:
     def test_half_turn_reverses_block(self, rng):
         block = random_plane(rng, 4, 4)

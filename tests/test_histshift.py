@@ -190,6 +190,13 @@ class TestEmbedExtract:
         with pytest.raises(CapacityExceededError):
             embed_bits(plane, pair, self._slots(plane, pair), [1, 0, 1, 1, 0])
 
+    @pytest.mark.parametrize("bits", [[0.6, 1.9, 1.0], [-1], [256], [0, 2]])
+    def test_non_bits_rejected(self, bits):
+        plane = np.array([[2, 2, 2, 0]], dtype=np.uint8)
+        pair = HistPair(pp=2, zp=6)
+        with pytest.raises(ValueError, match="0 or 1"):
+            embed_bits(plane, pair, self._slots(plane, pair), bits)
+
     def test_extract_inverse_replay(self):
         plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
         pair = HistPair(pp=2, zp=6)

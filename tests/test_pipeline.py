@@ -32,8 +32,8 @@ from blockmark import (
     split_blocks,
 )
 from blockmark import pipeline
-from blockmark.ordering import apply_orientation, build_order_plan, transport_slots
-from conftest import random_bits, region_capacities, synth_image
+from blockmark.ordering import apply_orientation, build_order_plan
+from conftest import encrypted_domain_reference, random_bits, region_capacities, synth_image
 
 
 def _plane_hists(image):
@@ -95,6 +95,19 @@ class TestSingleDomain:
         too_many = capacity_report(img)["total"] + 1
         with pytest.raises(CapacityExceededError):
             embed_plain_then_encrypt(img, np.ones(too_many, np.uint8), keys, 16)
+
+    @pytest.mark.parametrize("bits", [[0.6, 1.9, 1.0], [-1], [256], [0, 2]])
+    @pytest.mark.parametrize("embed", [embed_plain_then_encrypt, encrypt_then_embed])
+    def test_payload_must_be_bits(self, rng, keys, embed, bits):
+        # Refused before the uint8 cast could truncate or overflow them.
+        img = synth_image(64, 64, rng, color=False)
+        with pytest.raises(ValueError, match="0 or 1"):
+            embed(img, bits, keys, 16)
+
+    def test_bool_and_whole_float_bits_accepted(self, rng, keys):
+        img = synth_image(64, 64, rng, color=False)
+        out, side = embed_plain_then_encrypt(img, [True, 0.0, 1.0], keys, 16)
+        assert extract_payload(out, side)[0].tolist() == [1, 0, 1]
 
     def test_payload_spans_planes_in_order(self, rng, keys):
         img = synth_image(64, 64, rng, color=True)
@@ -220,6 +233,13 @@ class TestTwoDomain:
         with pytest.raises(CapacityExceededError, match="region B"):
             embed_two_domain(img, [], np.ones(caps["B"] + 1, np.uint8), keys, 16)
 
+    @pytest.mark.parametrize("bits", [[0.6, 1.9, 1.0], [-1], [256]])
+    def test_payloads_must_be_bits(self, rng, keys, bits):
+        img = synth_image(64, 64, rng, color=False)
+        for payload_a, payload_b in ((bits, []), ([], bits)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                embed_two_domain(img, payload_a, payload_b, keys, 16)
+
     def test_requires_region_key(self, rng, keys):
         img = synth_image(64, 64, rng, color=False)
         no_region = generate_keys(seed=3)
@@ -289,9 +309,8 @@ class TestTwoDomain:
 
 class TestPlanBuilds:
     """One order plan per plane serves every scope and every step: embedding
-    carries the plan through encryption for encrypted-first scopes,
-    extraction plans once, and decryption carries the rotation set through
-    unscrambling."""
+    writes every scope before the blocks move, extraction plans once, and
+    decryption carries the rotation set through unscrambling."""
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_builds_per_plane(self, rng, keys, monkeypatch, mode):
@@ -349,35 +368,40 @@ def transport_cases(draw):
 
 
 class TestPlanTransport:
-    """The plan is carried through the cipher, not rebuilt: the rebuilt plan
-    is the reference for the carried one."""
+    """Nothing is planned twice, and the rebuilt plan is the reference:
+    embedding equals the keyless hider that plans the ciphertext again, and
+    decryption's carried rotation set equals the rebuilt plan's."""
+
+    @settings(max_examples=200)
+    @given(transport_cases(), st.integers(0, 2**32 - 1))
+    def test_embed_equals_reference(self, case, seed):
+        planes, block, mode, keys = case
+        image = Image(tuple(planes))
+        caps = region_capacities(image, keys.k_region, block)
+        caps = [caps["A"], caps["B"]] if mode == Mode.TWO_DOMAIN else [sum(caps.values())]
+        rng = np.random.default_rng(seed)
+        payloads = tuple(random_bits(rng, rng.integers(0, cap + 1)) for cap in caps)
+        out, _ = pipeline._embed(mode, image, payloads, keys, block)
+        assert out == encrypted_domain_reference(image, payloads, keys, block, mode)
 
     @settings(max_examples=200)
     @given(transport_cases())
     def test_carried_plan_equals_rebuilt(self, case):
         planes, block, mode, keys = case
         grid = split_blocks(planes[0], block)
-        labels, scopes = pipeline._scopes(mode, keys.k_region, grid)
+        labels, suffixes = pipeline._scopes(mode, keys.k_region, grid)
         pairs = [find_pp_zp(p) for p in planes]
         inters = [shift_histogram(p, pair) for p, pair in zip(planes, pairs)]
         plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(inters, pairs)]
-
-        # Encryption: each encrypted-first scope's carried slots are the
-        # slots of the plan rebuilt on the encrypted planes.
-        masks = pipeline._scope_masks(keys, plans, labels, len(scopes))
-        enc, moves = pipeline._encrypt_planes(inters, grid, masks, keys, scopes)
+        masks = pipeline._scope_masks(keys, plans, labels, len(suffixes))
+        enc = pipeline._encrypt_planes(inters, grid, masks, keys, suffixes)
         rebuilt = [build_order_plan(p, pair, grid, labels) for p, pair in zip(enc, pairs)]
-        for j, scope_moves in enumerate(moves):
-            assert (scope_moves is None) == scopes[j].plain_first
-            for plan, again, move in zip(plans, rebuilt, scope_moves or ()):
-                carried = transport_slots(plan.slots[plan.slot_labels == j], grid, *move)
-                assert np.array_equal(carried, again.slots[again.slot_labels == j])
 
         # Decryption: after unscrambling, each scope's carried rotation
         # masks are those of the plan rebuilt on the unscrambled planes.
         work = list(enc)
         rots = pipeline._unscramble_planes(
-            work, grid, pipeline._scope_masks(keys, rebuilt, labels, len(scopes)), keys, scopes
+            work, grid, pipeline._scope_masks(keys, rebuilt, labels, len(suffixes)), keys, suffixes
         )
         after = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, pairs)]
         for j, rot in enumerate(rots):
