@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GeometryError, KeyFormatError
 from .image_io import BlockGrid, block_view
-from .ordering import N_ORIENTATIONS, invert_orientation, orientation_permutations
+from .ordering import N_ORIENTATIONS, apply_orientation, invert_orientation
 
 KEY_BYTES = 16
 
@@ -263,18 +263,15 @@ def move_blocks(plane: np.ndarray, grid: BlockGrid, src, dst) -> np.ndarray:
 
 def orient_blocks(plane: np.ndarray, grid: BlockGrid, blocks, ids) -> np.ndarray:
     """Copy of the plane where block `blocks[k]` is transformed by orientation
-    `ids[k]`; each of the 8 symmetries is applied to its blocks with one gather."""
+    `ids[k]`; each of the 8 symmetries acts on the stack of its blocks."""
     out = plane.copy()
-    perms = orientation_permutations(grid.block)
     rows, cols = np.divmod(blocks, grid.cols)
     view = block_view(out, grid)
-    side = grid.block
     for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
         sel = ids == o
         if sel.any():
             at = (rows[sel], cols[sel])
-            cells = view[at].reshape(-1, side * side)
-            view[at] = cells[:, perms[o]].reshape(-1, side, side)
+            view[at] = apply_orientation(view[at], o)
     return out
 
 

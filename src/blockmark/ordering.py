@@ -44,14 +44,13 @@ N_ORIENTATIONS = 8
 
 
 def apply_orientation(mat: np.ndarray, orientation: int) -> np.ndarray:
-    """Transform a 2-D array by orientation id: rot90 CCW `id & 3` times,
-    then mirror left-right when `id >= 4`."""
+    """Transform the last two axes by orientation id: rot90 CCW `id & 3`
+    times, then mirror left-right when `id >= 4`. A 2-D block and a
+    `(k, b, b)` stack of blocks both work; the result is a strided view."""
     if not 0 <= orientation < N_ORIENTATIONS:
         raise ValueError(f"orientation id must be in [0, 8), got {orientation}")
-    out = np.rot90(mat, orientation & 3)
-    if orientation & 4:
-        out = np.fliplr(out)
-    return np.ascontiguousarray(out)
+    out = np.rot90(mat, orientation & 3, axes=(-2, -1))
+    return out[..., ::-1] if orientation & 4 else out
 
 
 def invert_orientation(orientation: int) -> int:
@@ -91,7 +90,8 @@ def canonicalize(
     holds cells 64j..64j+63, the earliest cell in the most significant bit,
     zero-padded). The canonical orientation is the one whose packed mask is
     largest; `ambiguous[i]` is True when several orientations attain it, and
-    `orientation[i]` is then 0.
+    `orientation[i]` is then 0. Each orientation is applied to the whole
+    stack at once, as a strided view, and packed.
 
     Raises GeometryError when `cells` is not a square and ValueError when a
     block has no marked cells: callers must skip slotless blocks.
@@ -101,11 +101,11 @@ def canonicalize(
     side = math.isqrt(cells)
     if side * side != cells:
         raise GeometryError("mask blocks are not square")
-    perms = orientation_permutations(side)
+    squares = mask_blocks.reshape(n, side, side)
     n_words = -(-cells // 64)
     packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
     for o in range(N_ORIENTATIONS):
-        row = np.packbits(mask_blocks[:, perms[o]], axis=1)
+        row = np.packbits(apply_orientation(squares, o).reshape(n, cells), axis=1)
         packed[:, o, : row.shape[1]] = row
     words = packed.view(">u8")  # (n, 8, n_words)
 
@@ -193,11 +193,14 @@ def build_order_plan(
     rot_eligible[marked[ambiguous]] = False
 
     # Visit each block's slots in its canonical scan order (raster order
-    # for ambiguous blocks, whose orientation reads 0).
-    perms = orientation_permutations(grid.block)
-    row, pos = np.nonzero(mask_blocks[blocks[:, None], perms[orientation]])
+    # for ambiguous blocks, whose orientation reads 0): `scan[o, c]` is the
+    # position of source cell c in the scan under orientation o.
+    scan = np.argsort(orientation_permutations(grid.block), axis=1)
+    row, cell = np.nonzero(mask_blocks[blocks])
+    visit = np.argsort(row * cells + scan[orientation[row], cell])
+    row, cell = row[visit], cell[visit]
     br, bc = np.divmod(blocks[row], grid.cols)
-    cr, cc = np.divmod(perms[orientation[row], pos], grid.block)
+    cr, cc = np.divmod(cell, grid.block)
     slots = (br * grid.block + cr) * grid.plane_shape[1] + bc * grid.block + cc
 
     return OrderPlan(

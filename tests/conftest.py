@@ -126,6 +126,12 @@ def ref_all_orientations(mat: list[list]) -> list[list[list]]:
     return out
 
 
+def ref_orientation(mat: list[list], orientation: int) -> list[list]:
+    """Orientation id `o` of the library's numbering: `o & 3` CCW quarter
+    turns (that is, `-o & 3` CW ones), then a mirror when `o >= 4`."""
+    return ref_all_orientations(mat)[2 * (-orientation & 3) + (orientation >> 2)]
+
+
 def ref_signature(mask: list[list[bool]]) -> tuple[int, ...]:
     n = len(mask[0])
     return tuple(

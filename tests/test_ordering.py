@@ -24,11 +24,31 @@ from blockmark import (
     split_blocks,
 )
 from blockmark.image_io import block_view
-from conftest import key_signature, ref_canonical_signature, ref_order_plan, valid_pair_plane
+from conftest import (
+    key_signature,
+    ref_canonical_signature,
+    ref_order_plan,
+    ref_orientation,
+    valid_pair_plane,
+)
 
-mask_strategy = arrays(
-    np.bool_, st.sampled_from([(4, 4), (5, 5), (8, 8)])
-).filter(lambda m: m.any())
+
+def _sparse_mask(side, cells):
+    mask = np.zeros(side * side, dtype=bool)
+    mask[list(cells)] = True
+    return mask.reshape(side, side)
+
+
+# Sides 3, 5, 10 and 12 give rows that are not whole bytes; keys span 1,
+# 2 (10x10), 3 (12x12), 4 (16x16) and 16 (32x32) words.
+mask_strategy = st.one_of(
+    arrays(
+        np.bool_, st.sampled_from([(3, 3), (4, 4), (5, 5), (8, 8), (10, 10), (12, 12), (16, 16)])
+    ).filter(lambda m: m.any()),
+    st.sets(st.integers(0, 32 * 32 - 1), min_size=1, max_size=40).map(
+        lambda cells: _sparse_mask(32, cells)
+    ),
+)
 
 # Marks are value 7 (pp) on a background of 50; shifted pixels are value 9.
 MARK = HistPair(pp=7, zp=9)
@@ -88,6 +108,13 @@ class TestOrientations:
             for m in ref_all_orientations(mat.tolist())
         }
         assert ours == theirs
+
+    @pytest.mark.parametrize("side", [2, 3, 4, 7, 16])
+    def test_stack_matches_per_block_reference(self, side, rng):
+        stack = rng.integers(0, 256, size=(5, side, side), dtype=np.uint8)
+        for o in range(8):
+            want = [ref_orientation(block.tolist(), o) for block in stack]
+            assert np.array_equal(apply_orientation(stack, o), np.array(want, dtype=np.uint8))
 
     def test_bad_id(self):
         with pytest.raises(ValueError):
