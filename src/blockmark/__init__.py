@@ -59,6 +59,7 @@ from .image_io import (
     load_image,
     save_image,
     split_blocks,
+    stack_to_plane,
 )
 from .ordering import (
     OrderPlan,

@@ -125,23 +125,28 @@ class CodecSpec:
 
 
 def load_codec_config(path) -> list[CodecSpec]:
-    """JSON list of {name, encode, decode?} codec entries."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    """JSON list of {name, encode, decode?} codec entries.
+
+    `name` must be a non-empty string and `encode`, and `decode` when
+    present, a command template with at least one token. Anything else, and
+    a file that is not UTF-8 JSON, raises CodecError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CodecError(f"codec config is not UTF-8 JSON: {exc}") from None
     if not isinstance(raw, list):
         raise CodecError("codec config must be a JSON list")
     specs = []
     for entry in raw:
-        try:
-            specs.append(
-                CodecSpec(
-                    name=entry["name"],
-                    encode=entry["encode"],
-                    decode=entry.get("decode"),
-                )
-            )
-        except (TypeError, KeyError) as exc:
-            raise CodecError(f"bad codec entry {entry!r}: {exc}") from None
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and entry["name"]):
+            raise CodecError(f"bad codec entry {entry!r}: needs a non-empty string name")
+        name = entry["name"]
+        _command(name, entry.get("encode"))
+        if "decode" in entry:
+            _command(name, entry["decode"])
+        specs.append(CodecSpec(name, entry["encode"], entry.get("decode")))
     return specs
 
 
@@ -153,12 +158,28 @@ class CompressionResult:
     ratio: float
 
 
-def _run_template(name: str, template: str, inp: Path, outp: Path) -> None:
+def _command(name: str, template, inp: Path | str = "", outp: Path | str = "") -> list[str]:
+    """The command a template runs, {in} and {out} substituted per token.
+
+    Raises CodecError unless `template` is a string that splits into at
+    least one token and names no other field.
+    """
     mapping = {"in": str(inp), "out": str(outp)}
-    cmd = [tok.format_map(mapping) for tok in shlex.split(template)]
+    try:
+        tokens = shlex.split(template) if isinstance(template, str) else []
+        cmd = [tok.format_map(mapping) for tok in tokens]
+    except (ValueError, LookupError, AttributeError, TypeError) as exc:
+        raise CodecError(f"{name}: bad command template {template!r}: {exc!r}") from None
+    if not cmd:
+        raise CodecError(f"{name}: command template must hold a command, got {template!r}")
+    return cmd
+
+
+def _run_template(name: str, template: str, inp: Path, outp: Path) -> None:
+    cmd = _command(name, template, inp, outp)
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the command
         raise CodecError(f"{name}: cannot run {cmd[0]!r}: {exc}") from None
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or ["(no stderr)"]

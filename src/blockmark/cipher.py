@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, KeyFormatError
-from .image_io import BlockGrid, block_view
+from .image_io import BlockGrid, block_items, block_stack, stack_to_plane
 from .ordering import N_ORIENTATIONS, apply_orientation, invert_orientation
 
 KEY_BYTES = 16
@@ -253,26 +253,27 @@ def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
 
 
 def move_blocks(plane: np.ndarray, grid: BlockGrid, src, dst) -> np.ndarray:
-    """Copy of the plane where block `dst[k]` holds what block `src[k]` held."""
-    out = plane.copy()
-    if len(dst) > 1:
-        view = block_view(out, grid)
-        view[np.divmod(dst, grid.cols)] = view[np.divmod(src, grid.cols)]
-    return out
+    """New plane where block `dst[k]` holds what block `src[k]` held; whole
+    blocks move as items of the plane's block stack."""
+    stack = block_stack(plane, grid)
+    items = block_items(stack)
+    items[dst] = items[src]
+    return stack_to_plane(stack, grid)
 
 
 def orient_blocks(plane: np.ndarray, grid: BlockGrid, blocks, ids) -> np.ndarray:
-    """Copy of the plane where block `blocks[k]` is transformed by orientation
-    `ids[k]`; each of the 8 symmetries acts on the stack of its blocks."""
-    out = plane.copy()
-    rows, cols = np.divmod(blocks, grid.cols)
-    view = block_view(out, grid)
+    """New plane where block `blocks[k]` is transformed by orientation
+    `ids[k]`: each of the 8 symmetries gathers its blocks from the plane's
+    block stack, transforms them together and scatters them back."""
+    blocks, ids = np.asarray(blocks), np.asarray(ids)
+    stack = block_stack(plane, grid)
+    items = block_items(stack)
     for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
-        sel = ids == o
-        if sel.any():
-            at = (rows[sel], cols[sel])
-            view[at] = apply_orientation(view[at], o)
-    return out
+        at = blocks[ids == o]
+        if at.size:
+            turned = items[at].view(plane.dtype).reshape(-1, grid.block, grid.block)
+            items[at] = block_items(np.ascontiguousarray(apply_orientation(turned, o)))
+    return stack_to_plane(stack, grid)
 
 
 def scramble_blocks(

@@ -48,7 +48,13 @@ class HistPair:
 
 
 def histogram(plane: np.ndarray) -> np.ndarray:
-    return np.bincount(plane.ravel(), minlength=256)
+    """Count of each sample value. `np.bincount` casts its input to intp (8
+    bytes a sample), so it runs on chunks of 65,536 samples."""
+    flat = plane.ravel()
+    hist = np.zeros(256, dtype=np.intp)
+    for start in range(0, flat.size, 65536):
+        hist += np.bincount(flat[start : start + 65536], minlength=256)
+    return hist
 
 
 def find_pp_zp(plane: np.ndarray) -> HistPair:

@@ -184,15 +184,32 @@ def split_blocks(plane: np.ndarray, block: int) -> BlockGrid:
     return BlockGrid(block=block, cols=w // block, rows=h // block)
 
 
-def block_view(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """(rows, cols, block, block) view of a C-contiguous plane; writes to it
-    reach the plane."""
-    h, w = grid.plane_shape
-    if plane.shape != (h, w):
-        raise GeometryError(f"plane shape {plane.shape} does not match grid {h}x{w}")
-    return plane.reshape(grid.rows, grid.block, grid.cols, grid.block).swapaxes(1, 2)
+def _items(a: np.ndarray, width: int) -> np.ndarray:
+    """View the contiguous last axis of `a` as items of `width` elements."""
+    return a.view(np.dtype((np.void, width * a.itemsize)))
+
+
+def block_items(stack: np.ndarray) -> np.ndarray:
+    """A C-contiguous (n, block, block) stack as n items of one whole block."""
+    n, b, _ = stack.shape
+    return _items(stack.reshape(n, b * b), b * b)[:, 0]
 
 
 def block_stack(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """All blocks as an (n_blocks, block, block) array in raster order."""
-    return block_view(plane, grid).reshape(grid.n_blocks, grid.block, grid.block)
+    """All blocks as a C-contiguous (n_blocks, block, block) copy in raster
+    order, for a plane of any dtype and layout. Each block row moves as one
+    item."""
+    if plane.shape != grid.plane_shape:
+        raise GeometryError(f"plane shape {plane.shape} does not match grid {grid.plane_shape}")
+    b = grid.block
+    rows = _items(np.ascontiguousarray(plane), b).reshape(grid.rows, b, grid.cols)
+    return rows.swapaxes(1, 2).copy().view(plane.dtype).reshape(grid.n_blocks, b, b)
+
+
+def stack_to_plane(stack: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """Inverse of `block_stack`: a new plane whose block `a` is `stack[a]`."""
+    b = grid.block
+    if stack.shape != (grid.n_blocks, b, b):
+        raise GeometryError(f"stack shape {stack.shape} is not {(grid.n_blocks, b, b)}")
+    rows = _items(np.ascontiguousarray(stack), b).reshape(grid.rows, grid.cols, b)
+    return rows.swapaxes(1, 2).copy().view(stack.dtype).reshape(grid.plane_shape)

@@ -153,7 +153,9 @@ def build_order_plan(
     grid: BlockGrid,
     labels: np.ndarray | None = None,
 ) -> OrderPlan:
-    """Derive the full plan from an intermediate or marked plane.
+    """Derive the full plan from an intermediate or marked plane. Only the
+    blocks that carry slots (counted from the slot pixels) are gathered from
+    the plane's block stack for their slot masks and shifted-band counts.
 
     `labels` gives every block a scope label (all zero by default). Ordering
     and tie flags never cross labels, so each label's slice of the plan is
@@ -163,19 +165,17 @@ def build_order_plan(
     if labels.shape != (grid.n_blocks,):
         raise ValueError(f"labels must hold one entry per block ({grid.n_blocks})")
 
-    cells = grid.block * grid.block
-    mask_blocks = block_stack(marked_mask(plane, pair), grid).reshape(-1, cells)
-    counts = mask_blocks.sum(axis=1)
-    lo, hi = pair.band
-    if lo <= hi:
-        band = (plane >= lo) & (plane <= hi)
-        band_counts = block_stack(band, grid).reshape(-1, cells).sum(axis=1)
-    else:
-        band_counts = np.zeros(grid.n_blocks, dtype=np.intp)
+    b, cells = grid.block, grid.block * grid.block
+    r, c = np.divmod(np.flatnonzero(marked_mask(plane, pair)), grid.plane_shape[1])
+    counts = np.bincount(r // b * grid.cols + c // b, minlength=grid.n_blocks)
+    marked = np.flatnonzero(counts)
+    stack = block_stack(plane, grid)[marked].reshape(-1, cells)
+    mask_blocks = marked_mask(stack, pair)
+    lo, hi = pair.band  # an empty band (lo > hi) counts nothing
+    shifted = ((stack >= lo) & (stack <= hi)).sum(axis=1)
+    del stack
 
-    marked = np.flatnonzero(counts > 0)
-    orientation, ambiguous, key = canonicalize(mask_blocks[marked])
-    shifted = band_counts[marked]
+    orientation, ambiguous, key = canonicalize(mask_blocks)
     # Sort by (label, slot count desc, shifted asc, signature asc, index).
     # With equal slot counts the smaller signature is the larger packed key.
     order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked], labels[marked]))
@@ -196,7 +196,7 @@ def build_order_plan(
     # for ambiguous blocks, whose orientation reads 0): `scan[o, c]` is the
     # position of source cell c in the scan under orientation o.
     scan = np.argsort(orientation_permutations(grid.block), axis=1)
-    row, cell = np.nonzero(mask_blocks[blocks])
+    row, cell = np.nonzero(mask_blocks[order])
     visit = np.argsort(row * cells + scan[orientation[row], cell])
     row, cell = row[visit], cell[visit]
     br, bc = np.divmod(blocks[row], grid.cols)

@@ -1,5 +1,6 @@
 """Metrics and the external-codec harness."""
 
+import io
 import math
 import sys
 
@@ -222,3 +223,44 @@ class TestCompressionHarness:
         cfg.write_text('[{"encode": "cp {in} {out}"}]')
         with pytest.raises(CodecError):
             load_codec_config(cfg)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"name": "", "encode": "cp {in} {out}"}]',
+            '[{"name": 7, "encode": "cp {in} {out}"}]',
+            '[{"name": "x"}]',
+            '[{"name": "x", "encode": null}]',
+            '[{"name": "x", "encode": ""}]',
+            '[{"name": "x", "encode": "   "}]',
+            '[{"name": "x", "encode": ["cp"]}]',
+            '[{"name": "x", "encode": "cp \\"{in}"}]',
+            '[{"name": "x", "encode": "cp {in} {where}"}]',
+            '[{"name": "x", "encode": "cp {in} {out"}]',
+            '[{"name": "x", "encode": "cp {in[x]} {out}"}]',
+            '[{"name": "x", "encode": "cp {in.x} {out}"}]',
+            '[{"name": "x", "encode": "cp {in} {out}", "decode": null}]',
+            '[{"name": "x", "encode": "cp {in} {out}", "decode": 3}]',
+            '["cp {in} {out}"]',
+            '{"name": "x", "encode": "cp {in} {out}"}',
+            '[{"name": "x", "encode": "cp {in} {out}"}',
+            "",
+        ],
+    )
+    def test_malformed_config(self, tmp_path, text):
+        cfg = tmp_path / "codecs.json"
+        cfg.write_text(text)
+        with pytest.raises(CodecError):
+            load_codec_config(cfg)
+
+    def test_non_utf8_config(self, tmp_path):
+        cfg = tmp_path / "codecs.json"
+        cfg.write_bytes(b'[{"name": "\xff", "encode": "cp {in} {out}"}]')
+        with pytest.raises(CodecError, match="UTF-8"):
+            load_codec_config(cfg)
+
+    def test_missing_template_never_reads_stdin(self, image_file, monkeypatch):
+        # shlex.split(None) would read the command from standard input.
+        monkeypatch.setattr("sys.stdin", io.StringIO("true"))
+        with pytest.raises(CodecError, match="must hold a command"):
+            compression_eval(image_file, CodecSpec(name="x", encode=None))

@@ -28,7 +28,7 @@ from blockmark import (
     unrotate_blocks,
     unscramble_blocks,
 )
-from blockmark.cipher import TAG_ORIENT
+from blockmark.cipher import TAG_ORIENT, move_blocks, orient_blocks
 from conftest import ref_orientation
 
 KEY = bytes(range(16))
@@ -285,6 +285,44 @@ class TestScramble:
         plane = random_plane(rng, 64, 64)
         grid = split_blocks(plane, 8)
         assert not np.array_equal(scramble_blocks(plane, grid, range(64), KEY), plane)
+
+
+class TestBlockMoves:
+    @pytest.mark.parametrize("block", [1, 3, 4, 32])
+    def test_move_matches_per_block_reference(self, rng, block):
+        plane = random_plane(rng, 2 * block, 5 * block)
+        grid = split_blocks(plane, block)
+        dst = rng.choice(grid.n_blocks, size=6, replace=False)
+        src = rng.permutation(dst)
+        want = plane.copy()
+        for s, d in zip(src, dst):
+            want[grid.block_slice(d)] = plane[grid.block_slice(s)]
+        assert np.array_equal(move_blocks(plane, grid, src, dst), want)
+
+    def test_lists_accepted(self, rng):
+        plane = random_plane(rng, 8, 8)
+        grid = split_blocks(plane, 4)
+        blocks, ids = [0, 1, 2, 3], [1, 2, 3, 4]
+        turned = orient_blocks(plane, grid, np.array(blocks), np.array(ids))
+        assert not np.array_equal(turned, plane)
+        assert np.array_equal(orient_blocks(plane, grid, blocks, ids), turned)
+        moved = move_blocks(plane, grid, np.array([3, 0]), np.array([0, 3]))
+        assert np.array_equal(move_blocks(plane, grid, [3, 0], [0, 3]), moved)
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 8])
+    def test_non_contiguous_plane(self, rng, block):
+        rgb = rng.integers(0, 256, size=(3 * block, 4 * block, 3), dtype=np.uint8)
+        grid = split_blocks(rgb[:, :, 0], block)
+        src = rng.permutation(grid.n_blocks)
+        blocks = np.arange(grid.n_blocks)
+        ids = rng.integers(0, 8, size=grid.n_blocks)
+        for plane in (rgb[:, :, 1], rgb[::-1, :, 2]):
+            dense = plane.copy()
+            moved = move_blocks(plane, grid, src, blocks)
+            assert np.array_equal(moved, move_blocks(dense, grid, src, blocks))
+            turned = orient_blocks(plane, grid, blocks, ids)
+            assert np.array_equal(turned, orient_blocks(dense, grid, blocks, ids))
+            assert np.array_equal(plane, dense)  # the input is left alone
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Command-line surface: happy paths, error mapping, exit codes."""
 
+import io
 import json
 import sys
 
@@ -171,6 +172,15 @@ class TestExitCodes:
         rc = _run("compress-eval", "--codecs", cfg, workdir / "in.ppm")
         assert rc == 3
         assert "boom" in capsys.readouterr().err
+
+    def test_codec_without_command_is_3(self, workdir, capsys, monkeypatch):
+        # A null template must not make shlex read a command from stdin.
+        monkeypatch.setattr("sys.stdin", io.StringIO("true"))
+        cfg = workdir / "codecs.json"
+        cfg.write_text('[{"name": "x", "encode": null}]')
+        rc = _run("compress-eval", "--codecs", cfg, workdir / "in.ppm")
+        assert rc == 3
+        assert "CodecError" in capsys.readouterr().err
 
     def test_payload_b_in_single_domain_is_2(self, workdir, capsys):
         rc = _run(

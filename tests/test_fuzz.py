@@ -5,6 +5,7 @@ every receiver-side flow is fed arbitrary and mutated bytes. Any exception
 that is not a BlockmarkError fails the test.
 """
 
+import json
 import zlib
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from blockmark import (
     BlockmarkError,
+    CodecError,
+    CodecSpec,
     Mode,
     SideInfo,
     decode_image,
@@ -25,6 +28,7 @@ from blockmark import (
     extract_payload,
     extract_two_domain,
     generate_keys,
+    load_codec_config,
 )
 from conftest import random_bits, synth_image
 
@@ -127,3 +131,30 @@ class TestSideInfoBytes:
         except BlockmarkError:
             return
         _receive(decode_image(image_bytes), side, keys)
+
+
+# Templates near the edges of what `load_codec_config` accepts.
+_TEMPLATE = st.sampled_from(
+    ["cp {in} {out}", "", "  ", "{", "{x}", "{0}", "{in.x}", "{in[x]}", "{in!z}", "'", "a\x00b"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEMPLATE,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "encode", "decode", "other"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestCodecConfig:
+    @settings(max_examples=300)
+    @given(st.binary(max_size=64) | _JSON.map(lambda v: json.dumps(v).encode()))
+    def test_arbitrary_config(self, tmp_path_factory, data):
+        cfg = tmp_path_factory.mktemp("codecs") / "codecs.json"
+        cfg.write_bytes(data)
+        try:
+            specs = load_codec_config(cfg)
+        except CodecError:
+            return
+        for spec in specs:
+            assert isinstance(spec, CodecSpec) and spec.name
+            assert isinstance(spec.encode, str) and isinstance(spec.decode, (str, type(None)))

@@ -32,6 +32,16 @@ plane_strategy = arrays(
 )
 
 
+class TestHistogram:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 65535), (256, 256), (1, 65537), (7, 28087)])
+    def test_counts_every_sample(self, rng, shape):
+        # Shapes around and across the 65,536-sample chunks it counts in.
+        plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        want = np.array([np.count_nonzero(plane == v) for v in range(256)])
+        assert np.array_equal(histogram(plane), want)
+        assert np.array_equal(histogram(plane.T), want)  # non-contiguous
+
+
 class TestFindPair:
     def test_example_plane(self):
         pair = find_pp_zp(EXAMPLE)

@@ -15,8 +15,8 @@ from blockmark import (
     decode_image,
     encode_image,
     split_blocks,
+    stack_to_plane,
 )
-from blockmark.image_io import block_view
 
 
 class TestDecode:
@@ -127,11 +127,42 @@ class TestConcatSplit:
     @given(arrays(np.uint8, (24, 24)), st.sampled_from([2, 3, 4, 6, 8, 12]))
     def test_stack_round_trip(self, plane, size):
         grid = split_blocks(plane, size)
-        out = np.zeros_like(plane)
-        block_view(out, grid)[:] = block_stack(plane, grid).reshape(
-            grid.rows, grid.cols, size, size
-        )
+        assert np.array_equal(stack_to_plane(block_stack(plane, grid), grid), plane)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+    @pytest.mark.parametrize("size", [1, 3, 5, 32])
+    def test_round_trip_dtypes(self, rng, dtype, size):
+        plane = rng.integers(-(2**40), 2**40, size=(2 * size, 3 * size)).astype(dtype)
+        grid = split_blocks(plane, size)
+        stacked = block_stack(plane, grid)
+        assert stacked.dtype == plane.dtype and stacked.flags.c_contiguous
+        assert not np.shares_memory(stacked, plane)
+        for a in range(grid.n_blocks):
+            assert np.array_equal(stacked[a], plane[grid.block_slice(a)])
+        out = stack_to_plane(stacked, grid)
+        assert out.dtype == plane.dtype and not np.shares_memory(out, stacked)
         assert np.array_equal(out, plane)
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 32])
+    def test_round_trip_non_contiguous(self, rng, size):
+        rgb = rng.integers(0, 256, size=(2 * size, 3 * size, 3), dtype=np.uint8)
+        for plane in (rgb[:, :, 1], rgb[::-1, :, 0], rgb[:, ::-1, 2]):
+            assert not plane.flags.c_contiguous
+            grid = split_blocks(plane, size)
+            stacked = block_stack(plane, grid)
+            assert np.array_equal(stacked, block_stack(plane.copy(), grid))
+            assert np.array_equal(stack_to_plane(stacked, grid), plane)
+            # A non-contiguous stack converts like its contiguous copy.
+            swapped = stacked.swapaxes(1, 2)
+            want = stack_to_plane(swapped.copy(), grid)
+            assert np.array_equal(stack_to_plane(swapped, grid), want)
+
+    def test_shape_mismatch(self):
+        grid = BlockGrid(block=4, cols=2, rows=2)
+        with pytest.raises(GeometryError):
+            block_stack(np.zeros((8, 12), np.uint8), grid)
+        with pytest.raises(GeometryError):
+            stack_to_plane(np.zeros((4, 4, 2), np.uint8), grid)
 
     def test_stack_matches_get_block(self, rng):
         plane = rng.integers(0, 256, size=(12, 20), dtype=np.uint8)

@@ -22,8 +22,8 @@ from blockmark import (
     scramble_blocks,
     shift_histogram,
     split_blocks,
+    stack_to_plane,
 )
-from blockmark.image_io import block_view
 from conftest import (
     key_signature,
     ref_canonical_signature,
@@ -77,9 +77,7 @@ def _plane_of_blocks(masks, block, rows, cols, shifted=None):
         stack[a][np.asarray(mask, dtype=bool).ravel()] = MARK.pp
     for a, n in (shifted or {}).items():
         stack[a][np.flatnonzero(stack[a] == 50)[:n]] = 9
-    plane = np.empty(grid.plane_shape, dtype=np.uint8)
-    block_view(plane, grid)[:] = stack.reshape(rows, cols, block, block)
-    return plane, grid
+    return stack_to_plane(stack.reshape(-1, block, block), grid), grid
 
 
 class TestOrientations:
@@ -288,7 +286,8 @@ def plan_cases(draw):
         plane = np.block(
             [[apply_orientation(tile, ids[r * cols + c]) for c in range(cols)] for r in range(rows)]
         )
-    pair = HistPair(pp=draw(st.integers(10, 13)), zp=draw(st.sampled_from([8, 15])))
+    # zp 9 or 14 beside pp 10 or 13 leaves the shifted band empty.
+    pair = HistPair(pp=draw(st.integers(10, 13)), zp=draw(st.sampled_from([8, 9, 14, 15])))
     labels = draw(
         st.none()
         | st.lists(st.integers(0, 2), min_size=rows * cols, max_size=rows * cols).map(
@@ -328,9 +327,35 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16)
         plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
         assert plan.blocks.tolist() == []
-        assert plan.slots.size == 0
+        assert plan.slots.size == 0 and plan.slot_labels.size == 0
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "pair", [HistPair(pp=7, zp=8), HistPair(pp=7, zp=6), HistPair(pp=7, zp=12)]
+    )
+    def test_every_block_marked(self, rng, pair):
+        # Every block holds slots; zp beside pp leaves the shifted band empty.
+        plane = rng.integers(6, 13, size=(24, 32), dtype=np.uint8)
+        plane[::4, ::4] = 7
+        grid = split_blocks(plane, 4)
+        plan = build_order_plan(plane, pair, grid)
+        ref = ref_order_plan(plane, pair, 4)
+        assert sorted(plan.blocks.tolist()) == list(range(grid.n_blocks))
+        assert plan.blocks.tolist() == ref["blocks"]
+        assert plan.slots.tolist() == ref["slots"]
+        for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
+            assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
+
+    def test_non_contiguous_plane(self, rng):
+        rgb = rng.integers(6, 13, size=(24, 32, 3), dtype=np.uint8)
+        pair = HistPair(pp=9, zp=14)
+        grid = split_blocks(rgb[:, :, 0], 4)
+        for plane in (rgb[:, :, 1], rgb[::-1, :, 2]):
+            plan = build_order_plan(plane, pair, grid)
+            dense = build_order_plan(plane.copy(), pair, grid)
+            for field in ("blocks", "tie_flagged", "rot_eligible", "scr_eligible", "slots"):
+                assert np.array_equal(getattr(plan, field), getattr(dense, field))
 
     def test_marks_in_one_block(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
