@@ -21,12 +21,14 @@ bounded draws use rejection sampling so every permutation is equally likely.
 Each operation is a draw followed by an apply. The draws depend only on
 (count, key, tag): `draw_permutation` is the keyed shuffle of the eligible
 blocks and `draw_orientations` their orientation ids, taken from one
-``bits`` call. The applies move a plane's blocks from a given draw:
-`move_blocks` puts the content of block ``src[k]`` at ``dst[k]`` and
-`orient_blocks` transforms block ``blocks[k]`` by orientation ``ids[k]``.
-The four public operations are a draw and an apply each; a caller that
-needs the draw too (to carry a block mask along with the blocks, or to
-apply one shared-key draw to every plane) calls the two halves itself.
+``bits`` call. The applies work in place on a plane's ``(n_blocks, b, b)``
+block stack (``image_io.block_stack``) from a given draw: `move_blocks`
+puts the content of block ``src[k]`` at ``dst[k]`` and `orient_blocks`
+transforms block ``blocks[k]`` by orientation ``ids[k]``. The four public
+operations are plane to plane: a draw, then an apply on the plane's block
+stack. A caller that needs the draw too (to carry a block mask along with
+the blocks, or to apply one shared-key draw to every plane) calls the two
+halves on its own stacks.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, KeyFormatError
-from .image_io import BlockGrid, block_items, block_stack, stack_to_plane
+from .image_io import BlockGrid, block_stack, stack_to_plane
 from .ordering import N_ORIENTATIONS, apply_orientation, invert_orientation
 
 KEY_BYTES = 16
@@ -252,27 +254,28 @@ def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
     return (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
 
 
-def move_blocks(plane: np.ndarray, grid: BlockGrid, src, dst) -> np.ndarray:
-    """New plane where block `dst[k]` holds what block `src[k]` held; whole
-    blocks move as items of the plane's block stack."""
-    stack = block_stack(plane, grid)
-    items = block_items(stack)
-    items[dst] = items[src]
-    return stack_to_plane(stack, grid)
+def move_blocks(stack: np.ndarray, src, dst) -> None:
+    """In place on a `(n_blocks, b, b)` block stack: block `dst[k]` gets
+    what block `src[k]` held. `np.take` gathers whole blocks about twice as
+    fast as indexing does at block 4."""
+    stack[dst] = np.take(stack, src, axis=0)
 
 
-def orient_blocks(plane: np.ndarray, grid: BlockGrid, blocks, ids) -> np.ndarray:
-    """New plane where block `blocks[k]` is transformed by orientation
-    `ids[k]`: each of the 8 symmetries gathers its blocks from the plane's
-    block stack, transforms them together and scatters them back."""
+def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
+    """In place on a `(n_blocks, b, b)` block stack: block `blocks[k]` is
+    transformed by orientation `ids[k]`. Each of the 8 symmetries gathers
+    its blocks, transforms them together and scatters them back."""
     blocks, ids = np.asarray(blocks), np.asarray(ids)
-    stack = block_stack(plane, grid)
-    items = block_items(stack)
     for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
         at = blocks[ids == o]
         if at.size:
-            turned = items[at].view(plane.dtype).reshape(-1, grid.block, grid.block)
-            items[at] = block_items(np.ascontiguousarray(apply_orientation(turned, o)))
+            stack[at] = apply_orientation(np.take(stack, at, axis=0), o)
+
+
+def _on_stack(plane: np.ndarray, grid: BlockGrid, apply, *args) -> np.ndarray:
+    """New plane: `apply(stack, *args)` on the plane's block stack."""
+    stack = block_stack(plane, grid)
+    apply(stack, *args)
     return stack_to_plane(stack, grid)
 
 
@@ -285,7 +288,7 @@ def scramble_blocks(
 ) -> np.ndarray:
     """Permute the eligible blocks among their own positions."""
     e = _eligible_array(eligible, grid)
-    return move_blocks(plane, grid, e[draw_permutation(e.size, key, tag)], e)
+    return _on_stack(plane, grid, move_blocks, e[draw_permutation(e.size, key, tag)], e)
 
 
 def unscramble_blocks(
@@ -296,7 +299,7 @@ def unscramble_blocks(
     tag: bytes = TAG_SCRAMBLE,
 ) -> np.ndarray:
     e = _eligible_array(eligible, grid)
-    return move_blocks(plane, grid, e, e[draw_permutation(e.size, key, tag)])
+    return _on_stack(plane, grid, move_blocks, e, e[draw_permutation(e.size, key, tag)])
 
 
 # Orientation id -> id of its inverse.
@@ -314,7 +317,7 @@ def rotate_flip_blocks(
 ) -> np.ndarray:
     """Apply a key-drawn symmetry (identity allowed) to each eligible block."""
     e = _eligible_array(eligible, grid)
-    return orient_blocks(plane, grid, e, draw_orientations(e.size, key, tag))
+    return _on_stack(plane, grid, orient_blocks, e, draw_orientations(e.size, key, tag))
 
 
 def unrotate_blocks(
@@ -326,4 +329,4 @@ def unrotate_blocks(
 ) -> np.ndarray:
     e = _eligible_array(eligible, grid)
     ids = draw_orientations(e.size, key, tag)
-    return orient_blocks(plane, grid, e, INVERSE_ORIENTATION[ids])
+    return _on_stack(plane, grid, orient_blocks, e, INVERSE_ORIENTATION[ids])

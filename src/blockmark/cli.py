@@ -17,7 +17,7 @@ from . import analysis, pipeline
 from .cipher import KeySet, generate_keys, load_key_file, save_key_file
 from .errors import BlockmarkError, CodecError
 from .histshift import shift_histogram
-from .image_io import load_image, save_image, split_blocks
+from .image_io import block_stack, load_image, save_image, split_blocks
 from .ordering import build_order_plan
 
 _MODES = {
@@ -140,7 +140,8 @@ def _cmd_analyze_capacity(ns) -> int:
         labels = pipeline.RegionMap.derive(keys.k_region, grid).labels
         caps = np.zeros(2, dtype=np.intp)
         for plane, pair in zip(image.planes, report["pairs"]):
-            plan = build_order_plan(shift_histogram(plane, pair), pair, grid, labels)
+            stack = block_stack(shift_histogram(plane, pair), grid)
+            plan = build_order_plan(stack, pair, labels)
             caps += np.bincount(plan.slot_labels, minlength=2)
         lines["region_a"], lines["region_b"] = caps.tolist()
     _emit(lines, ns.json)

@@ -107,9 +107,11 @@ def marked_mask(plane: np.ndarray, pair: HistPair) -> np.ndarray:
 
     The same positions are selected on the intermediate plane (where the
     adjacent bin is empty) and on a marked plane, so ordering decisions made
-    before embedding can be reproduced afterwards.
+    before embedding can be reproduced afterwards. One unsigned compare, as
+    in `_step_band`, finds both values.
     """
-    return (plane == pair.pp) | (plane == pair.marked_value)
+    out = plane - np.uint8(min(pair.pp, pair.marked_value))
+    return np.less_equal(out, 1, out=out.view(np.bool_))
 
 
 def capacity(plane: np.ndarray, pair: HistPair) -> int:

@@ -7,7 +7,9 @@ pixel payloads byte-for-byte. Comments are tolerated on read and never
 emitted on write.
 
 Planes are cut into `block` x `block` tiles, the one shape that the cipher's
-8 dihedral symmetries map onto itself.
+8 dihedral symmetries map onto itself. The plan and the cipher work on the
+`(n_blocks, block, block)` stack of those tiles: `block_stack` and
+`stack_to_plane` are the only code that knows where a block sits.
 """
 
 from __future__ import annotations
@@ -162,17 +164,6 @@ class BlockGrid:
     def plane_shape(self) -> tuple[int, int]:
         return (self.rows * self.block, self.cols * self.block)
 
-    def origin(self, index: int) -> tuple[int, int]:
-        """Top-left pixel (row, col) of block `index` in raster order."""
-        if not 0 <= index < self.n_blocks:
-            raise IndexError(f"block index {index} out of range [0, {self.n_blocks})")
-        br, bc = divmod(index, self.cols)
-        return br * self.block, bc * self.block
-
-    def block_slice(self, index: int) -> tuple[slice, slice]:
-        r0, c0 = self.origin(index)
-        return slice(r0, r0 + self.block), slice(c0, c0 + self.block)
-
 
 def split_blocks(plane: np.ndarray, block: int) -> BlockGrid:
     """Build the block grid for a plane; partial blocks are unsupported."""
@@ -187,12 +178,6 @@ def split_blocks(plane: np.ndarray, block: int) -> BlockGrid:
 def _items(a: np.ndarray, width: int) -> np.ndarray:
     """View the contiguous last axis of `a` as items of `width` elements."""
     return a.view(np.dtype((np.void, width * a.itemsize)))
-
-
-def block_items(stack: np.ndarray) -> np.ndarray:
-    """A C-contiguous (n, block, block) stack as n items of one whole block."""
-    n, b, _ = stack.shape
-    return _items(stack.reshape(n, b * b), b * b)[:, 0]
 
 
 def block_stack(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:

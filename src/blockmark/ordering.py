@@ -1,9 +1,9 @@
 """Content-derived data-hiding order and encryption eligibility.
 
-Embedding visits payload slots block by block. Both the within-block scan
-and the among-block sequence must be recoverable from pixel content alone,
-after blocks have been relocated, rotated, or flipped. Two devices make
-that possible:
+Embedding visits payload slots block by block, on a plane's `(n_blocks, b,
+b)` block stack. Both the within-block scan and the among-block sequence
+must be recoverable from pixel content alone, after blocks have been
+relocated, rotated, or flipped. Two devices make that possible:
 
 * Within a block, the slot mask is scanned under the dihedral orientation
   (one of 8: four rotations, each optionally mirrored) whose raster-index
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .histshift import HistPair, marked_mask
-from .image_io import BlockGrid, block_stack
 
 N_ORIENTATIONS = 8
 
@@ -133,47 +132,47 @@ class OrderPlan:
     order, label by label, and `slots` their slots in the same order;
     `slot_labels` holds each slot's scope label, so scope `j` embeds into
     `slots[slot_labels == j]`. `tie_flagged`, `rot_eligible` and
-    `scr_eligible` are boolean masks of length `grid.n_blocks`: entry `a` is
+    `scr_eligible` are boolean masks with one entry per block: entry `a` is
     True when block `a` shares its sort key within its label, may be
     rotated/flipped, or may be scrambled. Scope `j`'s are `mask & (labels == j)`.
     """
 
-    grid: BlockGrid
     blocks: np.ndarray  # intp marked block indices, embedding order
     tie_flagged: np.ndarray  # bool per block index
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
-    slots: np.ndarray  # plane-flat pixel indices, global embedding order
+    slots: np.ndarray  # stack-flat indices block * b * b + cell, embedding order
     slot_labels: np.ndarray  # scope label per slot
 
 
 def build_order_plan(
-    plane: np.ndarray,
+    stack: np.ndarray,
     pair: HistPair,
-    grid: BlockGrid,
     labels: np.ndarray | None = None,
 ) -> OrderPlan:
-    """Derive the full plan from an intermediate or marked plane. Only the
-    blocks that carry slots (counted from the slot pixels) are gathered from
-    the plane's block stack for their slot masks and shifted-band counts.
+    """Derive the full plan from the `(n_blocks, b, b)` block stack of an
+    intermediate or marked plane. Slots are counted per block from the slot
+    pixels; only the blocks that carry slots are gathered for their slot
+    masks and shifted-band counts.
 
     `labels` gives every block a scope label (all zero by default). Ordering
     and tie flags never cross labels, so each label's slice of the plan is
     the plan of that label's blocks alone.
     """
-    labels = np.zeros(grid.n_blocks, np.intp) if labels is None else np.asarray(labels)
-    if labels.shape != (grid.n_blocks,):
-        raise ValueError(f"labels must hold one entry per block ({grid.n_blocks})")
+    n_blocks, b, _ = stack.shape
+    cells = b * b
+    labels = np.zeros(n_blocks, np.intp) if labels is None else np.asarray(labels)
+    if labels.shape != (n_blocks,):
+        raise ValueError(f"labels must hold one entry per block ({n_blocks})")
 
-    b, cells = grid.block, grid.block * grid.block
-    r, c = np.divmod(np.flatnonzero(marked_mask(plane, pair)), grid.plane_shape[1])
-    counts = np.bincount(r // b * grid.cols + c // b, minlength=grid.n_blocks)
+    flat = stack.reshape(n_blocks, cells)
+    counts = np.bincount(np.flatnonzero(marked_mask(flat, pair)) // cells, minlength=n_blocks)
     marked = np.flatnonzero(counts)
-    stack = block_stack(plane, grid)[marked].reshape(-1, cells)
-    mask_blocks = marked_mask(stack, pair)
+    values = flat[marked]
+    mask_blocks = marked_mask(values, pair)
     lo, hi = pair.band  # an empty band (lo > hi) counts nothing
-    shifted = ((stack >= lo) & (stack <= hi)).sum(axis=1)
-    del stack
+    shifted = ((values >= lo) & (values <= hi)).sum(axis=1)
+    del values
 
     orientation, ambiguous, key = canonicalize(mask_blocks)
     # Sort by (label, slot count desc, shifted asc, signature asc, index).
@@ -186,29 +185,25 @@ def build_order_plan(
     # equal slot counts, so the labels, key words and shifted counts suffice.
     same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
     same &= block_labels[1:] == block_labels[:-1]
-    tie_flagged = np.zeros(grid.n_blocks, dtype=bool)
+    tie_flagged = np.zeros(n_blocks, dtype=bool)
     tie_flagged[blocks[1:][same]] = True
     tie_flagged[blocks[:-1][same]] = True
-    rot_eligible = np.ones(grid.n_blocks, dtype=bool)
+    rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 
     # Visit each block's slots in its canonical scan order (raster order
     # for ambiguous blocks, whose orientation reads 0): `scan[o, c]` is the
     # position of source cell c in the scan under orientation o.
-    scan = np.argsort(orientation_permutations(grid.block), axis=1)
+    scan = np.argsort(orientation_permutations(b), axis=1)
     row, cell = np.nonzero(mask_blocks[order])
     visit = np.argsort(row * cells + scan[orientation[row], cell])
     row, cell = row[visit], cell[visit]
-    br, bc = np.divmod(blocks[row], grid.cols)
-    cr, cc = np.divmod(cell, grid.block)
-    slots = (br * grid.block + cr) * grid.plane_shape[1] + bc * grid.block + cc
 
     return OrderPlan(
-        grid=grid,
         blocks=blocks,
         tie_flagged=tie_flagged,
         rot_eligible=rot_eligible,
         scr_eligible=~tie_flagged,
-        slots=slots,
+        slots=blocks[row] * cells + cell,
         slot_labels=block_labels[row],
     )

@@ -15,12 +15,15 @@ whole-grid scope. Two-domain hiding labels every block region A (0) or B
 the encrypted-domain one. Payloads are consumed plane by plane in R, G, B
 order, each plane taking up to its own capacity in the scope.
 
-Each call builds one plan per plane. Encryption only moves block content,
-and every slot moves with its block, so embedding writes every scope into
-its plan's slots before any block moves: an encrypted-first scope gets the
-pixels a hider working on the ciphertext would write. The mode is recorded
-in the side info and changes no pixel. Decryption carries the rotation set
-through the unscramble instead of planning again.
+Each call converts every plane to its `(n_blocks, b, b)` block stack once
+on entry and back once on exit; every step in between works on the stacks,
+with slots as stack-flat indices. Each call builds one plan per plane.
+Encryption only moves block content, and every slot moves with its block,
+so embedding writes every scope into its plan's slots before any block
+moves: an encrypted-first scope gets the pixels a hider working on the
+ciphertext would write. The mode is recorded in the side info and changes
+no pixel. Decryption carries the rotation set through the unscramble
+instead of planning again.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .histshift import (
     shift_histogram,
     unshift_histogram,
 )
-from .image_io import BlockGrid, Image, split_blocks
+from .image_io import BlockGrid, Image, block_stack, split_blocks, stack_to_plane
 from .ordering import OrderPlan, build_order_plan, transport_mask
 
 SIDEINFO_MAGIC = b"ETRD"
@@ -222,41 +225,37 @@ def _draws(keys: KeySet, key: bytes, masks: list[np.ndarray], draw, tag: bytes):
 
 
 def _encrypt_planes(
-    planes: list[np.ndarray],
-    grid: BlockGrid,
+    stacks: list[np.ndarray],
     masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
     keys: KeySet,
     suffixes: list[bytes],
-) -> list[np.ndarray]:
-    """Rotate/flip then scramble each plane's eligible blocks, scope by scope."""
-    out = list(planes)
+) -> None:
+    """Rotate/flip then scramble the eligible blocks of each plane's block
+    stack in place, scope by scope."""
     for s, (rot, scr) in zip(suffixes, masks):
         orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s)
         perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s)
-        for i, ((rotated, ids), (blocks, perm)) in enumerate(zip(orients, perms)):
-            out[i] = move_blocks(
-                orient_blocks(out[i], grid, rotated, ids), grid, blocks[perm], blocks
-            )
-    return out
+        for stack, (rotated, ids), (blocks, perm) in zip(stacks, orients, perms):
+            orient_blocks(stack, rotated, ids)
+            move_blocks(stack, blocks[perm], blocks)
 
 
 def _unscramble_planes(
-    work: list[np.ndarray],
-    grid: BlockGrid,
+    stacks: list[np.ndarray],
     masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
     keys: KeySet,
     suffixes: list[bytes],
 ) -> list[list[np.ndarray]]:
-    """Unscramble each plane's eligible blocks, scope by scope, replacing the
-    planes of `work` in place. Returns each scope's rotation masks, carried
-    along with the blocks they describe."""
+    """Unscramble the eligible blocks of each plane's block stack in place,
+    scope by scope. Returns each scope's rotation masks, carried along with
+    the blocks they describe."""
     rots = []
     for s, (rot, scr) in zip(suffixes, masks):
         rot = list(rot)
         perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s)
         for i, (blocks, perm) in enumerate(perms):
             dst = blocks[perm]
-            work[i] = move_blocks(work[i], grid, blocks, dst)
+            move_blocks(stacks[i], blocks, dst)
             rot[i] = transport_mask(rot[i], blocks, dst)
         rots.append(rot)
     return rots
@@ -299,11 +298,8 @@ def _embed(
         raise ValueError("payload bits must be 0 or 1")
     payloads = [bits.astype(np.uint8, copy=False) for bits in payloads]
     pairs = [find_pp_zp(plane) for plane in image.planes]
-    # `inters` stays referenced until the end: releasing it early measured a
-    # higher peak RSS (up to 15.2x against 14.4x the image, smooth-gray-b4 in
-    # bench/) although fewer bytes were live; the cause is not established.
-    inters = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
-    plans = [build_order_plan(inter, pair, grid, labels) for inter, pair in zip(inters, pairs)]
+    work = [shift_histogram(block_stack(p, grid), pair) for p, pair in zip(image.planes, pairs)]
+    plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]
     slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
     masks = _scope_masks(keys, plans, labels, len(suffixes))
     del plans  # the plans' arrays are not needed through the block moves
@@ -317,11 +313,12 @@ def _embed(
         for j, (bits, s) in enumerate(zip(payloads, suffixes))
     ]
 
-    work = list(inters)
     for i, pair in enumerate(pairs):
         for j in range(len(suffixes)):
             work[i] = embed_bits(work[i], pair, slots[j][i], chunks[j][i])
-    work = _encrypt_planes(work, grid, masks, keys, suffixes)
+    _encrypt_planes(work, masks, keys, suffixes)
+    for i, stack in enumerate(work):
+        work[i] = stack_to_plane(stack, grid)
 
     side = SideInfo(
         mode=mode,
@@ -384,12 +381,13 @@ def _extract(
     bits = [[] for _ in suffixes]
     planes_out = []
     for i, (plane, pair) in enumerate(zip(image.planes, side.pairs)):
-        if _plane_is_unshifted(plane, pair) and pair.zp != pair.marked_value:
+        stack = block_stack(plane, grid)
+        if _plane_is_unshifted(stack, pair) and pair.zp != pair.marked_value:
             raise SideInfoError(
                 "image histogram is not in the shifted state; "
                 "was the payload already extracted?"
             )
-        plan = build_order_plan(plane, pair, grid, labels)
+        plan = build_order_plan(stack, pair, labels)
         for j in range(len(suffixes)):
             length = side.bit_lengths[len(suffixes) * i + j]
             slots = plan.slots[plan.slot_labels == j]
@@ -397,9 +395,10 @@ def _extract(
                 raise SideInfoError(
                     f"side info declares {length} bits but only {slots.size} slots exist"
                 )
-            scope_bits, plane = extract_bits(plane, pair, slots[:length])
+            scope_bits, stack = extract_bits(stack, pair, slots[:length])
             bits[j].append(scope_bits)
-        planes_out.append(unshift_histogram(plane, pair))
+        stack = unshift_histogram(stack, pair)
+        planes_out.append(stack_to_plane(stack, grid))
     return [np.concatenate(b) for b in bits], Image(tuple(planes_out))
 
 
@@ -441,25 +440,25 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     # Every plan was built on shifted planes. Block moves commute with the
     # per-value shift, so an un-shifted plane is shifted once, decrypted in
     # the shifted state and un-shifted at the end.
-    work = list(image.planes)
-    unshifted = [i for i, p in enumerate(work) if _plane_is_unshifted(p, side.pairs[i])]
+    work = [block_stack(plane, grid) for plane in image.planes]
+    unshifted = [i for i, s in enumerate(work) if _plane_is_unshifted(s, side.pairs[i])]
     for i in unshifted:
         work[i] = shift_histogram(work[i], side.pairs[i])
 
     # Scopes are disjoint and each one's plan depends only on its own
     # blocks, so one plan per plane serves every scope. The rotation set
     # travels with block content, so each unscramble carries it along.
-    # Planes are replaced one at a time so that the planes they replace can
-    # be freed.
-    plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, side.pairs)]
+    plans = [build_order_plan(s, pair, labels) for s, pair in zip(work, side.pairs)]
     masks = _scope_masks(keys, plans, labels, len(suffixes))
     del plans  # the plans' arrays are not needed through the block moves
-    rots = _unscramble_planes(work, grid, masks, keys, suffixes)
+    rots = _unscramble_planes(work, masks, keys, suffixes)
     for s, rot in zip(suffixes, rots):
         orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s)
-        for i, (blocks, ids) in enumerate(orients):
-            work[i] = orient_blocks(work[i], grid, blocks, INVERSE_ORIENTATION[ids])
+        for stack, (blocks, ids) in zip(work, orients):
+            orient_blocks(stack, blocks, INVERSE_ORIENTATION[ids])
 
     for i in unshifted:
         work[i] = unshift_histogram(work[i], side.pairs[i])
+    for i, stack in enumerate(work):
+        work[i] = stack_to_plane(stack, grid)
     return Image(tuple(work))

@@ -18,6 +18,7 @@ from blockmark import (
     Image,
     Mode,
     RegionMap,
+    block_stack,
     build_order_plan,
     embed_bits,
     find_pp_zp,
@@ -26,6 +27,7 @@ from blockmark import (
     scramble_blocks,
     shift_histogram,
     split_blocks,
+    stack_to_plane,
 )
 from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 
@@ -156,13 +158,22 @@ def key_signature(key: np.ndarray, cells: int) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(bits[:cells]))
 
 
+def block_slice(grid, a: int) -> tuple[slice, slice]:
+    """Rows and columns of block `a` (raster order) in the plane: the
+    per-block reference for `block_stack` and the cipher operations."""
+    r, c = divmod(a, grid.cols)
+    b = grid.block
+    return slice(r * b, (r + 1) * b), slice(c * b, (c + 1) * b)
+
+
 def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) -> dict:
     """Per-block reference for `build_order_plan`, in plain Python.
 
     Marked blocks are sorted by (-slot count, shifted count, minimal
     signature, index); every block whose key is shared is tie-flagged; the
     visit order is read off the unique minimizing form, or is raster order
-    when several forms minimize. Returns block lists, index sets and slots.
+    when several forms minimize. Returns block lists, index sets and slots;
+    slot `a * block**2 + v` is cell `v` of block `a`, as in the block stack.
     """
     values = plane.tolist()
     height, width = len(values), len(values[0])
@@ -193,9 +204,7 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
         else:
             ids = [i for row in forms[sigs.index(best)][1] for i in row]
             visit = [ids[s] for s in best]
-        slots = [
-            (r0 + v // block) * width + c0 + v % block for v in visit
-        ]
+        slots = [a * block * block + v for v in visit]
         entries[a] = ((-count, shifted, best), ambiguous, slots)
 
     order = sorted(entries, key=lambda a: (entries[a][0], a))
@@ -234,13 +243,16 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
     planes = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
 
     def plan(planes):
-        return [build_order_plan(p, pair, grid, labels) for p, pair in zip(planes, pairs)]
+        return [
+            build_order_plan(block_stack(p, grid), pair, labels) for p, pair in zip(planes, pairs)
+        ]
 
     def embed_scope(planes, plans, j):
         bits, out = list(payloads[j]), []
         for plane, pair, p in zip(planes, pairs, plans):
             slots = p.slots[p.slot_labels == j]
-            out.append(embed_bits(plane, pair, slots, bits[: slots.size]))
+            stack = embed_bits(block_stack(plane, grid), pair, slots, bits[: slots.size])
+            out.append(stack_to_plane(stack, grid))
             bits = bits[slots.size :]
         assert not bits, "payload exceeds the scope's capacity"
         return out

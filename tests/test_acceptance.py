@@ -22,6 +22,7 @@ from blockmark import (
     Mode,
     RegionMap,
     apply_orientation,
+    block_stack,
     canonicalize,
     capacity_report,
     compression_eval,
@@ -43,6 +44,7 @@ from blockmark import (
     save_image,
     shift_histogram,
     split_blocks,
+    stack_to_plane,
 )
 from blockmark.ordering import build_order_plan, orientation_permutations
 from conftest import (
@@ -97,15 +99,15 @@ def _marked_plain_reference(image, payload, keys, block, mode):
     offsets = [0] * len(payloads)
     for plane in image.planes:
         pair = find_pp_zp(plane)
-        work = shift_histogram(plane, pair)
-        plan = build_order_plan(work, pair, grid, labels)
+        work = block_stack(shift_histogram(plane, pair), grid)
+        plan = build_order_plan(work, pair, labels)
         for s, bits in enumerate(payloads):
             slots = plan.slots[plan.slot_labels == s]
             take = min(slots.size, bits.size - offsets[s])
             chunk = bits[offsets[s] : offsets[s] + take]
             offsets[s] += take
             work = embed_bits(work, pair, slots, chunk)
-        planes.append(work)
+        planes.append(stack_to_plane(work, grid))
     return Image(tuple(planes))
 
 
@@ -291,7 +293,7 @@ def test_c5_capacity_block_size_independence():
         for plane in image.planes:
             pair = find_pp_zp(plane)
             inter = shift_histogram(plane, pair)
-            total += build_order_plan(inter, pair, grid).slots.size
+            total += build_order_plan(block_stack(inter, grid), pair).slots.size
         slot_totals[block] = total
     ok = all(t == report_total for t in slot_totals.values())
     _report("C5 capacity block-size independence", ok, f"{slot_totals}")

@@ -16,6 +16,7 @@ from blockmark import (
     KeyFormatError,
     KeySet,
     apply_orientation,
+    block_stack,
     generate_keys,
     histogram,
     invert_orientation,
@@ -25,11 +26,12 @@ from blockmark import (
     save_key_file,
     scramble_blocks,
     split_blocks,
+    stack_to_plane,
     unrotate_blocks,
     unscramble_blocks,
 )
 from blockmark.cipher import TAG_ORIENT, move_blocks, orient_blocks
-from conftest import ref_orientation
+from conftest import block_slice, ref_orientation
 
 KEY = bytes(range(16))
 
@@ -296,32 +298,35 @@ class TestBlockMoves:
         src = rng.permutation(dst)
         want = plane.copy()
         for s, d in zip(src, dst):
-            want[grid.block_slice(d)] = plane[grid.block_slice(s)]
-        assert np.array_equal(move_blocks(plane, grid, src, dst), want)
+            want[block_slice(grid, d)] = plane[block_slice(grid, s)]
+        stack = block_stack(plane, grid)
+        assert move_blocks(stack, src, dst) is None  # in place
+        assert np.array_equal(stack_to_plane(stack, grid), want)
 
     def test_lists_accepted(self, rng):
         plane = random_plane(rng, 8, 8)
-        grid = split_blocks(plane, 4)
+        stack = block_stack(plane, split_blocks(plane, 4))
         blocks, ids = [0, 1, 2, 3], [1, 2, 3, 4]
-        turned = orient_blocks(plane, grid, np.array(blocks), np.array(ids))
-        assert not np.array_equal(turned, plane)
-        assert np.array_equal(orient_blocks(plane, grid, blocks, ids), turned)
-        moved = move_blocks(plane, grid, np.array([3, 0]), np.array([0, 3]))
-        assert np.array_equal(move_blocks(plane, grid, [3, 0], [0, 3]), moved)
+        turned, listed = stack.copy(), stack.copy()
+        orient_blocks(turned, np.array(blocks), np.array(ids))
+        assert not np.array_equal(turned, stack)
+        orient_blocks(listed, blocks, ids)
+        assert np.array_equal(listed, turned)
+        moved, listed = stack.copy(), stack.copy()
+        move_blocks(moved, np.array([3, 0]), np.array([0, 3]))
+        move_blocks(listed, [3, 0], [0, 3])
+        assert np.array_equal(listed, moved)
 
     @pytest.mark.parametrize("block", [1, 3, 4, 8])
     def test_non_contiguous_plane(self, rng, block):
         rgb = rng.integers(0, 256, size=(3 * block, 4 * block, 3), dtype=np.uint8)
         grid = split_blocks(rgb[:, :, 0], block)
-        src = rng.permutation(grid.n_blocks)
-        blocks = np.arange(grid.n_blocks)
-        ids = rng.integers(0, 8, size=grid.n_blocks)
+        every = np.ones(grid.n_blocks, dtype=bool)
         for plane in (rgb[:, :, 1], rgb[::-1, :, 2]):
             dense = plane.copy()
-            moved = move_blocks(plane, grid, src, blocks)
-            assert np.array_equal(moved, move_blocks(dense, grid, src, blocks))
-            turned = orient_blocks(plane, grid, blocks, ids)
-            assert np.array_equal(turned, orient_blocks(dense, grid, blocks, ids))
+            for op in (scramble_blocks, unscramble_blocks, rotate_flip_blocks, unrotate_blocks):
+                got = op(plane, grid, every, KEY)
+                assert np.array_equal(got, op(dense, grid, every, KEY))
             assert np.array_equal(plane, dense)  # the input is left alone
 
 
@@ -363,7 +368,7 @@ class TestRotateFlip:
         grid = split_blocks(plane, 8)
         out = rotate_flip_blocks(plane, grid, range(4), KEY)
         for a in range(4):
-            rs, cs = grid.block_slice(a)
+            rs, cs = block_slice(grid, a)
             assert sorted(out[rs, cs].ravel()) == sorted(plane[rs, cs].ravel())
 
     def test_round_trip_500_trials(self):
@@ -381,7 +386,7 @@ class TestRotateFlip:
         plane = np.tile(np.arange(16, dtype=np.uint8).reshape(4, 4), (16, 16))
         grid = split_blocks(plane, 4)
         out = rotate_flip_blocks(plane, grid, range(256), KEY)
-        blocks = {out[gs].tobytes() for gs in map(grid.block_slice, range(256))}
+        blocks = {out[block_slice(grid, a)].tobytes() for a in range(256)}
         assert len(blocks) == 8
 
 
@@ -394,7 +399,7 @@ def _reference_transform(plane, grid, eligible, key, inverse):
         o = stream.take_bits(3)
         if inverse:
             o = invert_orientation(o)
-        rs, cs = grid.block_slice(a)
+        rs, cs = block_slice(grid, a)
         out[rs, cs] = ref_orientation(plane[rs, cs].tolist(), o)
     return out
 

@@ -2,10 +2,12 @@
 
 Images and side info arrive from outside the program, so every decoder and
 every receiver-side flow is fed arbitrary and mutated bytes. Any exception
-that is not a BlockmarkError fails the test.
+that is not a BlockmarkError fails the test. Command lines arrive from
+outside too: the CLI must answer any argument list with an exit code.
 """
 
 import json
+import os
 import zlib
 
 import numpy as np
@@ -29,7 +31,9 @@ from blockmark import (
     extract_two_domain,
     generate_keys,
     load_codec_config,
+    save_key_file,
 )
+from blockmark import cli
 from conftest import random_bits, synth_image
 
 
@@ -158,3 +162,92 @@ class TestCodecConfig:
         for spec in specs:
             assert isinstance(spec, CodecSpec) and spec.name
             assert isinstance(spec.encode, str) and isinstance(spec.decode, (str, type(None)))
+
+
+def _cli_files():
+    """Name -> bytes of the files a fuzzed command line may name: a tiny
+    gray and RGB image, a two-domain key file, a payload, and a marked
+    image with its plain-first and two-domain side info."""
+    rng = np.random.default_rng(5)
+    gray, rgb = synth_image(32, 32, rng, color=False), synth_image(32, 32, rng, color=True)
+    keys = generate_keys(two_domain=True, seed=5)
+    marked, side = embed_plain_then_encrypt(gray, random_bits(rng, 8), keys, 4)
+    _, side_b = embed_two_domain(gray, random_bits(rng, 2), random_bits(rng, 2), keys, 8)
+    return {
+        "gray.pgm": encode_image(gray),
+        "rgb.ppm": encode_image(rgb),
+        "marked.pgm": encode_image(marked),
+        "plain.etrd": side.to_bytes(),
+        "two.etrd": side_b.to_bytes(),
+        "payload.bin": b"\xa5",
+    }, keys
+
+
+CLI_FILES, CLI_KEYS = _cli_files()
+
+# Per subcommand: its positional count, and option -> kind of value (None
+# marks a flag without one).
+_CLI_COMMANDS = {
+    ("keygen",): (0, {"--out": "path", "--two-domain": None, "--seed": "int"}),
+    ("embed",): (2, {
+        "--mode": "mode", "--block": "int", "--key": "path", "--payload": "path",
+        "--payload-b": "path", "--sideinfo": "path", "--joint-keys": None,
+    }),
+    ("extract",): (2, {
+        "--sideinfo": "path", "--key": "path", "--payload-b-out": "path",
+        "--image-out": "path",
+    }),
+    ("decrypt",): (2, {"--sideinfo": "path", "--key": "path"}),
+    ("analyze", "psnr"): (2, {"--json": "path"}),
+    ("analyze", "capacity"): (1, {"--block": "int", "--key": "path", "--json": "path"}),
+    ("analyze", "correlation"): (1, {
+        "--pairs": "int", "--seed": "int", "--subsample": "int", "--json": "path",
+    }),
+    ("compress-eval",): (1, {"--codecs": "path", "--json": "path"}),
+}
+
+_INT = st.integers(-2, 40) | st.integers(-(2**70), 2**70) | st.sampled_from(["x", "1.5", ""])
+_PATH = st.sampled_from([*CLI_FILES, "keys.txt", "missing", "sub/out", ".", "out.pgm"])
+_VALUE = {
+    "int": _INT.map(str),
+    "mode": st.sampled_from(["plain-first", "encrypted-first", "two-domain", "both"]),
+    "path": _PATH,
+}
+_STRAY = st.sampled_from(["--bogus", "-x", "--block=abc", "--", "-h", "--mode", "7"])
+_OFTEN = st.integers(0, 7).map(bool)  # True 7 times in 8
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand (or an unknown one) with most of its options, values of
+    the wrong kind, missing or extra positionals and unknown flags."""
+    command = draw(st.sampled_from([*_CLI_COMMANDS, ("frobnicate",), ("analyze", "nope"), ()]))
+    n_positional, options = _CLI_COMMANDS.get(command, (0, {}))
+    words = []
+    for option, kind in options.items():
+        if draw(_OFTEN):
+            words.append([option] if kind is None else [option, draw(_VALUE[kind])])
+    n_positional = n_positional if draw(_OFTEN) else draw(st.integers(0, 3))
+    words += [[draw(_PATH)] for _ in range(n_positional)]
+    if not draw(_OFTEN):
+        words.append([draw(_STRAY)])
+    words = draw(st.permutations(words))
+    return [*command, *(w for group in words for w in group)]
+
+
+class TestCommandLine:
+    @settings(max_examples=300)
+    @given(cli_argv())
+    def test_any_argument_list_exits_with_a_code(self, tmp_path_factory, argv):
+        # Every word may end up naming a file, so run inside a fresh directory.
+        work = tmp_path_factory.mktemp("cli")
+        for name, data in CLI_FILES.items():
+            (work / name).write_bytes(data)
+        save_key_file(CLI_KEYS, work / "keys.txt")
+        (work / "sub").mkdir()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            assert cli.main(argv) in (0, 1, 2, 3)
+        finally:
+            os.chdir(cwd)

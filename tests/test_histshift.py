@@ -146,6 +146,18 @@ class TestEveryPair:
                 assert np.array_equal(shifted, v + step * between), (pp, zp)
                 assert np.array_equal(unshifted, v - step * in_band), (pp, zp)
 
+    def test_every_pair_matches_marked_mask_compares(self):
+        # One unsigned compare that wraps around: pp 0 and 255 sit at its
+        # edges.
+        values = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        for pp in range(256):
+            for zp in range(256):
+                if zp == pp:
+                    continue
+                pair = HistPair(pp=pp, zp=zp)
+                want = (values == pair.pp) | (values == pair.marked_value)
+                assert np.array_equal(marked_mask(values, pair), want), (pp, zp)
+
 
 class TestUnshift:
     def test_round_trip_many_planes(self):

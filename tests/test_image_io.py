@@ -17,6 +17,7 @@ from blockmark import (
     split_blocks,
     stack_to_plane,
 )
+from conftest import block_slice
 
 
 class TestDecode:
@@ -111,15 +112,12 @@ class TestBlockGrid:
             split_blocks(np.zeros((10, 10), np.uint8), 16)
 
     def test_index_mapping_is_bijective(self):
+        # Block a's top-left cell in the stack is its origin pixel.
         grid = BlockGrid(block=4, cols=5, rows=3)
-        origins = {grid.origin(a) for a in range(grid.n_blocks)}
+        pixels = np.arange(12 * 20).reshape(grid.plane_shape)
+        origins = {divmod(int(i), 20) for i in block_stack(pixels, grid)[:, 0, 0]}
         assert len(origins) == grid.n_blocks
         assert origins == {(r * 4, c * 4) for r in range(3) for c in range(5)}
-
-    def test_origin_out_of_range(self):
-        grid = BlockGrid(block=4, cols=2, rows=2)
-        with pytest.raises(IndexError):
-            grid.origin(4)
 
 
 class TestConcatSplit:
@@ -138,7 +136,7 @@ class TestConcatSplit:
         assert stacked.dtype == plane.dtype and stacked.flags.c_contiguous
         assert not np.shares_memory(stacked, plane)
         for a in range(grid.n_blocks):
-            assert np.array_equal(stacked[a], plane[grid.block_slice(a)])
+            assert np.array_equal(stacked[a], plane[block_slice(grid, a)])
         out = stack_to_plane(stacked, grid)
         assert out.dtype == plane.dtype and not np.shares_memory(out, stacked)
         assert np.array_equal(out, plane)
@@ -169,4 +167,4 @@ class TestConcatSplit:
         grid = split_blocks(plane, 4)
         stacked = block_stack(plane, grid)
         for a in range(grid.n_blocks):
-            assert np.array_equal(stacked[a], plane[grid.block_slice(a)])
+            assert np.array_equal(stacked[a], plane[block_slice(grid, a)])

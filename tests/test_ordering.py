@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockmark import (
-    BlockGrid,
     GeometryError,
     HistPair,
     apply_orientation,
@@ -68,16 +67,15 @@ def _canonical(*masks):
     return orientation.tolist(), ambiguous.tolist(), sigs
 
 
-def _plane_of_blocks(masks, block, rows, cols, shifted=None):
-    """Plane of rows x cols blocks: block `a` is marked where `masks[a]` is
+def _stack_of_blocks(masks, block, n_blocks, shifted=None):
+    """Stack of n_blocks blocks: block `a` is marked where `masks[a]` is
     True, and its first `shifted[a]` unmarked cells read 9."""
-    grid = BlockGrid(block=block, cols=cols, rows=rows)
-    stack = np.full((grid.n_blocks, block * block), 50, dtype=np.uint8)
+    stack = np.full((n_blocks, block * block), 50, dtype=np.uint8)
     for a, mask in masks.items():
         stack[a][np.asarray(mask, dtype=bool).ravel()] = MARK.pp
     for a, n in (shifted or {}).items():
         stack[a][np.flatnonzero(stack[a] == 50)[:n]] = 9
-    return stack_to_plane(stack.reshape(-1, block, block), grid), grid
+    return stack.reshape(-1, block, block)
 
 
 class TestOrientations:
@@ -199,11 +197,11 @@ class TestCanonical:
         if _canonical(mask)[1] == [True]:
             return
         n = mask.shape[0]
-        plane, grid = _plane_of_blocks({0: mask}, n, 1, 1)
-        t_plane = apply_orientation(plane, o)
+        stack = _stack_of_blocks({0: mask}, n, 1)
+        t_stack = apply_orientation(stack, o)
         source = apply_orientation(np.arange(n * n).reshape(n, n), o).ravel()
-        before = build_order_plan(plane, MARK, grid).slots
-        after = build_order_plan(t_plane, MARK, grid).slots
+        before = build_order_plan(stack, MARK).slots
+        after = build_order_plan(t_stack, MARK).slots
         assert np.array_equal(source[after], before)
 
 
@@ -215,27 +213,24 @@ class TestAmongOrder:
         five = np.zeros((4, 4), dtype=bool)
         five[0, :] = True
         five[1, 0] = True
-        plane, grid = _plane_of_blocks(
-            {0: three, 1: five, 2: three}, 4, 1, 3, shifted={0: 4, 2: 1}
-        )
-        plan = build_order_plan(plane, MARK, grid)
+        stack = _stack_of_blocks({0: three, 1: five, 2: three}, 4, 3, shifted={0: 4, 2: 1})
+        plan = build_order_plan(stack, MARK)
         assert plan.blocks.tolist() == [1, 2, 0]
         assert not plan.tie_flagged.any()
 
     def test_single_block(self):
         mask = _single_mask(4, 0, 1) | _single_mask(4, 0, 2)
-        plane, grid = _plane_of_blocks({9: mask}, 4, 2, 5)
-        plan = build_order_plan(plane, MARK, grid)
+        plan = build_order_plan(_stack_of_blocks({9: mask}, 4, 10), MARK)
         assert plan.blocks.tolist() == [9]
         assert not plan.tie_flagged.any()
 
     def test_forced_tie_uses_index(self):
         # Block 7 is a rotated copy of block 2: their keys collide.
         mask = _single_mask(4, 0, 0) | _single_mask(4, 1, 3)
-        plane, grid = _plane_of_blocks(
-            {7: apply_orientation(mask, 1), 2: mask}, 4, 2, 4, shifted={2: 3, 7: 3}
+        stack = _stack_of_blocks(
+            {7: apply_orientation(mask, 1), 2: mask}, 4, 8, shifted={2: 3, 7: 3}
         )
-        plan = build_order_plan(plane, MARK, grid)
+        plan = build_order_plan(stack, MARK)
         assert plan.blocks.tolist() == [2, 7]
         assert np.flatnonzero(plan.tie_flagged).tolist() == [2, 7]
 
@@ -247,12 +242,12 @@ class TestAmongOrder:
         # The colliding pair of test_forced_tie_uses_index ties only within
         # one label; across labels each block is alone in its scope.
         mask = _single_mask(4, 0, 0) | _single_mask(4, 1, 3)
-        plane, grid = _plane_of_blocks(
-            {7: apply_orientation(mask, 1), 2: mask}, 4, 2, 4, shifted={2: 3, 7: 3}
+        stack = _stack_of_blocks(
+            {7: apply_orientation(mask, 1), 2: mask}, 4, 8, shifted={2: 3, 7: 3}
         )
-        labels = np.zeros(grid.n_blocks, dtype=np.intp)
+        labels = np.zeros(len(stack), dtype=np.intp)
         labels[[2, 7]] = label_2, label_7
-        plan = build_order_plan(plane, MARK, grid, labels)
+        plan = build_order_plan(stack, MARK, labels)
         assert plan.blocks.tolist() == order
         assert np.flatnonzero(plan.tie_flagged).tolist() == flagged
         assert np.flatnonzero(~plan.scr_eligible).tolist() == flagged
@@ -264,8 +259,7 @@ class TestAmongOrder:
         mask0 = _single_mask(4, 1, 1) | _single_mask(4, 1, 2)
         mask1 = _single_mask(4, 0, 0) | _single_mask(4, 2, 1)
         assert _canonical(mask0, mask1)[2] == [(5, 6), (0, 6)]
-        plane, grid = _plane_of_blocks({0: mask0, 1: mask1}, 4, 1, 2)
-        plan = build_order_plan(plane, MARK, grid)
+        plan = build_order_plan(_stack_of_blocks({0: mask0, 1: mask1}, 4, 2), MARK)
         assert plan.blocks.tolist() == [1, 0]
         assert not plan.tie_flagged.any()
 
@@ -305,7 +299,7 @@ class TestPlanOracle:
         # label's blocks alone.
         plane, pair, block, labels = case
         grid = split_blocks(plane, block)
-        plan = build_order_plan(plane, pair, grid, labels)
+        plan = build_order_plan(block_stack(plane, grid), pair, labels)
         if labels is None:
             labels = np.zeros(grid.n_blocks, dtype=np.intp)
         assert plan.blocks.dtype == np.intp
@@ -325,7 +319,7 @@ class TestOrderPlan:
     def test_no_marked_blocks(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
         grid = split_blocks(plane, 16)
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
+        plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan.blocks.tolist() == []
         assert plan.slots.size == 0 and plan.slot_labels.size == 0
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
@@ -339,7 +333,7 @@ class TestOrderPlan:
         plane = rng.integers(6, 13, size=(24, 32), dtype=np.uint8)
         plane[::4, ::4] = 7
         grid = split_blocks(plane, 4)
-        plan = build_order_plan(plane, pair, grid)
+        plan = build_order_plan(block_stack(plane, grid), pair)
         ref = ref_order_plan(plane, pair, 4)
         assert sorted(plan.blocks.tolist()) == list(range(grid.n_blocks))
         assert plan.blocks.tolist() == ref["blocks"]
@@ -348,12 +342,13 @@ class TestOrderPlan:
             assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
 
     def test_non_contiguous_plane(self, rng):
-        rgb = rng.integers(6, 13, size=(24, 32, 3), dtype=np.uint8)
+        # The block stacks of interleaved RGB planes, as strided views.
+        rgb = rng.integers(6, 13, size=(48, 4, 4, 3), dtype=np.uint8)
         pair = HistPair(pp=9, zp=14)
-        grid = split_blocks(rgb[:, :, 0], 4)
-        for plane in (rgb[:, :, 1], rgb[::-1, :, 2]):
-            plan = build_order_plan(plane, pair, grid)
-            dense = build_order_plan(plane.copy(), pair, grid)
+        for stack in (rgb[..., 1], rgb[::-1, ..., 2]):
+            assert not stack.flags.c_contiguous
+            plan = build_order_plan(stack, pair)
+            dense = build_order_plan(stack.copy(), pair)
             for field in ("blocks", "tie_flagged", "rot_eligible", "scr_eligible", "slots"):
                 assert np.array_equal(getattr(plan, field), getattr(dense, field))
 
@@ -362,18 +357,18 @@ class TestOrderPlan:
         plane[0, 1] = 7
         plane[2, 3] = 7
         grid = split_blocks(plane, 16)
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
+        plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan.blocks.tolist() == [0]
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
-        assert plan.slots.tolist() == [1, 2 * 32 + 3]
+        assert plan.slots.tolist() == [1, 2 * 16 + 3]
 
     def test_identical_blocks_not_scramble_eligible(self):
         plane = np.full((16, 32), 50, dtype=np.uint8)
         plane[0, 1] = 7
         plane[0, 17] = 7
         grid = split_blocks(plane, 16)
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
+        plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan.blocks.tolist() == [0, 1]
         assert np.flatnonzero(plan.tie_flagged).tolist() == [0, 1]
         assert np.flatnonzero(plan.scr_eligible).tolist() == []
@@ -383,7 +378,7 @@ class TestOrderPlan:
         plane = np.full((16, 16), 50, dtype=np.uint8)
         plane[[0, 0, 15, 15], [0, 15, 0, 15]] = 7
         grid = split_blocks(plane, 16)
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
+        plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert np.flatnonzero(plan.rot_eligible).tolist() == []
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0]
 
@@ -393,16 +388,16 @@ class TestOrderPlan:
         plane[0, 20] = 7
         grid = split_blocks(plane, 16)
         labels = np.array([0, 1])
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid, labels)
+        plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9), labels)
         assert plan.blocks[labels[plan.blocks] == 1].tolist() == [1]
         assert not (plan.rot_eligible & (labels == 1))[0]
-        assert plan.slots[plan.slot_labels == 1].tolist() == [20]
+        assert plan.slots[plan.slot_labels == 1].tolist() == [16 * 16 + 4]
 
     def test_labels_length_checked(self):
         plane = np.full((16, 32), 50, dtype=np.uint8)
         grid = split_blocks(plane, 16)
         with pytest.raises(ValueError, match="one entry per block"):
-            build_order_plan(plane, HistPair(pp=7, zp=9), grid, np.zeros(3, dtype=np.intp))
+            build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9), np.zeros(3, np.intp))
 
     def test_slot_order_among_blocks(self):
         # Block 1 holds two slots, block 0 holds one: block 1 leads.
@@ -411,9 +406,9 @@ class TestOrderPlan:
         plane[0, 9] = 7
         plane[1, 9] = 7
         grid = split_blocks(plane, 8)
-        plan = build_order_plan(plane, HistPair(pp=7, zp=9), grid)
+        plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan.blocks.tolist() == [1, 0]
-        assert plan.slots.tolist() == [9, 16 + 9, 1]
+        assert plan.slots.tolist() == [64 + 1, 64 + 8 + 1, 1]
 
     @pytest.mark.parametrize("field", ["rot_eligible", "scr_eligible"])
     def test_shared_key_intersection_matches_sets(self, field):
@@ -427,7 +422,7 @@ class TestOrderPlan:
             plane = valid_pair_plane(rng, 32, 32)
             pair = find_pp_zp(plane)
             inter = shift_histogram(plane, pair)
-            plan = build_order_plan(inter, pair, split_blocks(inter, 4))
+            plan = build_order_plan(block_stack(inter, split_blocks(inter, 4)), pair)
             masks.append(getattr(plan, field))
         sets = [set(np.flatnonzero(m).tolist()) for m in masks]
         common = set.intersection(*sets)
@@ -445,13 +440,12 @@ class TestPlanStability:
     """The same plan must emerge before embedding, after embedding, and
     after encryption restricted to the eligible sets."""
 
-    def _content_keys(self, plane, pair, plan):
+    def _content_keys(self, stack, pair, plan):
         """(slot count, shifted count, canonical key) per block, plan order."""
-        cells = plan.grid.block**2
-        mask = block_stack(marked_mask(plane, pair), plan.grid).reshape(-1, cells)
+        flat = stack.reshape(len(stack), -1)
+        mask = marked_mask(flat, pair)
         lo, hi = pair.band
-        band = block_stack((plane >= lo) & (plane <= hi), plan.grid)
-        shifted = band.reshape(-1, cells).sum(axis=1)
+        shifted = ((flat >= lo) & (flat <= hi)).sum(axis=1)
         _, _, key = canonicalize(mask[plan.blocks])
         return [
             (int(mask[a].sum()), int(shifted[a]), tuple(k))
@@ -467,11 +461,12 @@ class TestPlanStability:
         pair = find_pp_zp(plane)
         inter = shift_histogram(plane, pair)
         grid = split_blocks(inter, 8)
+        inter = block_stack(inter, grid)
 
-        plan1 = build_order_plan(inter, pair, grid)
+        plan1 = build_order_plan(inter, pair)
         bits = rng.integers(0, 2, size=plan1.slots.size, dtype=np.uint8)
         marked = embed_bits(inter, pair, plan1.slots, bits)
-        plan2 = build_order_plan(marked, pair, grid)
+        plan2 = build_order_plan(marked, pair)
 
         assert plan1.blocks.tolist() == plan2.blocks.tolist()
         assert self._content_keys(inter, pair, plan1) == self._content_keys(
@@ -482,9 +477,9 @@ class TestPlanStability:
         assert np.array_equal(plan1.slots, plan2.slots)
 
         key1, key2 = bytes(range(16)), bytes(range(16, 32))
-        enc = rotate_flip_blocks(marked, grid, plan2.rot_eligible, key2)
-        enc = scramble_blocks(enc, grid, plan2.scr_eligible, key1)
-        plan3 = build_order_plan(enc, pair, grid)
+        enc = rotate_flip_blocks(stack_to_plane(marked, grid), grid, plan2.rot_eligible, key2)
+        enc = block_stack(scramble_blocks(enc, grid, plan2.scr_eligible, key1), grid)
+        plan3 = build_order_plan(enc, pair)
 
         assert self._content_keys(enc, pair, plan3) == self._content_keys(
             marked, pair, plan2
@@ -501,6 +496,6 @@ class TestPlanStability:
 
         from blockmark import unscramble_blocks
 
-        unscrambled = unscramble_blocks(enc, grid, plan3.scr_eligible, key1)
-        plan4 = build_order_plan(unscrambled, pair, grid)
+        unscrambled = unscramble_blocks(stack_to_plane(enc, grid), grid, plan3.scr_eligible, key1)
+        plan4 = build_order_plan(block_stack(unscrambled, grid), pair)
         assert np.array_equal(plan4.rot_eligible, plan2.rot_eligible)

@@ -17,6 +17,7 @@ from blockmark import (
     RegionMap,
     SideInfo,
     SideInfoError,
+    block_stack,
     capacity_report,
     decrypt,
     embed_plain_then_encrypt,
@@ -30,10 +31,17 @@ from blockmark import (
     psnr,
     shift_histogram,
     split_blocks,
+    stack_to_plane,
 )
 from blockmark import pipeline
 from blockmark.ordering import apply_orientation, build_order_plan
-from conftest import encrypted_domain_reference, random_bits, region_capacities, synth_image
+from conftest import (
+    block_slice,
+    encrypted_domain_reference,
+    random_bits,
+    region_capacities,
+    synth_image,
+)
 
 
 def _plane_hists(image):
@@ -143,13 +151,13 @@ class TestSingleDomain:
         out, side = embed_plain_then_encrypt(img, payload, keys, 16)
         pair = side.pairs[0]
         grid = split_blocks(out.planes[0], 16)
-        plan = build_order_plan(out.planes[0], pair, grid)
+        stack = block_stack(out.planes[0], grid)
+        plan = build_order_plan(stack, pair)
         hit = 3  # flip the fourth slot between pp and the marked value
-        plane = out.planes[0].copy()
-        flat = plane.ravel()
+        flat = stack.ravel()
         slot = plan.slots[hit]
         flat[slot] = pair.marked_value if flat[slot] == pair.pp else pair.pp
-        bits, _ = extract_payload(Image((plane,)), side)
+        bits, _ = extract_payload(Image((stack_to_plane(stack, grid),)), side)
         flipped = np.flatnonzero(bits != payload)
         assert flipped.tolist() == [hit]
 
@@ -258,7 +266,7 @@ class TestTwoDomain:
         regions = RegionMap.derive(keys.k_region, grid)
         plane = np.full((16, 32), 50, dtype=np.uint8)
         target = int(np.flatnonzero(~regions.labels)[0])
-        rs, cs = grid.block_slice(target)
+        rs, cs = block_slice(grid, target)
         plane[rs.start, cs.start] = 40
         plane[rs.start + 1, cs.start + 2] = 40
         img = Image((plane,))
@@ -310,17 +318,23 @@ class TestTwoDomain:
 class TestPlanBuilds:
     """One order plan per plane serves every scope and every step: embedding
     writes every scope before the blocks move, extraction plans once, and
-    decryption carries the rotation set through unscrambling."""
+    decryption carries the rotation set through unscrambling. Each call
+    converts every plane to its block stack once and back once."""
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_builds_per_plane(self, rng, keys, monkeypatch, mode):
         calls = []
 
-        def counting_plan(*args, **kwargs):
-            calls.append(args[0].shape)
-            return build_order_plan(*args, **kwargs)
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "build_order_plan", counting_plan)
+            return counted
+
+        for fn in (build_order_plan, block_stack, stack_to_plane):
+            monkeypatch.setattr(pipeline, fn.__name__, counting(fn))
+        per_call = ["block_stack", "build_order_plan", "stack_to_plane"] * 3
         img = synth_image(64, 64, rng, color=True)
         if mode == Mode.TWO_DOMAIN:
             out, side = embed_two_domain(img, [1, 0, 1], [0, 1], keys, 16)
@@ -328,16 +342,16 @@ class TestPlanBuilds:
             out, side = embed_plain_then_encrypt(img, [1, 0, 1], keys, 16)
         else:
             out, side = encrypt_then_embed(img, [1, 0, 1], keys, 16)
-        assert len(calls) == 3
+        assert sorted(calls) == sorted(per_call)
         calls.clear()
         if mode == Mode.TWO_DOMAIN:
             *_, etc_img = extract_two_domain(out, side, keys.k_region)
         else:
             _, etc_img = extract_payload(out, side)
-        assert len(calls) == 3
+        assert sorted(calls) == sorted(per_call)
         calls.clear()
         assert decrypt(etc_img, side, keys) == img
-        assert len(calls) == 3
+        assert sorted(calls) == sorted(per_call)
 
 
 @st.composite
@@ -391,19 +405,18 @@ class TestPlanTransport:
         grid = split_blocks(planes[0], block)
         labels, suffixes = pipeline._scopes(mode, keys.k_region, grid)
         pairs = [find_pp_zp(p) for p in planes]
-        inters = [shift_histogram(p, pair) for p, pair in zip(planes, pairs)]
-        plans = [build_order_plan(p, pair, grid, labels) for p, pair in zip(inters, pairs)]
+        work = [block_stack(shift_histogram(p, pair), grid) for p, pair in zip(planes, pairs)]
+        plans = [build_order_plan(s, pair, labels) for s, pair in zip(work, pairs)]
         masks = pipeline._scope_masks(keys, plans, labels, len(suffixes))
-        enc = pipeline._encrypt_planes(inters, grid, masks, keys, suffixes)
-        rebuilt = [build_order_plan(p, pair, grid, labels) for p, pair in zip(enc, pairs)]
+        pipeline._encrypt_planes(work, masks, keys, suffixes)
+        rebuilt = [build_order_plan(s, pair, labels) for s, pair in zip(work, pairs)]
 
         # Decryption: after unscrambling, each scope's carried rotation
         # masks are those of the plan rebuilt on the unscrambled planes.
-        work = list(enc)
         rots = pipeline._unscramble_planes(
-            work, grid, pipeline._scope_masks(keys, rebuilt, labels, len(suffixes)), keys, suffixes
+            work, pipeline._scope_masks(keys, rebuilt, labels, len(suffixes)), keys, suffixes
         )
-        after = [build_order_plan(p, pair, grid, labels) for p, pair in zip(work, pairs)]
+        after = [build_order_plan(s, pair, labels) for s, pair in zip(work, pairs)]
         for j, rot in enumerate(rots):
             want = [p.rot_eligible & (labels == j) for p in after]
             if not keys.per_plane:
