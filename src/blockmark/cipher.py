@@ -18,6 +18,16 @@ Identical (key, tag) always reproduces the identical stream; distinct tags
 give independent streams. Bits are consumed most-significant first, and
 bounded draws use rejection sampling so every permutation is equally likely.
 
+The permutation is a Fisher-Yates shuffle of ``range(n)``: for i = n-1 .. 1,
+items i and j swap, where j is the next ``i.bit_length()`` stream bits,
+redrawn while it exceeds i. It is computed without a loop over the items,
+in two halves that give exactly what that loop gives. The draws are read a
+run of equal bit width at a time, with acceptance found by a fixed-point
+prefix sum (`_swap_targets`). The swaps are then resolved all at once: one
+stable sort of the targets links each step to the next step with the same
+target and to the first step that targets its position, and pointer jumping
+follows those links to where each item ends (`_compose_swaps`).
+
 Each operation is a draw followed by an apply. The draws depend only on
 (count, key, tag): `draw_permutation` is the keyed shuffle of the eligible
 blocks and `draw_orientations` their orientation ids, taken from one
@@ -34,6 +44,8 @@ halves on its own stacks.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -60,8 +72,7 @@ class KeyedBitStream:
             raise KeyFormatError("stream key must be non-empty bytes")
         if len(key) > 64:
             raise KeyFormatError("stream key must be at most 64 bytes")
-        self._key = bytes(key)
-        self._tag = bytes(tag)
+        self._base = hashlib.blake2b(bytes(tag), key=bytes(key))
         self._counter = 0
         self._bitbuf = 0
         self._bitcount = 0
@@ -74,11 +85,12 @@ class KeyedBitStream:
         return bytes(out[:n])
 
     def _next_block(self) -> bytes:
-        digest = hashlib.blake2b(
-            self._tag + self._counter.to_bytes(8, "big"), key=self._key
-        ).digest()
+        # blake2b(tag + counter_be64, key=key), from a copy of the keyed
+        # state that has already absorbed the tag.
+        h = self._base.copy()
+        h.update(self._counter.to_bytes(8, "big"))
         self._counter += 1
-        return digest
+        return h.digest()
 
     def take_bits(self, n: int) -> int:
         """Consume n bits, most-significant first."""
@@ -99,8 +111,7 @@ class KeyedBitStream:
         first, then whole digests unpacked most-significant first; the
         unused tail of the last digest stays buffered for later draws.
         """
-        if n < 0:
-            raise ValueError("bit count must be non-negative")
+        n = _count(n)
         head = min(n, self._bitcount)
         value = self.take_bits(head)
         out = np.empty(n, dtype=np.uint8)
@@ -116,33 +127,6 @@ class KeyedBitStream:
             tail = int.from_bytes(data[-self._BLOCK :], "big")
             self._bitbuf = tail & ((1 << self._bitcount) - 1)
         return out
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle driven by the stream.
-
-        For i = len-1 .. 1, swaps items i and j, where j is the next
-        ``i.bit_length()`` stream bits, redrawn while it exceeds i (unbiased
-        rejection sampling). Bits are read from a local big-int buffer.
-        """
-        buf, count = self._bitbuf, self._bitcount
-        block_bits = 8 * self._BLOCK
-        k, mask = 0, 0
-        for i in range(len(seq) - 1, 0, -1):
-            if i.bit_length() != k:
-                k = i.bit_length()
-                mask = (1 << k) - 1
-            while True:
-                if count < k:
-                    buf = ((buf & ((1 << count) - 1)) << block_bits) | int.from_bytes(
-                        self._next_block(), "big"
-                    )
-                    count += block_bits
-                count -= k
-                j = (buf >> count) & mask
-                if j <= i:
-                    break
-            seq[i], seq[j] = seq[j], seq[i]
-        self._bitbuf, self._bitcount = buf & ((1 << count) - 1), count
 
 
 @dataclass(frozen=True)
@@ -241,15 +225,139 @@ def _eligible_array(eligible, grid: BlockGrid) -> np.ndarray:
     return e
 
 
+def _count(n) -> int:
+    """A draw or bit count as a Python int; negative counts are rejected."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"count must be non-negative, got {n}")
+    return n
+
+
+def _swap_targets(stream: KeyedBitStream, n: int) -> np.ndarray:
+    """Fisher-Yates swap targets from the stream: for i = n-1 .. 1, ``j[i]``
+    is the next ``i.bit_length()`` bits, redrawn while it exceeds i; and
+    ``j[0] = 0``. Equal to single `take_bits` draws, and leaves the stream
+    where they would.
+
+    The steps of one bit width k form a run, and every candidate of a run,
+    accepted or rejected, is the next k bits, so a run's candidates are
+    read as one array. Candidate p is drawn by step ``A[p]``, the number of
+    candidates accepted before it, and accepted when
+    ``vals[p] <= i_top - A[p]``. So A is the exclusive prefix sum of its own
+    acceptances. That sum has one fixed point, and iterating it reaches the
+    point in a few passes from a start at the expected counts: each pass
+    makes at least the next entry exact. A run short of candidates reads
+    more; the bits after its last accepted candidate go on to the next run.
+    """
+    j = np.zeros(n, dtype=np.int32)
+    # Stream bits read but not yet used: `pool` after its first `skip` bits.
+    head = stream._bitcount
+    pool = stream.take_bits(head).to_bytes((head + 7) // 8, "big")
+    skip = -head % 8
+    i_top = n - 1
+    while i_top > 0:
+        k = i_top.bit_length()
+        steps = i_top - (1 << (k - 1)) + 1
+        # Step i accepts with probability (i + 1) / 2^k, so the run's steps
+        # expect this many candidates. Read that and a margin.
+        expected = (1 << k) * math.log((i_top + 1) / (i_top + 1 - steps))
+        c = int(expected + math.sqrt(expected)) + 8
+        short = (skip + c * k + 7) // 8 - len(pool)
+        if short > 0:
+            pool += b"".join(stream._next_block() for _ in range(-(-short // 64)))
+        # Candidate p starts at bit `skip + p*k`: shift its 8-byte big-endian
+        # window left by the bit offset in its first byte, then right to k bits.
+        windows = np.ndarray((len(pool),), ">u8", pool + bytes(7), strides=(1,))
+        at = np.arange(skip, skip + c * k, k, dtype=np.uint64)
+        vals = ((windows[at >> 3] << (at & 7)) >> (64 - k)).astype(np.int32)
+        del at, windows
+
+        # Start from the steps expected before each candidate, the inverse
+        # of the expected candidate count above.
+        before = ((i_top + 1) * -np.expm1(np.arange(c) / -(1 << k))).astype(np.int32)
+        after = np.zeros(c, dtype=np.int32)
+        room = i_top - vals
+        while True:
+            accepted = before <= room
+            np.add.accumulate(accepted[:-1], dtype=np.int32, out=after[1:])
+            if (after == before).all():
+                break
+            before, after = after, before
+        del before, after, room
+
+        taken = accepted.nonzero()[0][:steps]
+        used = taken[-1] + 1 if taken.size == steps else c
+        j[i_top - taken.size + 1 : i_top + 1] = vals[taken[::-1]]
+        skip += int(used) * k
+        pool, skip = pool[skip // 8 :], skip % 8
+        i_top -= taken.size
+    left = 8 * len(pool) - skip
+    stream._bitbuf = int.from_bytes(pool, "big") & ((1 << left) - 1)
+    stream._bitcount = left
+    return j
+
+
+def _compose_swaps(j: np.ndarray) -> np.ndarray:
+    """What swapping items i and ``j[i]`` of ``range(n)`` for i = n-1 .. 1
+    leaves, given ``j[i] <= i`` and ``j[0] = 0``, without a loop over the
+    swaps.
+
+    Follow the item that starts at position p. Steps before p never touch
+    it (their targets are below p); step p moves it to ``j[p]``; after that
+    it moves only when a later step targets where it sits, to that step's
+    position. So with ``g(p)``, the next step after p with the same target,
+    and ``f(q)``, the first step after q that targets q, the item ends at
+    ``root_f(g(p))`` if g(p) exists and at ``j[p]`` otherwise. One stable
+    sort of the targets gives both links; the f roots come from pointer
+    jumping, which takes a few passes because the chains are short (Shun
+    et al., SODA 2015).
+    """
+    n = j.size
+    # Stable sort by target in two 16-bit radix passes: a target's steps
+    # stay in step order, and `first` marks where each target's group starts.
+    order = np.argsort((j & 0xFFFF).astype(np.uint16), kind="stable").astype(np.int32)
+    order = order[np.argsort((j[order] >> 16).astype(np.uint16), kind="stable")]
+    target = j[order]
+    first = np.ones(n, dtype=bool)
+    np.not_equal(target[1:], target[:-1], out=first[1:])
+    g = np.full(n, -1, dtype=np.int32)
+    g[order[:-1]] = np.where(first[1:], -1, order[1:])
+    # f: the first step of a target's group, or the position itself (a
+    # root). Where j[q] = q that head is q itself, but no link reaches such
+    # a q: g and f only lead to steps that target a position below them.
+    heads = np.flatnonzero(first)
+    f = np.arange(n, dtype=np.int32)
+    f[target[heads]] = order[heads]
+    del order, target, first, heads
+    while True:
+        jumped = f[f]
+        if (jumped == f).all():
+            break
+        f = jumped
+    return np.where(g >= 0, f[g], j).astype(np.intp)
+
+
 def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
-    """Keyed permutation of range(n): the scramble draw for n eligible blocks."""
-    order = list(range(n))
-    KeyedBitStream(key, tag).shuffle(order)
-    return np.array(order, dtype=np.intp)
+    """Keyed permutation of range(n): the scramble draw for n eligible blocks.
+
+    The result of a Fisher-Yates shuffle of ``range(n)`` driven by the
+    (key, tag) stream: for i = n-1 .. 1, items i and j swap, where j is the
+    next ``i.bit_length()`` stream bits, redrawn while it exceeds i. The
+    draws are read a run of equal bit width at a time and accepted by a
+    fixed-point prefix sum (`_swap_targets`); the swaps are resolved all at
+    once by one stable sort of the targets and pointer jumping
+    (`_compose_swaps`). A numpy integer n is accepted; a negative one raises
+    `ValueError`.
+    """
+    n = _count(n)
+    if n >= 2**31:
+        raise ValueError(f"can permute fewer than 2**31 items, got {n}")
+    return _compose_swaps(_swap_targets(KeyedBitStream(key, tag), n))
 
 
 def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
     """Orientation ids for n eligible blocks: 3 stream bits each, MSB first."""
+    n = _count(n)
     b = KeyedBitStream(key, tag).bits(3 * n).reshape(n, 3)
     return (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
 

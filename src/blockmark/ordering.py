@@ -170,9 +170,13 @@ def build_order_plan(
     marked = np.flatnonzero(counts)
     values = flat[marked]
     mask_blocks = marked_mask(values, pair)
-    lo, hi = pair.band  # an empty band (lo > hi) counts nothing
-    shifted = ((values >= lo) & (values <= hi)).sum(axis=1)
-    del values
+    # Pixels in [lo, hi]: unsigned wrap-around maps the band onto
+    # [0, hi - lo], so one compare, written into one temporary, finds it.
+    # An empty band (lo = hi + 1, up to 256) compares with -1: no pixel.
+    lo, hi = pair.band
+    in_band = values - np.uint8(lo & 0xFF)
+    shifted = np.less_equal(in_band, hi - lo, out=in_band.view(np.bool_)).sum(axis=1)
+    del in_band, values
 
     orientation, ambiguous, key = canonicalize(mask_blocks)
     # Sort by (label, slot count desc, shifted asc, signature asc, index).

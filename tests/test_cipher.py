@@ -1,5 +1,6 @@
-"""Keyed stream, shuffle fairness, and block-permutation encryption."""
+"""Keyed stream, permutation fairness, and block-permutation encryption."""
 
+import hashlib
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -30,7 +31,15 @@ from blockmark import (
     unrotate_blocks,
     unscramble_blocks,
 )
-from blockmark.cipher import TAG_ORIENT, move_blocks, orient_blocks
+from blockmark.cipher import (
+    TAG_ORIENT,
+    _compose_swaps,
+    _swap_targets,
+    draw_orientations,
+    draw_permutation,
+    move_blocks,
+    orient_blocks,
+)
 from conftest import block_slice, ref_orientation
 
 KEY = bytes(range(16))
@@ -82,12 +91,10 @@ class TestKeyedStream:
         assert len(set(draws1)) == 37  # saturates the range over 500 draws
 
     def test_shuffle_is_permutation(self):
-        items = list(range(40))
-        s = KeyedBitStream(KEY, b"shuffle")
-        shuffled = items.copy()
-        s.shuffle(shuffled)
-        assert sorted(shuffled) == items
-        assert shuffled != items
+        shuffled = draw_permutation(40, KEY, b"shuffle")
+        assert shuffled.dtype == np.intp
+        assert sorted(shuffled.tolist()) == list(range(40))
+        assert shuffled.tolist() != list(range(40))
 
     def test_shuffle_unbiased_chi_square(self):
         # Every permutation of 4 items should appear ~1/24 of the time. The
@@ -95,10 +102,8 @@ class TestKeyedStream:
         # null distribution.
         counts = {p: 0 for p in permutations(range(4))}
         for trial in range(100_000):
-            s = KeyedBitStream(KEY, b"fairness" + trial.to_bytes(4, "big"))
-            items = list(range(4))
-            s.shuffle(items)
-            counts[tuple(items)] += 1
+            drawn = draw_permutation(4, KEY, b"fairness" + trial.to_bytes(4, "big"))
+            counts[tuple(drawn.tolist())] += 1
         assert stats.chisquare(list(counts.values())).pvalue > 0.01
 
     def test_key_length_limits(self):
@@ -125,9 +130,15 @@ def _reference_shuffle(stream, seq):
         seq[i], seq[j] = seq[j], seq[i]
 
 
+def _reference_permutation(n, key, tag):
+    seq = list(range(n))
+    _reference_shuffle(KeyedBitStream(key, tag), seq)
+    return seq
+
+
 class TestBulkDraws:
-    """`bits` and `shuffle` draw exactly what single-bit and `randbelow`
-    draws would, and leave the stream in the same state."""
+    """`bits` and the permutation draw take exactly what single-bit and
+    `randbelow` draws would, and leave the stream in the same state."""
 
     @pytest.mark.parametrize(
         "prefix, n",
@@ -165,15 +176,111 @@ class TestBulkDraws:
     @pytest.mark.parametrize("prefix", [0, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1000])
     def test_shuffle_equals_randbelow_reference(self, n, prefix):
+        # After `prefix` bits the runs start off digest boundaries; the
+        # stream must end where the single draws leave it.
         fast = KeyedBitStream(KEY, b"fy")
         slow = KeyedBitStream(KEY, b"fy")
         fast.take_bits(prefix)
         slow.take_bits(prefix)
-        got, want = list(range(n)), list(range(n))
-        fast.shuffle(got)
+        want = list(range(n))
         _reference_shuffle(slow, want)
-        assert got == want
+        assert _compose_swaps(_swap_targets(fast, n)).tolist() == want
         assert fast.take_bits(64) == slow.take_bits(64)
+        if prefix == 0:
+            assert draw_permutation(n, KEY, b"fy").tolist() == want
+
+    @pytest.mark.parametrize(
+        "n", sorted({2**k + d for k in (1, 2, 9, 16) for d in (-1, 0, 1)})
+    )
+    def test_permutation_at_run_edges(self, n):
+        # n = 2^k + 1 puts a one-step run of width k + 1 on top, where half
+        # the candidates are rejected.
+        assert draw_permutation(n, KEY, b"edges").tolist() == _reference_permutation(
+            n, KEY, b"edges"
+        )
+
+    def test_permutation_reads_more_when_a_run_runs_short(self):
+        # This draw needs more candidates for its top run (96 steps of width
+        # 9) than the first read of the expected count and margin gives.
+        assert draw_permutation(352, KEY, b"refill").tolist() == _reference_permutation(
+            352, KEY, b"refill"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 5_000),
+        key=st.binary(min_size=1, max_size=64),
+        tag=st.binary(max_size=8),
+    )
+    def test_permutation_equals_reference_for_any_key(self, n, key, tag):
+        assert draw_permutation(n, key, tag).tolist() == _reference_permutation(n, key, tag)
+
+    def test_permutation_pinned_digest(self):
+        # SHA-256 of the little-endian int64 draw, pinned from the
+        # per-item Fisher-Yates loop this draw replaced.
+        drawn = draw_permutation(65_537, KEY, b"scramble").astype("<i8")
+        assert hashlib.sha256(drawn.tobytes()).hexdigest() == (
+            "c606ba147f4ed90132689b8774d7ba0e184d74247f4927ded3a17d26d0d5afdc"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        spread=st.sampled_from([1, 2, 3, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_compose_swaps_equals_swap_loop(self, n, spread, seed):
+        # Any targets j[i] <= i; a small spread makes long chains of equal
+        # and of consecutive targets.
+        i = np.arange(n)
+        back = np.random.default_rng(seed).integers(0, spread, n) % (i + 1)
+        j = (i - back).tolist()
+        want = list(range(n))
+        for step in range(n - 1, 0, -1):
+            want[step], want[j[step]] = want[j[step]], want[step]
+        got = _compose_swaps(np.array(j, dtype=np.int32))
+        assert got.dtype == np.intp
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [200, 70_000])
+    def test_compose_swaps_long_chains(self, n):
+        # Every step targets 0, or the step just below: one group of n - 1
+        # steps, or one f chain through every position. The last pattern
+        # alternates targets 0 and 65,536, equal in their low 16 bits.
+        i = np.arange(n, dtype=np.int32)
+        alternating = np.where((i > 65_536) & (i % 2 == 1), 65_536, 0)
+        for j in (np.zeros_like(i), np.maximum(i - 1, 0), alternating):
+            want = list(range(n))
+            for step in range(n - 1, 0, -1):
+                want[step], want[j[step]] = want[j[step]], want[step]
+            assert _compose_swaps(j).tolist() == want
+
+
+class TestDrawCounts:
+    """Draw and bit counts are integers; numpy integers are accepted."""
+
+    def test_numpy_counts_accepted(self):
+        s = KeyedBitStream(KEY, b"bits")
+        ref = KeyedBitStream(KEY, b"bits")
+        assert s.bits(np.int64(5)).tolist() == [ref.take_bits(1) for _ in range(5)]
+        assert s.take_bits(600) == ref.take_bits(600)
+        for draw in (draw_orientations, draw_permutation):
+            assert np.array_equal(draw(np.int64(5), KEY, b"t"), draw(5, KEY, b"t"))
+
+    @pytest.mark.parametrize("draw", [draw_orientations, draw_permutation])
+    def test_negative_count_rejected(self, draw):
+        with pytest.raises(ValueError, match="non-negative"):
+            draw(-3, KEY, b"t")
+
+    @pytest.mark.parametrize("draw", [draw_orientations, draw_permutation])
+    def test_non_integer_count_rejected(self, draw):
+        with pytest.raises(TypeError):
+            draw(5.0, KEY, b"t")
+
+    def test_permutation_count_fits_int32(self):
+        # The draws and the swap links are held as int32.
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            draw_permutation(2**31, KEY, b"t")
 
 
 class TestKeySet:

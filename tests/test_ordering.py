@@ -341,6 +341,23 @@ class TestOrderPlan:
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
             assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
 
+    @pytest.mark.parametrize(
+        "pair",
+        [HistPair(pp=254, zp=255), HistPair(pp=253, zp=255), HistPair(pp=1, zp=0), HistPair(pp=2, zp=0)],
+    )
+    def test_band_at_the_ends_of_the_value_range(self, rng, pair):
+        # Shifted bands (256, 255) and (0, -1) are empty; (255, 255) and
+        # (0, 0) hold one value.
+        low = 0 if pair.pp < 128 else 250
+        plane = rng.integers(low, low + 6, size=(24, 32), dtype=np.uint8)
+        plane[::4, ::4] = pair.pp
+        plan = build_order_plan(block_stack(plane, split_blocks(plane, 4)), pair)
+        ref = ref_order_plan(plane, pair, 4)
+        assert plan.blocks.tolist() == ref["blocks"]
+        assert plan.slots.tolist() == ref["slots"]
+        for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
+            assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
+
     def test_non_contiguous_plane(self, rng):
         # The block stacks of interleaved RGB planes, as strided views.
         rgb = rng.integers(6, 13, size=(48, 4, 4, 3), dtype=np.uint8)
