@@ -17,15 +17,10 @@ from .analysis import (
 )
 from .cipher import (
     KeySet,
-    KeyedBitStream,
     generate_keys,
     load_key_file,
     plane_key,
-    rotate_flip_blocks,
     save_key_file,
-    scramble_blocks,
-    unrotate_blocks,
-    unscramble_blocks,
 )
 from .errors import (
     BlockmarkError,

@@ -5,17 +5,11 @@ histogram-preserving: position scrambling (an unbiased keyed shuffle of the
 eligible blocks) and per-block rotation/flip (3 key bits per eligible block
 select one of the 8 symmetries of the `grid.block` x `grid.block` square).
 
-Eligibility is a boolean mask over block indices (``mask[a]`` is True when
-block ``a`` may move), as produced by ``ordering.build_order_plan``; any
-iterable of block indices in ``[0, grid.n_blocks)`` is accepted too, and an
-index outside raises `GeometryError`. Blocks are visited in ascending index
-order, so the key stream assigns its draws to the same blocks however the
-eligible set is written.
-
-All randomness comes from a deterministic keyed stream: BLAKE2b in counter
-mode, ``blake2b(tag + counter_be64, key=key)``, 64 bytes per counter step.
-Identical (key, tag) always reproduces the identical stream; distinct tags
-give independent streams. Bits are consumed most-significant first, and
+All randomness comes from a deterministic keyed stream (`keyed_stream`):
+BLAKE2b in counter mode, ``blake2b(tag + counter_be64, key=key)``, 64 bytes
+per counter step. Identical (key, tag) always reproduces the identical
+stream; distinct tags give independent streams. Every draw reads a fresh
+stream from its start. Bits are consumed most-significant first, and
 bounded draws use rejection sampling so every permutation is equally likely.
 
 The permutation is a Fisher-Yates shuffle of ``range(n)``: for i = n-1 .. 1,
@@ -30,29 +24,29 @@ follows those links to where each item ends (`_compose_swaps`).
 
 Each operation is a draw followed by an apply. The draws depend only on
 (count, key, tag): `draw_permutation` is the keyed shuffle of the eligible
-blocks and `draw_orientations` their orientation ids, taken from one
-``bits`` call. The applies work in place on a plane's ``(n_blocks, b, b)``
-block stack (``image_io.block_stack``) from a given draw: `move_blocks`
-puts the content of block ``src[k]`` at ``dst[k]`` and `orient_blocks`
-transforms block ``blocks[k]`` by orientation ``ids[k]``. The four public
-operations are plane to plane: a draw, then an apply on the plane's block
-stack. A caller that needs the draw too (to carry a block mask along with
-the blocks, or to apply one shared-key draw to every plane) calls the two
-halves on its own stacks.
+blocks and `draw_orientations` their orientation ids. The applies work in
+place on a plane's ``(n_blocks, b, b)`` block stack
+(``image_io.block_stack``) from a given draw: `move_blocks` puts the
+content of block ``src[k]`` at ``dst[k]`` and `orient_blocks` transforms
+block ``blocks[k]`` by orientation ``ids[k]``. With ``e`` the ascending
+eligible block indices, scrambling moves ``e[perm]`` to ``e`` and
+unscrambling moves ``e`` to ``e[perm]``; unrotating applies
+``INVERSE_ORIENTATION[ids]``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, KeyFormatError
-from .image_io import BlockGrid, block_stack, stack_to_plane
+from .errors import KeyFormatError
 from .ordering import N_ORIENTATIONS, apply_orientation, invert_orientation
 
 KEY_BYTES = 16
@@ -62,71 +56,32 @@ TAG_ORIENT = b"orient"
 TAG_REGION = b"region"
 
 
-class KeyedBitStream:
-    """Deterministic bit stream derived from (key, tag)."""
+def keyed_stream(key: bytes, tag: bytes) -> Iterator[bytes]:
+    """The (key, tag) stream: the 64-byte digests ``blake2b(tag +
+    counter_be64, key=key)`` for counter = 0, 1, ... The key is checked
+    here, before any digest is taken."""
+    if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
+        raise KeyFormatError("stream key must be non-empty bytes")
+    if len(key) > 64:
+        raise KeyFormatError("stream key must be at most 64 bytes")
+    base = hashlib.blake2b(bytes(tag), key=bytes(key))
 
-    _BLOCK = 64
+    def digests():
+        # Each digest from a copy of the keyed state that absorbed the tag.
+        for counter in itertools.count():
+            h = base.copy()
+            h.update(counter.to_bytes(8, "big"))
+            yield h.digest()
 
-    def __init__(self, key: bytes, tag: bytes = b""):
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-            raise KeyFormatError("stream key must be non-empty bytes")
-        if len(key) > 64:
-            raise KeyFormatError("stream key must be at most 64 bytes")
-        self._base = hashlib.blake2b(bytes(tag), key=bytes(key))
-        self._counter = 0
-        self._bitbuf = 0
-        self._bitcount = 0
+    return digests()
 
-    def next_bytes(self, n: int) -> bytes:
-        """Next n raw stream bytes (independent of any buffered bits)."""
-        out = bytearray()
-        while len(out) < n:
-            out.extend(self._next_block())
-        return bytes(out[:n])
 
-    def _next_block(self) -> bytes:
-        # blake2b(tag + counter_be64, key=key), from a copy of the keyed
-        # state that has already absorbed the tag.
-        h = self._base.copy()
-        h.update(self._counter.to_bytes(8, "big"))
-        self._counter += 1
-        return h.digest()
-
-    def take_bits(self, n: int) -> int:
-        """Consume n bits, most-significant first."""
-        while self._bitcount < n:
-            block = self._next_block()
-            self._bitbuf = (self._bitbuf << (8 * len(block))) | int.from_bytes(block, "big")
-            self._bitcount += 8 * len(block)
-        shift = self._bitcount - n
-        value = self._bitbuf >> shift
-        self._bitbuf &= (1 << shift) - 1
-        self._bitcount = shift
-        return value
-
-    def bits(self, n: int) -> np.ndarray:
-        """Consume n bits as a uint8 array of 0s and 1s.
-
-        Equal to ``[take_bits(1) for _ in range(n)]``: buffered bits come
-        first, then whole digests unpacked most-significant first; the
-        unused tail of the last digest stays buffered for later draws.
-        """
-        n = _count(n)
-        head = min(n, self._bitcount)
-        value = self.take_bits(head)
-        out = np.empty(n, dtype=np.uint8)
-        out[:head] = np.unpackbits(
-            np.frombuffer(value.to_bytes((head + 7) // 8, "big"), dtype=np.uint8)
-        )[(-head) % 8 :]
-        rest = n - head
-        if rest:
-            n_digests = -(-rest // (8 * self._BLOCK))
-            data = b"".join(self._next_block() for _ in range(n_digests))
-            out[head:] = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=rest)
-            self._bitcount = 8 * len(data) - rest
-            tail = int.from_bytes(data[-self._BLOCK :], "big")
-            self._bitbuf = tail & ((1 << self._bitcount) - 1)
-        return out
+def stream_bits(key: bytes, tag: bytes, n: int) -> np.ndarray:
+    """The first n bits of the (key, tag) stream, most-significant first, as
+    a uint8 array of 0s and 1s."""
+    n = _count(n)
+    data = b"".join(itertools.islice(keyed_stream(key, tag), -(-n // 512)))
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
 @dataclass(frozen=True)
@@ -164,8 +119,8 @@ def generate_keys(
     else:
         if not -(2**63) <= seed < 2**63:
             raise KeyFormatError("seed must fit in a signed 64-bit integer")
-        stream = KeyedBitStream(seed.to_bytes(8, "big", signed=True), b"keygen")
-        material = [stream.next_bytes(KEY_BYTES) for _ in range(3)]
+        stream = keyed_stream(seed.to_bytes(8, "big", signed=True), b"keygen")
+        material = [digest[:KEY_BYTES] for digest in itertools.islice(stream, 3)]
     return KeySet(
         k_scramble=material[0],
         k_orient=material[1],
@@ -210,21 +165,6 @@ def load_key_file(path, per_plane: bool = True) -> KeySet:
     )
 
 
-def _eligible_array(eligible, grid: BlockGrid) -> np.ndarray:
-    """Ascending indices of the eligible blocks, from a mask or an index set."""
-    if isinstance(eligible, np.ndarray) and eligible.dtype == bool:
-        if eligible.shape != (grid.n_blocks,):
-            raise GeometryError(
-                f"eligibility mask has shape {eligible.shape}, "
-                f"grid has {grid.n_blocks} blocks"
-            )
-        return np.flatnonzero(eligible)
-    e = np.asarray(sorted({int(a) for a in eligible}), dtype=np.intp)
-    if e.size and not (0 <= e[0] and e[-1] < grid.n_blocks):
-        raise GeometryError(f"block indices must lie in [0, {grid.n_blocks})")
-    return e
-
-
 def _count(n) -> int:
     """A draw or bit count as a Python int; negative counts are rejected."""
     n = operator.index(n)
@@ -233,11 +173,10 @@ def _count(n) -> int:
     return n
 
 
-def _swap_targets(stream: KeyedBitStream, n: int) -> np.ndarray:
-    """Fisher-Yates swap targets from the stream: for i = n-1 .. 1, ``j[i]``
-    is the next ``i.bit_length()`` bits, redrawn while it exceeds i; and
-    ``j[0] = 0``. Equal to single `take_bits` draws, and leaves the stream
-    where they would.
+def _swap_targets(stream: Iterator[bytes], n: int) -> np.ndarray:
+    """Fisher-Yates swap targets from a fresh stream of digests: for
+    i = n-1 .. 1, ``j[i]`` is the next ``i.bit_length()`` bits, redrawn while
+    it exceeds i; and ``j[0] = 0``.
 
     The steps of one bit width k form a run, and every candidate of a run,
     accepted or rejected, is the next k bits, so a run's candidates are
@@ -251,9 +190,7 @@ def _swap_targets(stream: KeyedBitStream, n: int) -> np.ndarray:
     """
     j = np.zeros(n, dtype=np.int32)
     # Stream bits read but not yet used: `pool` after its first `skip` bits.
-    head = stream._bitcount
-    pool = stream.take_bits(head).to_bytes((head + 7) // 8, "big")
-    skip = -head % 8
+    pool, skip = b"", 0
     i_top = n - 1
     while i_top > 0:
         k = i_top.bit_length()
@@ -264,7 +201,7 @@ def _swap_targets(stream: KeyedBitStream, n: int) -> np.ndarray:
         c = int(expected + math.sqrt(expected)) + 8
         short = (skip + c * k + 7) // 8 - len(pool)
         if short > 0:
-            pool += b"".join(stream._next_block() for _ in range(-(-short // 64)))
+            pool += b"".join(itertools.islice(stream, -(-short // 64)))
         # Candidate p starts at bit `skip + p*k`: shift its 8-byte big-endian
         # window left by the bit offset in its first byte, then right to k bits.
         windows = np.ndarray((len(pool),), ">u8", pool + bytes(7), strides=(1,))
@@ -291,9 +228,6 @@ def _swap_targets(stream: KeyedBitStream, n: int) -> np.ndarray:
         skip += int(used) * k
         pool, skip = pool[skip // 8 :], skip % 8
         i_top -= taken.size
-    left = 8 * len(pool) - skip
-    stream._bitbuf = int.from_bytes(pool, "big") & ((1 << left) - 1)
-    stream._bitcount = left
     return j
 
 
@@ -352,13 +286,13 @@ def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
     n = _count(n)
     if n >= 2**31:
         raise ValueError(f"can permute fewer than 2**31 items, got {n}")
-    return _compose_swaps(_swap_targets(KeyedBitStream(key, tag), n))
+    return _compose_swaps(_swap_targets(keyed_stream(key, tag), n))
 
 
 def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
     """Orientation ids for n eligible blocks: 3 stream bits each, MSB first."""
     n = _count(n)
-    b = KeyedBitStream(key, tag).bits(3 * n).reshape(n, 3)
+    b = stream_bits(key, tag, 3 * n).reshape(n, 3)
     return (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
 
 
@@ -380,61 +314,7 @@ def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
             stack[at] = apply_orientation(np.take(stack, at, axis=0), o)
 
 
-def _on_stack(plane: np.ndarray, grid: BlockGrid, apply, *args) -> np.ndarray:
-    """New plane: `apply(stack, *args)` on the plane's block stack."""
-    stack = block_stack(plane, grid)
-    apply(stack, *args)
-    return stack_to_plane(stack, grid)
-
-
-def scramble_blocks(
-    plane: np.ndarray,
-    grid: BlockGrid,
-    eligible,
-    key: bytes,
-    tag: bytes = TAG_SCRAMBLE,
-) -> np.ndarray:
-    """Permute the eligible blocks among their own positions."""
-    e = _eligible_array(eligible, grid)
-    return _on_stack(plane, grid, move_blocks, e[draw_permutation(e.size, key, tag)], e)
-
-
-def unscramble_blocks(
-    plane: np.ndarray,
-    grid: BlockGrid,
-    eligible,
-    key: bytes,
-    tag: bytes = TAG_SCRAMBLE,
-) -> np.ndarray:
-    e = _eligible_array(eligible, grid)
-    return _on_stack(plane, grid, move_blocks, e, e[draw_permutation(e.size, key, tag)])
-
-
 # Orientation id -> id of its inverse.
 INVERSE_ORIENTATION = np.array(
     [invert_orientation(o) for o in range(N_ORIENTATIONS)], dtype=np.uint8
 )
-
-
-def rotate_flip_blocks(
-    plane: np.ndarray,
-    grid: BlockGrid,
-    eligible,
-    key: bytes,
-    tag: bytes = TAG_ORIENT,
-) -> np.ndarray:
-    """Apply a key-drawn symmetry (identity allowed) to each eligible block."""
-    e = _eligible_array(eligible, grid)
-    return _on_stack(plane, grid, orient_blocks, e, draw_orientations(e.size, key, tag))
-
-
-def unrotate_blocks(
-    plane: np.ndarray,
-    grid: BlockGrid,
-    eligible,
-    key: bytes,
-    tag: bytes = TAG_ORIENT,
-) -> np.ndarray:
-    e = _eligible_array(eligible, grid)
-    ids = draw_orientations(e.size, key, tag)
-    return _on_stack(plane, grid, orient_blocks, e, INVERSE_ORIENTATION[ids])

@@ -16,9 +16,7 @@ import numpy as np
 from . import analysis, pipeline
 from .cipher import KeySet, generate_keys, load_key_file, save_key_file
 from .errors import BlockmarkError, CodecError
-from .histshift import shift_histogram
 from .image_io import block_stack, load_image, save_image, split_blocks
-from .ordering import build_order_plan
 
 _MODES = {
     "plain-first": pipeline.Mode.PLAIN_FIRST,
@@ -138,12 +136,13 @@ def _cmd_analyze_capacity(ns) -> int:
             raise BlockmarkError("region capacities need a key file with a region key")
         grid = split_blocks(image.planes[0], ns.block or 16)
         labels = pipeline.RegionMap.derive(keys.k_region, grid).labels
-        caps = np.zeros(2, dtype=np.intp)
+        # A region carries one bit per pp-valued pixel in its blocks: the
+        # shift leaves the pp bin alone, so the unshifted plane counts them.
+        caps = np.zeros(2)
         for plane, pair in zip(image.planes, report["pairs"]):
-            stack = block_stack(shift_histogram(plane, pair), grid)
-            plan = build_order_plan(stack, pair, labels)
-            caps += np.bincount(plan.slot_labels, minlength=2)
-        lines["region_a"], lines["region_b"] = caps.tolist()
+            per_block = block_stack(plane == pair.pp, grid).sum(axis=(1, 2))
+            caps += np.bincount(labels, weights=per_block, minlength=2)
+        lines["region_a"], lines["region_b"] = caps.astype(int).tolist()
     _emit(lines, ns.json)
     return 0
 

@@ -131,13 +131,13 @@ def decode_image(data: bytes) -> Image:
 
 def encode_image(image: Image) -> bytes:
     """Serialize to canonical binary PGM/PPM (no comments, maxval 255)."""
-    magic = b"P6" if image.is_color else b"P5"
-    header = b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
-    if image.is_color:
-        raster = np.stack(image.planes, axis=-1).tobytes()
-    else:
-        raster = image.planes[0].tobytes()
-    return header + raster
+    header = b"P%d\n%d %d\n255\n" % (6 if image.is_color else 5, image.width, image.height)
+    # One buffer for the header and the samples: no whole-image temporaries.
+    out = np.empty(len(header) + image.width * image.height * len(image.planes), np.uint8)
+    out[: len(header)] = list(header)
+    for i, plane in enumerate(image.planes):
+        out[len(header) :].reshape(image.height, image.width, -1)[:, :, i] = plane
+    return out.tobytes()
 
 
 def load_image(path: str | Path) -> Image:

@@ -41,13 +41,13 @@ from .cipher import (
     TAG_ORIENT,
     TAG_REGION,
     TAG_SCRAMBLE,
-    KeyedBitStream,
     KeySet,
     draw_orientations,
     draw_permutation,
     move_blocks,
     orient_blocks,
     plane_key,
+    stream_bits,
 )
 from .errors import CapacityExceededError, SideInfoError
 from .histshift import (
@@ -176,8 +176,7 @@ class RegionMap:
 
     @classmethod
     def derive(cls, k_region: bytes, grid: BlockGrid) -> "RegionMap":
-        stream = KeyedBitStream(k_region, TAG_REGION)
-        return cls(labels=stream.bits(grid.n_blocks).astype(bool))
+        return cls(labels=stream_bits(k_region, TAG_REGION, grid.n_blocks).astype(bool))
 
 
 def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.ndarray, list[bytes]]:

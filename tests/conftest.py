@@ -23,13 +23,11 @@ from blockmark import (
     embed_bits,
     find_pp_zp,
     plane_key,
-    rotate_flip_blocks,
-    scramble_blocks,
     shift_histogram,
     split_blocks,
     stack_to_plane,
 )
-from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
+from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE, draw_orientations, draw_permutation
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -166,6 +164,28 @@ def block_slice(grid, a: int) -> tuple[slice, slice]:
     return slice(r * b, (r + 1) * b), slice(c * b, (c + 1) * b)
 
 
+def ref_rotate_flip(plane, grid, mask, key: bytes, tag: bytes) -> np.ndarray:
+    """Per-block reference for rotation/flip: a new plane whose k-th
+    eligible block (ascending index) is turned by the k-th drawn id."""
+    out = plane.copy()
+    e = np.flatnonzero(mask)
+    for a, o in zip(e, draw_orientations(e.size, key, tag).tolist()):
+        out[block_slice(grid, a)] = ref_orientation(plane[block_slice(grid, a)].tolist(), o)
+    return out
+
+
+def ref_scramble(plane, grid, mask, key: bytes, tag: bytes, inverse=False) -> np.ndarray:
+    """Per-block reference for scrambling: a new plane where the k-th
+    eligible block (ascending index) holds eligible block ``perm[k]``;
+    unscrambling (`inverse`) moves each block back."""
+    out = plane.copy()
+    e = np.flatnonzero(mask)
+    src = e[draw_permutation(e.size, key, tag)]
+    for s, d in zip(e, src) if inverse else zip(src, e):
+        out[block_slice(grid, d)] = plane[block_slice(grid, s)]
+    return out
+
+
 def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) -> dict:
     """Per-block reference for `build_order_plan`, in plain Python.
 
@@ -224,9 +244,10 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
     encrypted-domain payload.
 
     Shifts and plans each plane and embeds the plain-first scope. Then it
-    encrypts each scope with the public cipher operations (each scope's
-    masks from that plan, its own key tag suffix, and with shared keys the
-    masks intersected over planes), plans the ciphertext again and embeds
+    encrypts each scope one block at a time (`ref_rotate_flip`, then
+    `ref_scramble`, with the cipher's draws; each scope's masks from that
+    plan, its own key tag suffix, and with shared keys the masks
+    intersected over planes), plans the ciphertext again and embeds
     the encrypted-first scope into its label's slice of that plan. Nothing
     is carried through the cipher. `payloads` holds one bit sequence per
     scope (A then B in two-domain mode); each plane takes up to its own
@@ -263,8 +284,8 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
             planes = embed_scope(planes, plans, j)
     for j, (suffix, _) in enumerate(scopes):
         for step, key, tag, field in (
-            (rotate_flip_blocks, keys.k_orient, TAG_ORIENT, "rot_eligible"),
-            (scramble_blocks, keys.k_scramble, TAG_SCRAMBLE, "scr_eligible"),
+            (ref_rotate_flip, keys.k_orient, TAG_ORIENT, "rot_eligible"),
+            (ref_scramble, keys.k_scramble, TAG_SCRAMBLE, "scr_eligible"),
         ):
             masks = [getattr(p, field) & (labels == j) for p in plans]
             if not keys.per_plane:

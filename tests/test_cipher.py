@@ -1,8 +1,12 @@
-"""Keyed stream, permutation fairness, and block-permutation encryption."""
+"""Keyed stream, permutation fairness, and block-permutation encryption.
+
+The encryption tests call what the pipeline calls: the draws
+(`draw_permutation`, `draw_orientations`) and the in-place applies on a
+block stack (`move_blocks`, `orient_blocks`)."""
 
 import hashlib
 import tempfile
-from itertools import permutations
+from itertools import islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +16,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from blockmark import (
-    GeometryError,
-    KeyedBitStream,
+    BlockGrid,
     KeyFormatError,
     KeySet,
+    RegionMap,
     apply_orientation,
     block_stack,
     generate_keys,
@@ -23,67 +27,80 @@ from blockmark import (
     invert_orientation,
     load_key_file,
     plane_key,
-    rotate_flip_blocks,
     save_key_file,
-    scramble_blocks,
     split_blocks,
     stack_to_plane,
-    unrotate_blocks,
-    unscramble_blocks,
 )
 from blockmark.cipher import (
+    INVERSE_ORIENTATION,
     TAG_ORIENT,
+    TAG_SCRAMBLE,
     _compose_swaps,
     _swap_targets,
     draw_orientations,
     draw_permutation,
+    keyed_stream,
     move_blocks,
     orient_blocks,
+    stream_bits,
 )
 from conftest import block_slice, ref_orientation
 
 KEY = bytes(range(16))
 
 
+class BitReader:
+    """Reads k bits at a time, most-significant first, from a digest
+    stream: the bit-by-bit reference for the bulk draws."""
+
+    def __init__(self, digests):
+        self._digests = digests
+        self._value = 0
+        self._count = 0
+
+    def take(self, k):
+        while self._count < k:
+            self._value = (self._value << 512) | int.from_bytes(next(self._digests), "big")
+            self._count += 512
+        self._count -= k
+        value = self._value >> self._count
+        self._value &= (1 << self._count) - 1
+        return value
+
+
+def stream_bytes(key, tag, n):
+    """The first n bytes of the (key, tag) stream."""
+    return b"".join(islice(keyed_stream(key, tag), -(-n // 64)))[:n]
+
+
 class TestKeyedStream:
     def test_deterministic(self):
-        a = KeyedBitStream(KEY, b"scramble").next_bytes(64)
-        b = KeyedBitStream(KEY, b"scramble").next_bytes(64)
+        a = list(islice(keyed_stream(KEY, b"scramble"), 3))
+        b = list(islice(keyed_stream(KEY, b"scramble"), 3))
         assert a == b
+        assert all(len(digest) == 64 for digest in a)
 
     def test_frozen_vectors(self):
         # Pinned outputs of blake2b(tag + counter_be64, key=key).
-        s = KeyedBitStream(bytes.fromhex("000102030405060708090a0b0c0d0e0f"), b"scramble")
-        assert s.next_bytes(16).hex() == "853a3e0ac10b647ce4c4f6ce4867a505"
-        s = KeyedBitStream(bytes(16), b"orient")
-        assert s.next_bytes(16).hex() == "5d02fe54cc27a130f9e5626c335975a5"
+        s = keyed_stream(bytes.fromhex("000102030405060708090a0b0c0d0e0f"), b"scramble")
+        assert next(s)[:16].hex() == "853a3e0ac10b647ce4c4f6ce4867a505"
+        s = keyed_stream(bytes(16), b"orient")
+        assert next(s)[:16].hex() == "5d02fe54cc27a130f9e5626c335975a5"
 
     def test_tags_give_independent_streams(self):
-        a = KeyedBitStream(KEY, b"scr").next_bytes(64)
-        b = KeyedBitStream(KEY, b"rot").next_bytes(64)
-        assert a != b
+        assert stream_bytes(KEY, b"scr", 64) != stream_bytes(KEY, b"rot", 64)
 
     def test_keys_give_independent_streams(self):
-        a = KeyedBitStream(bytes(16), b"t").next_bytes(64)
-        b = KeyedBitStream(bytes(15) + b"\x01", b"t").next_bytes(64)
-        assert a != b
+        assert stream_bytes(bytes(16), b"t", 64) != stream_bytes(bytes(15) + b"\x01", b"t", 64)
 
     def test_bytes_uniform_chi_square(self):
-        data = np.frombuffer(
-            KeyedBitStream(KEY, b"uniformity").next_bytes(1_000_000), dtype=np.uint8
-        )
+        data = np.frombuffer(stream_bytes(KEY, b"uniformity", 1_000_000), dtype=np.uint8)
         counts = np.bincount(data, minlength=256)
         assert stats.chisquare(counts).pvalue > 0.01
 
-    def test_take_bits_msb_first(self):
-        s = KeyedBitStream(KEY, b"bits")
-        first = KeyedBitStream(KEY, b"bits").next_bytes(2)
-        value = s.take_bits(16)
-        assert value == int.from_bytes(first, "big")
-
     def test_randbelow_range_and_determinism(self):
-        s1 = KeyedBitStream(KEY, b"rb")
-        s2 = KeyedBitStream(KEY, b"rb")
+        s1 = BitReader(keyed_stream(KEY, b"rb"))
+        s2 = BitReader(keyed_stream(KEY, b"rb"))
         draws1 = [_randbelow(s1, 37) for _ in range(500)]
         draws2 = [_randbelow(s2, 37) for _ in range(500)]
         assert draws1 == draws2
@@ -107,10 +124,18 @@ class TestKeyedStream:
         assert stats.chisquare(list(counts.values())).pvalue > 0.01
 
     def test_key_length_limits(self):
-        with pytest.raises(KeyFormatError):
-            KeyedBitStream(b"", b"t")
-        with pytest.raises(KeyFormatError):
-            KeyedBitStream(bytes(65), b"t")
+        # A bad key raises at the call, before any digest is read: from the
+        # stream the key generator reads, and from draws of no items.
+        for key in (b"", bytes(65)):
+            for call in (
+                lambda: keyed_stream(key, b"keygen"),
+                lambda: stream_bits(key, b"t", 0),
+                lambda: draw_permutation(0, key, b"t"),
+                lambda: draw_orientations(0, key, b"t"),
+            ):
+                with pytest.raises(KeyFormatError):
+                    call()
+        assert len(next(keyed_stream(bytes(64), b"t"))) == 64
 
 
 def _randbelow(stream, n):
@@ -119,7 +144,7 @@ def _randbelow(stream, n):
         return 0
     k = (n - 1).bit_length()
     while True:
-        v = stream.take_bits(k)
+        v = stream.take(k)
         if v < n:
             return v
 
@@ -132,13 +157,13 @@ def _reference_shuffle(stream, seq):
 
 def _reference_permutation(n, key, tag):
     seq = list(range(n))
-    _reference_shuffle(KeyedBitStream(key, tag), seq)
+    _reference_shuffle(BitReader(keyed_stream(key, tag)), seq)
     return seq
 
 
 class TestBulkDraws:
-    """`bits` and the permutation draw take exactly what single-bit and
-    `randbelow` draws would, and leave the stream in the same state."""
+    """`stream_bits` and the permutation draw take exactly what single-bit
+    and `randbelow` draws would."""
 
     @pytest.mark.parametrize(
         "prefix, n",
@@ -148,44 +173,33 @@ class TestBulkDraws:
         ],
     )
     def test_bits_equal_single_bit_draws(self, prefix, n):
-        fast = KeyedBitStream(KEY, b"bits")
-        slow = KeyedBitStream(KEY, b"bits")
-        fast.take_bits(prefix)
-        slow.take_bits(prefix)
-        got = fast.bits(n)
+        # Bits prefix .. prefix + n of one read; some windows end on or
+        # just past a digest boundary.
+        got = stream_bits(KEY, b"bits", prefix + n)
         assert got.dtype == np.uint8
-        assert got.tolist() == [slow.take_bits(1) for _ in range(n)]
-        assert fast.take_bits(64) == slow.take_bits(64)
-
-    def test_successive_bits_calls_straddle_digests(self):
-        fast = KeyedBitStream(KEY, b"bits")
-        slow = KeyedBitStream(KEY, b"bits")
-        for n in (300, 300, 700, 1, 511):
-            assert fast.bits(n).tolist() == [slow.take_bits(1) for _ in range(n)]
+        slow = BitReader(keyed_stream(KEY, b"bits"))
+        slow.take(prefix)
+        assert got[prefix:].tolist() == [slow.take(1) for _ in range(n)]
 
     def test_bits_negative_rejected(self):
         with pytest.raises(ValueError):
-            KeyedBitStream(KEY, b"bits").bits(-1)
+            stream_bits(KEY, b"bits", -1)
 
     def test_bits_reproduce_pinned_vectors(self):
-        s = KeyedBitStream(bytes.fromhex("000102030405060708090a0b0c0d0e0f"), b"scramble")
-        assert np.packbits(s.bits(128)).tobytes().hex() == "853a3e0ac10b647ce4c4f6ce4867a505"
-        s = KeyedBitStream(bytes(16), b"orient")
-        assert np.packbits(s.bits(128)).tobytes().hex() == "5d02fe54cc27a130f9e5626c335975a5"
+        bits = stream_bits(bytes.fromhex("000102030405060708090a0b0c0d0e0f"), b"scramble", 128)
+        assert np.packbits(bits).tobytes().hex() == "853a3e0ac10b647ce4c4f6ce4867a505"
+        bits = stream_bits(bytes(16), b"orient", 128)
+        assert np.packbits(bits).tobytes().hex() == "5d02fe54cc27a130f9e5626c335975a5"
 
     @pytest.mark.parametrize("prefix", [0, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1000])
     def test_shuffle_equals_randbelow_reference(self, n, prefix):
-        # After `prefix` bits the runs start off digest boundaries; the
-        # stream must end where the single draws leave it.
-        fast = KeyedBitStream(KEY, b"fy")
-        slow = KeyedBitStream(KEY, b"fy")
-        fast.take_bits(prefix)
-        slow.take_bits(prefix)
+        # `_swap_targets` reads whatever digest iterator it is given from
+        # its first bit: here the stream from digest `prefix` on.
         want = list(range(n))
-        _reference_shuffle(slow, want)
+        _reference_shuffle(BitReader(islice(keyed_stream(KEY, b"fy"), prefix, None)), want)
+        fast = islice(keyed_stream(KEY, b"fy"), prefix, None)
         assert _compose_swaps(_swap_targets(fast, n)).tolist() == want
-        assert fast.take_bits(64) == slow.take_bits(64)
         if prefix == 0:
             assert draw_permutation(n, KEY, b"fy").tolist() == want
 
@@ -214,6 +228,22 @@ class TestBulkDraws:
     )
     def test_permutation_equals_reference_for_any_key(self, n, key, tag):
         assert draw_permutation(n, key, tag).tolist() == _reference_permutation(n, key, tag)
+
+    def test_orientations_pinned_digest(self):
+        # SHA-256 of the uint8 draw, pinned from the buffered bit stream
+        # that `stream_bits` replaced.
+        drawn = draw_orientations(65_537, KEY, TAG_ORIENT)
+        assert drawn.dtype == np.uint8
+        assert hashlib.sha256(drawn.tobytes()).hexdigest() == (
+            "fd1c4511315f2ee312b640ebd8a89ba8a2ab610c3cff46239d537b600c648d62"
+        )
+
+    def test_region_labels_pinned_digest(self):
+        # SHA-256 of the packed labels, pinned like the orientations.
+        labels = RegionMap.derive(KEY, BlockGrid(4, 256, 256)).labels
+        assert hashlib.sha256(np.packbits(labels).tobytes()).hexdigest() == (
+            "64a34a66a2638b5ef5a1d86c4dd046233c6103090bfb30cb286d1f736d9b983a"
+        )
 
     def test_permutation_pinned_digest(self):
         # SHA-256 of the little-endian int64 draw, pinned from the
@@ -260,10 +290,7 @@ class TestDrawCounts:
     """Draw and bit counts are integers; numpy integers are accepted."""
 
     def test_numpy_counts_accepted(self):
-        s = KeyedBitStream(KEY, b"bits")
-        ref = KeyedBitStream(KEY, b"bits")
-        assert s.bits(np.int64(5)).tolist() == [ref.take_bits(1) for _ in range(5)]
-        assert s.take_bits(600) == ref.take_bits(600)
+        assert np.array_equal(stream_bits(KEY, b"bits", np.int64(5)), stream_bits(KEY, b"bits", 5))
         for draw in (draw_orientations, draw_permutation):
             assert np.array_equal(draw(np.int64(5), KEY, b"t"), draw(5, KEY, b"t"))
 
@@ -361,39 +388,52 @@ def random_plane(rng, h=16, w=16):
 
 
 class TestScramble:
+    """Scrambling moves block ``e[perm[k]]`` to ``e[k]`` for the ascending
+    eligible blocks ``e``; unscrambling moves them back."""
+
     def test_empty_eligible_is_identity(self, rng):
         plane = random_plane(rng)
-        grid = split_blocks(plane, 4)
-        assert np.array_equal(scramble_blocks(plane, grid, [], KEY), plane)
+        stack = block_stack(plane, split_blocks(plane, 4))
+        e = np.arange(0)
+        move_blocks(stack, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
+        assert np.array_equal(stack, block_stack(plane, split_blocks(plane, 4)))
 
     def test_ineligible_blocks_fixed(self, rng):
         plane = random_plane(rng, 8, 8)
-        grid = split_blocks(plane, 4)
-        out = scramble_blocks(plane, grid, [0, 3], KEY)
-        assert np.array_equal(out[0:4, 4:8], plane[0:4, 4:8])  # block 1
-        assert np.array_equal(out[4:8, 0:4], plane[4:8, 0:4])  # block 2
+        stack = block_stack(plane, split_blocks(plane, 4))
+        before = stack.copy()
+        e = np.array([0, 3])
+        move_blocks(stack, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
+        assert np.array_equal(stack[[1, 2]], before[[1, 2]])
 
     def test_histogram_invariant(self, rng):
         plane = random_plane(rng, 32, 32)
         grid = split_blocks(plane, 8)
-        out = scramble_blocks(plane, grid, range(16), KEY)
-        assert np.array_equal(histogram(out), histogram(plane))
+        stack = block_stack(plane, grid)
+        e = np.arange(grid.n_blocks)
+        move_blocks(stack, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
+        assert np.array_equal(histogram(stack_to_plane(stack, grid)), histogram(plane))
 
     def test_round_trip_500_trials(self):
         rng = np.random.default_rng(99)
-        grid = None
         for trial in range(500):
             plane = random_plane(rng)
-            grid = grid or split_blocks(plane, 4)
+            stack = block_stack(plane, split_blocks(plane, 4))
+            before = stack.copy()
             key = rng.bytes(16)
-            eligible = rng.choice(16, size=rng.integers(0, 17), replace=False)
-            enc = scramble_blocks(plane, grid, eligible, key)
-            assert np.array_equal(unscramble_blocks(enc, grid, eligible, key), plane)
+            e = np.sort(rng.choice(16, size=rng.integers(0, 17), replace=False))
+            src = e[draw_permutation(e.size, key, TAG_SCRAMBLE)]
+            move_blocks(stack, src, e)
+            move_blocks(stack, e, src)
+            assert np.array_equal(stack, before)
 
     def test_actually_scrambles(self, rng):
         plane = random_plane(rng, 64, 64)
-        grid = split_blocks(plane, 8)
-        assert not np.array_equal(scramble_blocks(plane, grid, range(64), KEY), plane)
+        stack = block_stack(plane, split_blocks(plane, 8))
+        before = stack.copy()
+        e = np.arange(64)
+        move_blocks(stack, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
+        assert not np.array_equal(stack, before)
 
 
 class TestBlockMoves:
@@ -426,29 +466,21 @@ class TestBlockMoves:
 
     @pytest.mark.parametrize("block", [1, 3, 4, 8])
     def test_non_contiguous_plane(self, rng, block):
+        # A strided plane (one channel of an RGB array, or flipped) encrypts
+        # on its block stack exactly as a dense copy does, and is left alone.
         rgb = rng.integers(0, 256, size=(3 * block, 4 * block, 3), dtype=np.uint8)
         grid = split_blocks(rgb[:, :, 0], block)
-        every = np.ones(grid.n_blocks, dtype=bool)
+        e = np.arange(grid.n_blocks)
+        ids = draw_orientations(e.size, KEY, TAG_ORIENT)
+        src = e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)]
         for plane in (rgb[:, :, 1], rgb[::-1, :, 2]):
             dense = plane.copy()
-            for op in (scramble_blocks, unscramble_blocks, rotate_flip_blocks, unrotate_blocks):
-                got = op(plane, grid, every, KEY)
-                assert np.array_equal(got, op(dense, grid, every, KEY))
-            assert np.array_equal(plane, dense)  # the input is left alone
-
-
-@pytest.mark.parametrize(
-    "op", [scramble_blocks, unscramble_blocks, rotate_flip_blocks, unrotate_blocks]
-)
-@pytest.mark.parametrize("past_end", [False, True])
-def test_block_indices_range_checked(rng, op, past_end):
-    # -1 would silently wrap to the last block and take its draw out of
-    # ascending order; n_blocks would reach past the grid.
-    plane = random_plane(rng, 8, 8)
-    grid = split_blocks(plane, 4)
-    indices = [0, grid.n_blocks] if past_end else [-1, 0]
-    with pytest.raises(GeometryError, match="block indices"):
-        op(plane, grid, indices, KEY)
+            stacks = [block_stack(plane, grid), block_stack(dense, grid)]
+            for stack in stacks:
+                orient_blocks(stack, e, ids)
+                move_blocks(stack, src, e)
+            assert np.array_equal(*stacks)
+            assert np.array_equal(plane, dense)
 
 
 class TestRotateFlip:
@@ -460,50 +492,54 @@ class TestRotateFlip:
 
     def test_ineligible_blocks_fixed(self, rng):
         plane = random_plane(rng, 8, 8)
-        grid = split_blocks(plane, 4)
-        out = rotate_flip_blocks(plane, grid, [1], KEY)
-        assert np.array_equal(out[0:4, 0:4], plane[0:4, 0:4])
+        stack = block_stack(plane, split_blocks(plane, 4))
+        before = stack.copy()
+        orient_blocks(stack, [1], draw_orientations(1, KEY, TAG_ORIENT))
+        assert np.array_equal(stack[[0, 2, 3]], before[[0, 2, 3]])
 
     def test_histogram_invariant(self, rng):
         plane = random_plane(rng, 32, 32)
         grid = split_blocks(plane, 8)
-        out = rotate_flip_blocks(plane, grid, range(16), KEY)
-        assert np.array_equal(histogram(out), histogram(plane))
+        stack = block_stack(plane, grid)
+        orient_blocks(stack, np.arange(16), draw_orientations(16, KEY, TAG_ORIENT))
+        assert np.array_equal(histogram(stack_to_plane(stack, grid)), histogram(plane))
 
     def test_per_block_multiset_preserved(self, rng):
         plane = random_plane(rng, 16, 16)
-        grid = split_blocks(plane, 8)
-        out = rotate_flip_blocks(plane, grid, range(4), KEY)
+        stack = block_stack(plane, split_blocks(plane, 8))
+        before = stack.copy()
+        orient_blocks(stack, np.arange(4), draw_orientations(4, KEY, TAG_ORIENT))
         for a in range(4):
-            rs, cs = block_slice(grid, a)
-            assert sorted(out[rs, cs].ravel()) == sorted(plane[rs, cs].ravel())
+            assert sorted(stack[a].ravel()) == sorted(before[a].ravel())
 
     def test_round_trip_500_trials(self):
         rng = np.random.default_rng(77)
         for trial in range(500):
             plane = random_plane(rng)
-            grid = split_blocks(plane, 4)
+            stack = block_stack(plane, split_blocks(plane, 4))
+            before = stack.copy()
             key = rng.bytes(16)
-            eligible = rng.choice(16, size=rng.integers(0, 17), replace=False)
-            enc = rotate_flip_blocks(plane, grid, eligible, key)
-            assert np.array_equal(unrotate_blocks(enc, grid, eligible, key), plane)
+            e = np.sort(rng.choice(16, size=rng.integers(0, 17), replace=False))
+            ids = draw_orientations(e.size, key, TAG_ORIENT)
+            orient_blocks(stack, e, ids)
+            orient_blocks(stack, e, INVERSE_ORIENTATION[ids])
+            assert np.array_equal(stack, before)
 
-    def test_draws_cover_all_orientations(self, rng):
+    def test_draws_cover_all_orientations(self):
         # With 256 eligible blocks all 8 symmetries should be drawn.
         plane = np.tile(np.arange(16, dtype=np.uint8).reshape(4, 4), (16, 16))
-        grid = split_blocks(plane, 4)
-        out = rotate_flip_blocks(plane, grid, range(256), KEY)
-        blocks = {out[block_slice(grid, a)].tobytes() for a in range(256)}
-        assert len(blocks) == 8
+        stack = block_stack(plane, split_blocks(plane, 4))
+        orient_blocks(stack, np.arange(256), draw_orientations(256, KEY, TAG_ORIENT))
+        assert len({block.tobytes() for block in stack}) == 8
 
 
 def _reference_transform(plane, grid, eligible, key, inverse):
     """Per-block loop: 3 stream bits per eligible block, ascending index,
     each block transformed by the pure-Python reference."""
     out = plane.copy()
-    stream = KeyedBitStream(key, TAG_ORIENT)
+    stream = BitReader(keyed_stream(key, TAG_ORIENT))
     for a in sorted(eligible):
-        o = stream.take_bits(3)
+        o = stream.take(3)
         if inverse:
             o = invert_orientation(o)
         rs, cs = block_slice(grid, a)
@@ -522,48 +558,54 @@ class TestRotateFlipOracle:
             "all": np.ones(grid.n_blocks, dtype=bool),
             "random": rng.random(grid.n_blocks) < 0.5,
         }[which]
-        eligible = np.flatnonzero(mask).tolist()
-        for fn, inverse in ((rotate_flip_blocks, False), (unrotate_blocks, True)):
-            want = _reference_transform(plane, grid, eligible, KEY, inverse)
-            assert np.array_equal(fn(plane, grid, mask, KEY), want)
-            assert np.array_equal(fn(plane, grid, eligible, KEY), want)
+        e = np.flatnonzero(mask)
+        ids = draw_orientations(e.size, KEY, TAG_ORIENT)
+        for applied, inverse in ((ids, False), (INVERSE_ORIENTATION[ids], True)):
+            stack = block_stack(plane, grid)
+            orient_blocks(stack, e, applied)
+            want = _reference_transform(plane, grid, e.tolist(), KEY, inverse)
+            assert np.array_equal(stack_to_plane(stack, grid), want)
 
     def test_input_plane_untouched(self, rng):
+        # The applies work on the plane's block stack, a copy.
         plane = random_plane(rng, 16, 16)
         before = plane.copy()
-        grid = split_blocks(plane, 4)
-        rotate_flip_blocks(plane, grid, np.ones(16, dtype=bool), KEY)
-        scramble_blocks(plane, grid, np.ones(16, dtype=bool), KEY)
+        stack = block_stack(plane, split_blocks(plane, 4))
+        e = np.arange(16)
+        orient_blocks(stack, e, draw_orientations(e.size, KEY, TAG_ORIENT))
+        move_blocks(stack, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
         assert np.array_equal(plane, before)
-
-    def test_mask_length_must_match_grid(self, rng):
-        plane = random_plane(rng, 16, 16)
-        grid = split_blocks(plane, 4)
-        with pytest.raises(GeometryError):
-            rotate_flip_blocks(plane, grid, np.ones(15, dtype=bool), KEY)
 
 
 class TestComposition:
     def test_inverse_order(self, rng):
         plane = random_plane(rng, 32, 32)
-        grid = split_blocks(plane, 8)
+        stack = block_stack(plane, split_blocks(plane, 8))
+        before = stack.copy()
         k1, k2 = rng.bytes(16), rng.bytes(16)
-        enc = rotate_flip_blocks(plane, grid, range(16), k2)
-        enc = scramble_blocks(enc, grid, range(16), k1)
-        dec = unscramble_blocks(enc, grid, range(16), k1)
-        dec = unrotate_blocks(dec, grid, range(16), k2)
-        assert np.array_equal(dec, plane)
+        e = np.arange(16)
+        ids = draw_orientations(e.size, k2, TAG_ORIENT)
+        src = e[draw_permutation(e.size, k1, TAG_SCRAMBLE)]
+        orient_blocks(stack, e, ids)
+        move_blocks(stack, src, e)
+        move_blocks(stack, e, src)
+        orient_blocks(stack, e, INVERSE_ORIENTATION[ids])
+        assert np.array_equal(stack, before)
 
     def test_wrong_key_fails(self, rng):
         plane = random_plane(rng, 32, 32)
-        grid = split_blocks(plane, 8)
-        enc = scramble_blocks(plane, grid, range(16), KEY)
-        wrong = unscramble_blocks(enc, grid, range(16), bytes(16))
-        assert not np.array_equal(wrong, plane)
+        stack = block_stack(plane, split_blocks(plane, 8))
+        before = stack.copy()
+        e = np.arange(16)
+        move_blocks(stack, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
+        move_blocks(stack, e, e[draw_permutation(e.size, bytes(16), TAG_SCRAMBLE)])
+        assert not np.array_equal(stack, before)
 
     def test_keyed_determinism(self, rng):
         plane = random_plane(rng, 32, 32)
         grid = split_blocks(plane, 8)
-        a = scramble_blocks(plane, grid, range(16), KEY)
-        b = scramble_blocks(plane, grid, range(16), KEY)
+        e = np.arange(16)
+        a, b = block_stack(plane, grid), block_stack(plane, grid)
+        move_blocks(a, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
+        move_blocks(b, e[draw_permutation(e.size, KEY, TAG_SCRAMBLE)], e)
         assert np.array_equal(a, b)

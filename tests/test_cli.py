@@ -17,7 +17,7 @@ from blockmark import (
     save_image,
     shift_histogram,
 )
-from blockmark import analysis, cli
+from blockmark import analysis, cli, histshift, pipeline
 from blockmark.cli import main
 from conftest import natural_image, synth_image
 
@@ -282,7 +282,10 @@ class TestAnalyze:
             searches.append(plane)
             return find_pp_zp(plane)
 
-        monkeypatch.setattr(cli, "shift_histogram", counting_shift)
+        # Region capacities count pp-valued pixels of the unshifted planes.
+        assert not hasattr(cli, "shift_histogram")
+        for module in (cli, pipeline, histshift):
+            monkeypatch.setattr(module, "shift_histogram", counting_shift, raising=False)
         monkeypatch.setattr(analysis, "find_pp_zp", counting_search)
         # The CLI need not import the pair search at all.
         monkeypatch.setattr(cli, "find_pp_zp", counting_search, raising=False)
@@ -291,7 +294,7 @@ class TestAnalyze:
             "--block", "16", "--key", workdir / "keys.txt",
         )
         assert rc == 0
-        assert len(shifts) == 3  # one per RGB plane, shared by both regions
+        assert len(shifts) == 0
         assert len(searches) == 3  # one per RGB plane, in capacity_report
         out = capsys.readouterr().out
         lines = dict(ln.split("=") for ln in out.strip().splitlines())

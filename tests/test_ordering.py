@@ -17,17 +17,18 @@ from blockmark import (
     generate_keys,
     invert_orientation,
     marked_mask,
-    rotate_flip_blocks,
-    scramble_blocks,
     shift_histogram,
     split_blocks,
     stack_to_plane,
 )
+from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 from conftest import (
     key_signature,
     ref_canonical_signature,
     ref_order_plan,
     ref_orientation,
+    ref_rotate_flip,
+    ref_scramble,
     valid_pair_plane,
 )
 
@@ -494,8 +495,9 @@ class TestPlanStability:
         assert np.array_equal(plan1.slots, plan2.slots)
 
         key1, key2 = bytes(range(16)), bytes(range(16, 32))
-        enc = rotate_flip_blocks(stack_to_plane(marked, grid), grid, plan2.rot_eligible, key2)
-        enc = block_stack(scramble_blocks(enc, grid, plan2.scr_eligible, key1), grid)
+        enc = stack_to_plane(marked, grid)
+        enc = ref_rotate_flip(enc, grid, plan2.rot_eligible, key2, TAG_ORIENT)
+        enc = block_stack(ref_scramble(enc, grid, plan2.scr_eligible, key1, TAG_SCRAMBLE), grid)
         plan3 = build_order_plan(enc, pair)
 
         assert self._content_keys(enc, pair, plan3) == self._content_keys(
@@ -511,8 +513,8 @@ class TestPlanStability:
             enc.ravel()[plan3.slots], marked.ravel()[plan2.slots]
         )
 
-        from blockmark import unscramble_blocks
-
-        unscrambled = unscramble_blocks(stack_to_plane(enc, grid), grid, plan3.scr_eligible, key1)
+        unscrambled = ref_scramble(
+            stack_to_plane(enc, grid), grid, plan3.scr_eligible, key1, TAG_SCRAMBLE, inverse=True
+        )
         plan4 = build_order_plan(block_stack(unscrambled, grid), pair)
         assert np.array_equal(plan4.rot_eligible, plan2.rot_eligible)
