@@ -48,12 +48,23 @@ class HistPair:
 
 
 def histogram(plane: np.ndarray) -> np.ndarray:
-    """Count of each sample value. `np.bincount` casts its input to intp (8
-    bytes a sample), so it runs on chunks of 65,536 samples."""
+    """Count of each sample value in a `uint8` plane. Samples are counted in
+    pairs: the even-length prefix, viewed as `uint16`, is bincounted into
+    65,536 bins, and the row and column sums of that `(256, 256)` table count
+    each pair's two samples, in either byte order. `np.bincount` casts its
+    input to intp (8 bytes an item), so it runs on chunks of 65,536 pairs. A
+    trailing odd sample is counted on its own."""
+    if plane.dtype != np.uint8:  # the pair view would misread wider samples
+        raise ValueError(f"plane must be uint8, got {plane.dtype}")
     flat = plane.ravel()
-    hist = np.zeros(256, dtype=np.intp)
-    for start in range(0, flat.size, 65536):
-        hist += np.bincount(flat[start : start + 65536], minlength=256)
+    pairs = flat[: flat.size & ~1].view(np.uint16)
+    table = np.zeros(65536, dtype=np.intp)
+    for start in range(0, pairs.size, 65536):
+        table += np.bincount(pairs[start : start + 65536], minlength=65536)
+    table = table.reshape(256, 256)
+    hist = table.sum(axis=0) + table.sum(axis=1)
+    if flat.size & 1:
+        hist[flat[-1]] += 1
     return hist
 
 
@@ -126,10 +137,12 @@ def capacity(plane: np.ndarray, pair: HistPair) -> int:
 def embed_bits(
     plane: np.ndarray, pair: HistPair, slots: np.ndarray, bits: np.ndarray
 ) -> np.ndarray:
-    """Write bits into slot pixels (flat indices, caller's order).
+    """Write bits into slot pixels (flat indices, caller's order) in place,
+    and return `plane` itself.
 
     Slot k moves to the marked value for a 1-bit and stays at pp for a
-    0-bit; slots beyond len(bits) are untouched.
+    0-bit; slots beyond len(bits) are untouched. Every check runs before
+    the first write.
     """
     slots = np.asarray(slots, dtype=np.intp)
     bits = np.asarray(bits)
@@ -137,26 +150,21 @@ def embed_bits(
         raise CapacityExceededError(
             f"payload of {bits.size} bits exceeds {slots.size} available slots"
         )
-    if not ((bits == 0) | (bits == 1)).all():  # before the cast truncates
+    if not ((bits == 0) | (bits == 1)).all():  # 0.6 must not pass as a 0-bit
         raise ValueError("payload bits must be 0 or 1")
-    bits = bits.astype(np.uint8, copy=False)
-    out = plane.copy()
-    flat = out.ravel()
     used = slots[: bits.size]
-    if np.any(flat[used] != pair.pp):
+    if np.any(np.take(plane, used) != pair.pp):
         raise ValueError("slots must address pp-valued pixels")
-    flat[used[bits == 1]] = pair.marked_value
-    return out
+    np.put(plane, used[bits == 1], pair.marked_value)
+    return plane
 
 
 def extract_bits(
     plane: np.ndarray, pair: HistPair, slots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read bits back from slot pixels and restore them to pp."""
+    """Read bits back from slot pixels and restore them to pp in place;
+    returns the bits and `plane` itself."""
     slots = np.asarray(slots, dtype=np.intp)
-    out = plane.copy()
-    flat = out.ravel()
-    values = flat[slots]
-    bits = (values == pair.marked_value).astype(np.uint8)
-    flat[slots] = pair.pp
-    return bits, out
+    bits = (np.take(plane, slots) == pair.marked_value).astype(np.uint8)
+    np.put(plane, slots, pair.pp)
+    return bits, plane

@@ -2,27 +2,25 @@
 
 Embedding visits payload slots block by block, on a plane's `(n_blocks, b,
 b)` block stack. Both the within-block scan and the among-block sequence
-must be recoverable from pixel content alone, after blocks have been
-relocated, rotated, or flipped. Two devices make that possible:
+must be recoverable from pixel content alone after blocks are relocated,
+rotated or flipped. Both come from the slots' (block, cell) coordinates:
 
-* Within a block, the slot mask is scanned under the dihedral orientation
+* Within a block, the slots are scanned under the dihedral orientation
   (one of 8: four rotations, each optionally mirrored) whose raster-index
   signature is lexicographically smallest. Packed most-significant-bit
   first, that orientation's mask is the largest, so `canonicalize` keeps
-  the largest packed mask as the block's canonical key: an orientation
-  invariant. When a single orientation attains it, the visiting order is
-  invariant too. Blocks where several orientations tie are "ambiguous":
-  they are scanned as-is and must never be rotated or flipped.
+  it as the block's canonical key: an orientation invariant. When a single
+  orientation attains it, the visiting order is invariant too. Blocks
+  where several orientations tie are "ambiguous": they are scanned as-is
+  and must never be rotated or flipped.
 
 * Among blocks, marked blocks are sorted by (scope label, slot count
-  descending, shifted-band count ascending, canonical signature ascending).
-  For equal slot counts a smaller signature is exactly a larger canonical
-  key, so one `np.lexsort` orders them. Blocks whose key collides with
-  another block's of the same label (equal adjacent rows after the sort)
-  fall back to block-index order and must never be relocated; everything
-  else may move freely because its key, not its position, fixes its place
-  in the sequence. A scope is a label: each label's slice of the plan is
-  the plan of that label's blocks alone.
+  descending, shifted-band count ascending, canonical signature ascending):
+  for equal slot counts a smaller signature is a larger key, so one
+  `np.lexsort` orders them. Blocks whose key collides with another block's
+  of the same label fall back to block-index order and must never be
+  relocated; any other block's key, not its position, fixes its place.
+  Each label's slice of the plan is the plan of that label's blocks alone.
 
 Blocks without slots carry no ordering constraints and are always eligible
 for both encryption steps.
@@ -79,9 +77,7 @@ def transport_mask(mask: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.nda
     return out
 
 
-def canonicalize(
-    mask_blocks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def canonicalize(mask_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical orientation of every block in an (n, cells) bool stack.
 
     Returns `(orientation, ambiguous, key)`. `key[i]` is block i's mask under
@@ -89,23 +85,34 @@ def canonicalize(
     holds cells 64j..64j+63, the earliest cell in the most significant bit,
     zero-padded). The canonical orientation is the one whose packed mask is
     largest; `ambiguous[i]` is True when several orientations attain it, and
-    `orientation[i]` is then 0. Each orientation is applied to the whole
-    stack at once, as a strided view, and packed.
-
-    Raises GeometryError when `cells` is not a square and ValueError when a
-    block has no marked cells: callers must skip slotless blocks.
+    `orientation[i]` is then 0. The marked cells' coordinates go through
+    the plan's own code. Raises GeometryError when `cells` is not a square
+    and ValueError when a block has no marked cells (skip slotless blocks).
     """
     mask_blocks = np.asarray(mask_blocks, dtype=bool)
     n, cells = mask_blocks.shape
     side = math.isqrt(cells)
     if side * side != cells:
         raise GeometryError("mask blocks are not square")
-    squares = mask_blocks.reshape(n, side, side)
+    scan = np.argsort(orientation_permutations(side), axis=1)
+    return _canonical(*np.nonzero(mask_blocks), n, scan)
+
+
+def _canonical(row: np.ndarray, cell: np.ndarray, n: int, scan: np.ndarray):
+    """`canonicalize` of n blocks whose marked cells are `(row[k], cell[k])`,
+    with `scan[o, c]` the position of cell c under orientation o. Each
+    orientation sets its positions in one zeroed bit per cell, packs, clears."""
+    cells = scan.shape[1]
     n_words = -(-cells // 64)
+    pos = scan[:, cell]
+    pos += row * cells
     packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
+    bits = np.zeros(n * cells, dtype=bool)
     for o in range(N_ORIENTATIONS):
-        row = np.packbits(apply_orientation(squares, o).reshape(n, cells), axis=1)
-        packed[:, o, : row.shape[1]] = row
+        bits[pos[o]] = True
+        packed[:, o, : -(-cells // 8)] = np.packbits(bits.reshape(n, cells), axis=1)
+        bits.fill(False)
+    del pos, bits  # the word loop's temporaries would otherwise stack on them
     words = packed.view(">u8")  # (n, 8, n_words)
 
     # Lexicographic maximum over orientations, one word at a time: `cand`
@@ -146,15 +153,10 @@ class OrderPlan:
 
 
 def build_order_plan(
-    stack: np.ndarray,
-    pair: HistPair,
-    labels: np.ndarray | None = None,
+    stack: np.ndarray, pair: HistPair, labels: np.ndarray | None = None
 ) -> OrderPlan:
     """Derive the full plan from the `(n_blocks, b, b)` block stack of an
-    intermediate or marked plane. Slots are counted per block from the slot
-    pixels; only the blocks that carry slots are gathered for their slot
-    masks and shifted-band counts.
-
+    intermediate or marked plane, from its slots' (block, cell) coordinates.
     `labels` gives every block a scope label (all zero by default). Ordering
     and tie flags never cross labels, so each label's slice of the plan is
     the plan of that label's blocks alone.
@@ -165,24 +167,28 @@ def build_order_plan(
     if labels.shape != (n_blocks,):
         raise ValueError(f"labels must hold one entry per block ({n_blocks})")
 
+    # int32 coordinates, where they fit, halve the plan's largest arrays.
+    coord = np.int32 if n_blocks * cells < 2**31 else np.intp
     flat = stack.reshape(n_blocks, cells)
-    counts = np.bincount(np.flatnonzero(marked_mask(flat, pair)) // cells, minlength=n_blocks)
+    slots = np.flatnonzero(marked_mask(flat, pair)).astype(coord)
+    row, cell = np.divmod(slots, cells)
+    counts = np.bincount(row, minlength=n_blocks)
     marked = np.flatnonzero(counts)
-    values = flat[marked]
-    mask_blocks = marked_mask(values, pair)
-    # Pixels in [lo, hi]: unsigned wrap-around maps the band onto
-    # [0, hi - lo], so one compare, written into one temporary, finds it.
-    # An empty band (lo = hi + 1, up to 256) compares with -1: no pixel.
+    # Slots come in block order: `row` becomes each slot's marked-block row.
+    row = np.repeat(np.arange(marked.size, dtype=coord), counts[marked])
+    # Unsigned wrap-around maps the band [lo, hi] onto [0, hi - lo] (an empty
+    # one, lo = hi + 1, onto -1), so one compare in one temporary finds it.
     lo, hi = pair.band
-    in_band = values - np.uint8(lo & 0xFF)
+    in_band = flat[marked] - np.uint8(lo & 0xFF)
     shifted = np.less_equal(in_band, hi - lo, out=in_band.view(np.bool_)).sum(axis=1)
-    del in_band, values
+    del in_band
 
-    orientation, ambiguous, key = canonicalize(mask_blocks)
+    scan = np.argsort(orientation_permutations(b), axis=1).astype(coord)
+    orientation, ambiguous, key = _canonical(row, cell, marked.size, scan)
     # Sort by (label, slot count desc, shifted asc, signature asc, index).
     # With equal slot counts the smaller signature is the larger packed key.
     order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked], labels[marked]))
-    blocks, orientation = marked[order], orientation[order]
+    blocks = marked[order]
     key, shifted, block_labels = key[order], shifted[order], labels[blocks]
 
     # Equal sort keys sit in adjacent rows. Equal canonical masks imply
@@ -195,19 +201,13 @@ def build_order_plan(
     rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 
-    # Visit each block's slots in its canonical scan order (raster order
-    # for ambiguous blocks, whose orientation reads 0): `scan[o, c]` is the
-    # position of source cell c in the scan under orientation o.
-    scan = np.argsort(orientation_permutations(b), axis=1)
-    row, cell = np.nonzero(mask_blocks[order])
-    visit = np.argsort(row * cells + scan[orientation[row], cell])
-    row, cell = row[visit], cell[visit]
+    # Visit blocks in plan order, each block's slots in its canonical scan
+    # order (raster order for ambiguous blocks, whose orientation reads 0).
+    rank = np.empty(marked.size, dtype=coord)
+    rank[order] = np.arange(marked.size, dtype=coord)
+    slots = slots[np.argsort(rank[row] * cells + scan[orientation.astype(coord)[row], cell])]
 
     return OrderPlan(
-        blocks=blocks,
-        tie_flagged=tie_flagged,
-        rot_eligible=rot_eligible,
-        scr_eligible=~tie_flagged,
-        slots=blocks[row] * cells + cell,
-        slot_labels=block_labels[row],
+        blocks=blocks, tie_flagged=tie_flagged, rot_eligible=rot_eligible,
+        scr_eligible=~tie_flagged, slots=slots, slot_labels=labels[slots // cells],
     )

@@ -3,10 +3,14 @@
 The reference functions deliberately avoid the library's vectorized code
 paths (pure-Python loops, Counter-based histograms, list-based matrix
 transforms) so tests compare two independent routes to the same answer.
+The one exception, `ref_mask_stack_plan`, is an array plan that works on a
+per-cell mask stack of the marked blocks, where the library works on slot
+coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -22,12 +26,14 @@ from blockmark import (
     build_order_plan,
     embed_bits,
     find_pp_zp,
+    marked_mask,
     plane_key,
     shift_histogram,
     split_blocks,
     stack_to_plane,
 )
 from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE, draw_orientations, draw_permutation
+from blockmark.ordering import N_ORIENTATIONS, OrderPlan, apply_orientation, orientation_permutations
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -237,6 +243,72 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
         "scr_eligible": set(scope) - tied,
         "slots": [s for a in order for s in entries[a][2]],
     }
+
+
+def ref_mask_stack_canonicalize(mask_blocks: np.ndarray):
+    """`canonicalize` over an `(n, cells)` bool stack, by packing each
+    orientation of the whole stack as a strided view."""
+    n, cells = mask_blocks.shape
+    side = math.isqrt(cells)
+    squares = mask_blocks.reshape(n, side, side)
+    n_words = -(-cells // 64)
+    packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
+    for o in range(N_ORIENTATIONS):
+        row = np.packbits(apply_orientation(squares, o).reshape(n, cells), axis=1)
+        packed[:, o, : row.shape[1]] = row
+    words = packed.view(">u8")  # (n, 8, n_words)
+    cand = np.ones((n, N_ORIENTATIONS), dtype=bool)
+    key = np.empty((n, n_words), dtype=np.uint64)
+    for j in range(n_words):
+        w = words[:, :, j]
+        best = np.where(cand, w, 0).max(axis=1, initial=0)
+        cand &= w == best[:, None]
+        key[:, j] = best
+    assert key.any(axis=1).all(), "every block must carry a slot"
+    ambiguous = cand.sum(axis=1) > 1
+    return np.where(ambiguous, 0, cand.argmax(axis=1)), ambiguous, key
+
+
+def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> OrderPlan:
+    """`build_order_plan` from the marked blocks' `(n, cells)` slot-mask
+    stack: canonicalize the stack, sort the blocks, then read each sorted
+    mask's slots with `np.nonzero` and order them by scan position."""
+    n_blocks, b, _ = stack.shape
+    cells = b * b
+    labels = np.zeros(n_blocks, np.intp) if labels is None else np.asarray(labels)
+    flat = stack.reshape(n_blocks, cells)
+    counts = np.bincount(np.flatnonzero(marked_mask(flat, pair)) // cells, minlength=n_blocks)
+    marked = np.flatnonzero(counts)
+    values = flat[marked]
+    mask_blocks = marked_mask(values, pair)
+    lo, hi = pair.band
+    shifted = ((values >= lo) & (values <= hi)).sum(axis=1)
+
+    orientation, ambiguous, key = ref_mask_stack_canonicalize(mask_blocks)
+    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked], labels[marked]))
+    blocks, orientation = marked[order], orientation[order]
+    key, shifted, block_labels = key[order], shifted[order], labels[blocks]
+
+    same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
+    same &= block_labels[1:] == block_labels[:-1]
+    tie_flagged = np.zeros(n_blocks, dtype=bool)
+    tie_flagged[blocks[1:][same]] = True
+    tie_flagged[blocks[:-1][same]] = True
+    rot_eligible = np.ones(n_blocks, dtype=bool)
+    rot_eligible[marked[ambiguous]] = False
+
+    scan = np.argsort(orientation_permutations(b), axis=1)
+    row, cell = np.nonzero(mask_blocks[order])
+    visit = np.argsort(row * cells + scan[orientation[row], cell])
+    row, cell = row[visit], cell[visit]
+    return OrderPlan(
+        blocks=blocks,
+        tie_flagged=tie_flagged,
+        rot_eligible=rot_eligible,
+        scr_eligible=~tie_flagged,
+        slots=blocks[row] * cells + cell,
+        slot_labels=block_labels[row],
+    )
 
 
 def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: Mode) -> Image:

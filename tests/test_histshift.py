@@ -33,13 +33,22 @@ plane_strategy = arrays(
 
 
 class TestHistogram:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 65535), (256, 256), (1, 65537), (7, 28087)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 65535), (256, 256), (1, 65537), (7, 28087), (3, 5), (1, 131073), (363, 363)],
+    )
     def test_counts_every_sample(self, rng, shape):
-        # Shapes around and across the 65,536-sample chunks it counts in.
+        # Odd and even sizes, around and across the 65,536-pair chunks it
+        # counts in (131,072 samples).
         plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
         want = np.array([np.count_nonzero(plane == v) for v in range(256)])
         assert np.array_equal(histogram(plane), want)
         assert np.array_equal(histogram(plane.T), want)  # non-contiguous
+
+    def test_rejects_wider_samples(self):
+        # Viewed as uint16 pairs, int64 samples would be miscounted silently.
+        with pytest.raises(ValueError, match="uint8"):
+            histogram(np.zeros((2, 2), dtype=np.int64))
 
 
 class TestFindPair:
@@ -204,7 +213,7 @@ class TestEmbedExtract:
         pair = find_pp_zp(plane)
         inter = shift_histogram(plane, pair)
         slots = self._slots(inter, pair)
-        assert np.array_equal(embed_bits(inter, pair, slots, []), inter)
+        assert np.array_equal(embed_bits(inter.copy(), pair, slots, []), inter)
 
     def test_capacity_exceeded(self):
         plane = np.array([[2, 2, 2, 0]], dtype=np.uint8)
@@ -223,15 +232,58 @@ class TestEmbedExtract:
         plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
         pair = HistPair(pp=2, zp=6)
         slots = self._slots(plane, pair)
-        marked = embed_bits(plane, pair, slots, [1, 0, 1])
-        bits, restored = extract_bits(marked, pair, slots)
+        marked = embed_bits(plane.copy(), pair, slots, [1, 0, 1])
+        assert marked.tolist() == [[3, 0, 2, 3]]
+        bits, restored = extract_bits(marked.copy(), pair, slots)
         assert bits.tolist() == [1, 0, 1]
         assert np.array_equal(restored, plane)
+
+    def test_writes_in_place(self):
+        # Both calls write into the array they are given and return it.
+        plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
+        pair = HistPair(pp=2, zp=6)
+        slots = self._slots(plane, pair)
+        work = plane.copy()
+        assert embed_bits(work, pair, slots, [1, 0, 1]) is work
+        assert work.tolist() == [[3, 0, 2, 3]]
+        bits, restored = extract_bits(work, pair, slots)
+        assert restored is work
+        assert bits.tolist() == [1, 0, 1]
+        assert np.array_equal(work, plane)
+
+    def test_strided_plane_written_in_place(self):
+        # A non-contiguous plane is written through, not through a copy.
+        base = np.zeros((2, 8), dtype=np.uint8)
+        view = base[:, ::2]
+        view[:] = [[2, 0, 2, 2], [2, 2, 0, 0]]
+        pair = HistPair(pp=2, zp=6)
+        slots = self._slots(view, pair)
+        assert embed_bits(view, pair, slots, [1, 1, 0, 1, 1]) is view
+        assert base[:, ::2].tolist() == [[3, 0, 3, 2], [3, 3, 0, 0]]
+        assert not base[:, 1::2].any()
+        bits, _ = extract_bits(view, pair, slots)
+        assert bits.tolist() == [1, 1, 0, 1, 1]
+        assert base[:, ::2].tolist() == [[2, 0, 2, 2], [2, 2, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "slots, bits, error",
+        [
+            ([0, 2, 3], [1, 0, 1, 1], CapacityExceededError),
+            ([0, 2, 3], [1, 2, 1], ValueError),
+            ([0, 1, 2], [1, 1, 1], ValueError),
+        ],
+    )
+    def test_rejected_embed_writes_nothing(self, slots, bits, error):
+        plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
+        work = plane.copy()
+        with pytest.raises(error):
+            embed_bits(work, HistPair(pp=2, zp=6), np.array(slots), bits)
+        assert np.array_equal(work, plane)
 
     def test_no_marked_pixels(self, rng):
         plane = valid_pair_plane(rng)
         pair = find_pp_zp(plane)
-        bits, restored = extract_bits(plane, pair, np.empty(0, dtype=np.intp))
+        bits, restored = extract_bits(plane.copy(), pair, np.empty(0, dtype=np.intp))
         assert bits.size == 0
         assert np.array_equal(restored, plane)
 
@@ -241,8 +293,8 @@ class TestEmbedExtract:
             pair = find_pp_zp(plane)
             inter = shift_histogram(plane, pair)
             slots = self._slots(inter, pair)
-            marked = embed_bits(inter, pair, slots, np.ones(slots.size, np.uint8))
-            bits, restored = extract_bits(marked, pair, slots)
+            marked = embed_bits(inter.copy(), pair, slots, np.ones(slots.size, np.uint8))
+            bits, restored = extract_bits(marked.copy(), pair, slots)
             assert bits.all() and bits.size == slots.size
             assert np.array_equal(restored, inter)
 
@@ -268,8 +320,8 @@ class TestEmbedExtract:
             data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
             dtype=np.uint8,
         )
-        marked = embed_bits(inter, pair, slots, bits)
-        got, restored = extract_bits(marked, pair, slots[:n])
+        marked = embed_bits(inter.copy(), pair, slots, bits)
+        got, restored = extract_bits(marked.copy(), pair, slots[:n])
         assert np.array_equal(got, bits)
         assert np.array_equal(restored, inter)
 
@@ -278,7 +330,7 @@ class TestEmbedExtract:
         pair = find_pp_zp(plane)
         inter = shift_histogram(plane, pair)
         slots = self._slots(inter, pair)
-        marked = embed_bits(inter, pair, slots, random_bits(rng, slots.size))
+        marked = embed_bits(inter.copy(), pair, slots, random_bits(rng, slots.size))
         assert np.array_equal(marked_mask(inter, pair), marked_mask(marked, pair))
 
 

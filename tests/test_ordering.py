@@ -25,6 +25,7 @@ from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 from conftest import (
     key_signature,
     ref_canonical_signature,
+    ref_mask_stack_plan,
     ref_order_plan,
     ref_orientation,
     ref_rotate_flip,
@@ -316,6 +317,40 @@ class TestPlanOracle:
             assert plan.slots[plan.slot_labels == j].tolist() == ref["slots"]
 
 
+@st.composite
+def stack_cases(draw):
+    """Block stacks of sides 2 to 32 (cell counts that are not whole bytes,
+    keys of 1 to 16 words) with sparse, dense or all-slot marked blocks,
+    slotless blocks, copies of blocks under random orientations (so keys
+    tie), and one or two labels."""
+    block = draw(st.sampled_from([2, 3, 4, 5, 8, 16, 32]))
+    n = draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.03, 0.5, 1.0]))
+    pair = draw(st.sampled_from([HistPair(100, 110), HistPair(100, 90), HistPair(100, 102)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Background values in and out of the shifted band; slots hold pp or
+    # the marked value.
+    stack = rng.choice(np.array([60, 104, 96, 140], np.uint8), size=(n, block, block))
+    slot = rng.random((n, block, block)) < density
+    slot[rng.random(n) < 0.2] = False
+    stack[slot] = rng.choice(np.array([pair.pp, pair.marked_value], np.uint8), slot.sum())
+    for k in np.flatnonzero(rng.random(n) < 0.3):
+        stack[k] = apply_orientation(stack[rng.integers(n)], int(rng.integers(8)))
+    labels = None if draw(st.booleans()) else rng.random(n) < 0.5
+    return stack, pair, labels
+
+
+class TestMaskStackOracle:
+    @settings(max_examples=300)
+    @given(stack_cases())
+    def test_matches_mask_stack_plan(self, case):
+        stack, pair, labels = case
+        got, want = build_order_plan(stack, pair, labels), ref_mask_stack_plan(stack, pair, labels)
+        for field in ("blocks", "tie_flagged", "rot_eligible", "scr_eligible", "slots", "slot_labels"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), field
+
+
 class TestOrderPlan:
     def test_no_marked_blocks(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
@@ -483,7 +518,7 @@ class TestPlanStability:
 
         plan1 = build_order_plan(inter, pair)
         bits = rng.integers(0, 2, size=plan1.slots.size, dtype=np.uint8)
-        marked = embed_bits(inter, pair, plan1.slots, bits)
+        marked = embed_bits(inter.copy(), pair, plan1.slots, bits)
         plan2 = build_order_plan(marked, pair)
 
         assert plan1.blocks.tolist() == plan2.blocks.tolist()
