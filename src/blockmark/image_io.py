@@ -39,9 +39,11 @@ class Image:
             a = np.asarray(p)
             if a.ndim != 2:
                 raise ValueError("plane must be a 2-D array")
+            # Checked before the cast, which would truncate 0.6 (and NaN) to 0;
+            # the range check comes first, so `% 1` sees only finite values.
             if a.dtype != np.uint8:
-                if a.min() < 0 or a.max() > 255:
-                    raise ValueError("samples must lie in [0, 255]")
+                if not ((a >= 0) & (a <= 255)).all() or (a % 1).any():
+                    raise ValueError("samples must be whole numbers in [0, 255]")
                 a = a.astype(np.uint8)
             if shape is None:
                 shape = a.shape

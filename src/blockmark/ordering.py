@@ -69,14 +69,6 @@ def orientation_permutations(block: int) -> np.ndarray:
     )
 
 
-def transport_mask(mask: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Block mask carried along when the content of block `src[k]` moves to
-    block `dst[k]`."""
-    out = mask.copy()
-    out[dst] = mask[src]
-    return out
-
-
 def canonicalize(mask_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical orientation of every block in an (n, cells) bool stack.
 
@@ -138,14 +130,13 @@ class OrderPlan:
     `blocks` holds the marked (slot-carrying) block indices in embedding
     order, label by label, and `slots` their slots in the same order;
     `slot_labels` holds each slot's scope label, so scope `j` embeds into
-    `slots[slot_labels == j]`. `tie_flagged`, `rot_eligible` and
-    `scr_eligible` are boolean masks with one entry per block: entry `a` is
-    True when block `a` shares its sort key within its label, may be
-    rotated/flipped, or may be scrambled. Scope `j`'s are `mask & (labels == j)`.
+    `slots[slot_labels == j]`. `rot_eligible` and `scr_eligible` are boolean
+    masks with one entry per block: entry `a` is True when block `a` may be
+    rotated/flipped, or may be scrambled (it may not when its sort key ties
+    within its label). Scope `j`'s are `mask & (labels == j)`.
     """
 
     blocks: np.ndarray  # intp marked block indices, embedding order
-    tie_flagged: np.ndarray  # bool per block index
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
     slots: np.ndarray  # stack-flat indices block * b * b + cell, embedding order
@@ -158,8 +149,8 @@ def build_order_plan(
     """Derive the full plan from the `(n_blocks, b, b)` block stack of an
     intermediate or marked plane, from its slots' (block, cell) coordinates.
     `labels` gives every block a scope label (all zero by default). Ordering
-    and tie flags never cross labels, so each label's slice of the plan is
-    the plan of that label's blocks alone.
+    and sort-key ties never cross labels, so each label's slice of the plan
+    is the plan of that label's blocks alone.
     """
     n_blocks, b, _ = stack.shape
     cells = b * b
@@ -195,9 +186,8 @@ def build_order_plan(
     # equal slot counts, so the labels, key words and shifted counts suffice.
     same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
     same &= block_labels[1:] == block_labels[:-1]
-    tie_flagged = np.zeros(n_blocks, dtype=bool)
-    tie_flagged[blocks[1:][same]] = True
-    tie_flagged[blocks[:-1][same]] = True
+    scr_eligible = np.ones(n_blocks, dtype=bool)
+    scr_eligible[blocks[1:][same]] = scr_eligible[blocks[:-1][same]] = False
     rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 
@@ -207,7 +197,4 @@ def build_order_plan(
     rank[order] = np.arange(marked.size, dtype=coord)
     slots = slots[np.argsort(rank[row] * cells + scan[orientation.astype(coord)[row], cell])]
 
-    return OrderPlan(
-        blocks=blocks, tie_flagged=tie_flagged, rot_eligible=rot_eligible,
-        scr_eligible=~tie_flagged, slots=slots, slot_labels=labels[slots // cells],
-    )
+    return OrderPlan(blocks, rot_eligible, scr_eligible, slots, labels[slots // cells])

@@ -22,8 +22,10 @@ Encryption only moves block content, and every slot moves with its block,
 so embedding writes every scope into its plan's slots before any block
 moves: an encrypted-first scope gets the pixels a hider working on the
 ciphertext would write. The mode is recorded in the side info and changes
-no pixel. Decryption carries the rotation set through the unscramble
-instead of planning again.
+no pixel. The cipher runs per scope and key group (one plane each under
+per-plane keys, all planes under shared keys), and decryption mirrors it:
+it moves the rotation mask with its blocks as it unscrambles, then
+unrotates, so it too plans each plane once.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .histshift import (
     unshift_histogram,
 )
 from .image_io import BlockGrid, Image, block_stack, split_blocks, stack_to_plane
-from .ordering import OrderPlan, build_order_plan, transport_mask
+from .ordering import OrderPlan, build_order_plan
 
 SIDEINFO_MAGIC = b"ETRD"
 SIDEINFO_VERSION = 1
@@ -190,74 +192,63 @@ def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.nda
     return RegionMap.derive(k_region, grid).labels, [b"/A", b"/B"]
 
 
-def _key_masks(keys: KeySet, masks: list[np.ndarray]) -> list[np.ndarray]:
-    """One eligibility mask per plane. With shared keys every plane moves the
-    same blocks, so each plane gets the blocks that all planes allow."""
-    if keys.per_plane:
-        return list(masks)
-    return [np.logical_and.reduce(masks)] * len(masks)
-
-
-def _scope_masks(
+def _cipher_masks(
     keys: KeySet, plans: list[OrderPlan], labels: np.ndarray, n_scopes: int
-) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Per scope, the rotation and the scramble mask of every plane."""
+) -> list[tuple[int, list[int], int | None, np.ndarray, np.ndarray]]:
+    """One `(scope, planes, subkey index, rot mask, scr mask)` entry per scope
+    and key group. With per-plane keys each plane is a group under its own
+    subkey; with shared keys all planes form one group under the shared key
+    and move the blocks that every plane allows."""
+    n = len(plans)
+    groups = [([i], i) for i in range(n)] if keys.per_plane else [(list(range(n)), None)]
     return [
         (
-            _key_masks(keys, [p.rot_eligible & (labels == j) for p in plans]),
-            _key_masks(keys, [p.scr_eligible & (labels == j) for p in plans]),
+            j,
+            planes,
+            sub,
+            np.logical_and.reduce([plans[i].rot_eligible for i in planes]) & (labels == j),
+            np.logical_and.reduce([plans[i].scr_eligible for i in planes]) & (labels == j),
         )
         for j in range(n_scopes)
+        for planes, sub in groups
     ]
 
 
-def _draws(keys: KeySet, key: bytes, masks: list[np.ndarray], draw, tag: bytes):
-    """Per plane, the blocks its mask allows and `draw` for them under
-    `key`'s plane subkey. With shared keys every plane has the same mask and
-    key, so one draw serves them all."""
-    drawn = None
-    for i, mask in enumerate(masks):
-        if drawn is None or keys.per_plane:
-            blocks = np.flatnonzero(mask)
-            drawn = blocks, draw(blocks.size, plane_key(key, i if keys.per_plane else None), tag)
-        yield drawn
+def _encrypt(stacks: list[np.ndarray], entries: list, keys: KeySet, suffixes: list[bytes]) -> None:
+    """Rotate/flip, then scramble, each entry's blocks in every plane of its
+    group, in place on the block stacks."""
+    for j, planes, sub, rot, scr in entries:
+        suffix = suffixes[j]
+        blocks = np.flatnonzero(rot)
+        ids = draw_orientations(blocks.size, plane_key(keys.k_orient, sub), TAG_ORIENT + suffix)
+        for i in planes:
+            orient_blocks(stacks[i], blocks, ids)
+        blocks = np.flatnonzero(scr)
+        perm = draw_permutation(blocks.size, plane_key(keys.k_scramble, sub), TAG_SCRAMBLE + suffix)
+        src = blocks[perm]
+        del perm  # before the moves, which copy the moved blocks
+        for i in planes:
+            move_blocks(stacks[i], src, blocks)
 
 
-def _encrypt_planes(
-    stacks: list[np.ndarray],
-    masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
-    keys: KeySet,
-    suffixes: list[bytes],
-) -> None:
-    """Rotate/flip then scramble the eligible blocks of each plane's block
-    stack in place, scope by scope."""
-    for s, (rot, scr) in zip(suffixes, masks):
-        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s)
-        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s)
-        for stack, (rotated, ids), (blocks, perm) in zip(stacks, orients, perms):
-            orient_blocks(stack, rotated, ids)
-            move_blocks(stack, blocks[perm], blocks)
-
-
-def _unscramble_planes(
-    stacks: list[np.ndarray],
-    masks: list[tuple[list[np.ndarray], list[np.ndarray]]],
-    keys: KeySet,
-    suffixes: list[bytes],
-) -> list[list[np.ndarray]]:
-    """Unscramble the eligible blocks of each plane's block stack in place,
-    scope by scope. Returns each scope's rotation masks, carried along with
-    the blocks they describe."""
-    rots = []
-    for s, (rot, scr) in zip(suffixes, masks):
-        rot = list(rot)
-        perms = _draws(keys, keys.k_scramble, scr, draw_permutation, TAG_SCRAMBLE + s)
-        for i, (blocks, perm) in enumerate(perms):
-            dst = blocks[perm]
+def _decrypt(stacks: list[np.ndarray], entries: list, keys: KeySet, suffixes: list[bytes]) -> None:
+    """Unscramble, then unrotate, each entry's blocks in every plane of its
+    group, in place. The rotation mask describes the scrambled blocks, so it
+    moves with them before the unrotation reads it."""
+    for j, planes, sub, rot, scr in entries:
+        suffix = suffixes[j]
+        blocks = np.flatnonzero(scr)
+        perm = draw_permutation(blocks.size, plane_key(keys.k_scramble, sub), TAG_SCRAMBLE + suffix)
+        dst = blocks[perm]
+        del perm  # before the moves, which copy the moved blocks
+        for i in planes:
             move_blocks(stacks[i], blocks, dst)
-            rot[i] = transport_mask(rot[i], blocks, dst)
-        rots.append(rot)
-    return rots
+        rot[dst] = rot[blocks]
+        del blocks, dst  # before the orientation draw
+        blocks = np.flatnonzero(rot)
+        ids = draw_orientations(blocks.size, plane_key(keys.k_orient, sub), TAG_ORIENT + suffix)
+        for i in planes:
+            orient_blocks(stacks[i], blocks, INVERSE_ORIENTATION[ids])
 
 
 def _plane_is_unshifted(plane: np.ndarray, pair: HistPair) -> bool:
@@ -300,7 +291,7 @@ def _embed(
     work = [shift_histogram(block_stack(p, grid), pair) for p, pair in zip(image.planes, pairs)]
     plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]
     slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
-    masks = _scope_masks(keys, plans, labels, len(suffixes))
+    entries = _cipher_masks(keys, plans, labels, len(suffixes))
     del plans  # the plans' arrays are not needed through the block moves
     # Every capacity is checked before any plane is written.
     chunks = [
@@ -315,7 +306,7 @@ def _embed(
     for i, pair in enumerate(pairs):
         for j in range(len(suffixes)):
             work[i] = embed_bits(work[i], pair, slots[j][i], chunks[j][i])
-    _encrypt_planes(work, masks, keys, suffixes)
+    _encrypt(work, entries, keys, suffixes)
     for i, stack in enumerate(work):
         work[i] = stack_to_plane(stack, grid)
 
@@ -445,16 +436,11 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
         work[i] = shift_histogram(work[i], side.pairs[i])
 
     # Scopes are disjoint and each one's plan depends only on its own
-    # blocks, so one plan per plane serves every scope. The rotation set
-    # travels with block content, so each unscramble carries it along.
+    # blocks, so one plan per plane serves every scope.
     plans = [build_order_plan(s, pair, labels) for s, pair in zip(work, side.pairs)]
-    masks = _scope_masks(keys, plans, labels, len(suffixes))
+    entries = _cipher_masks(keys, plans, labels, len(suffixes))
     del plans  # the plans' arrays are not needed through the block moves
-    rots = _unscramble_planes(work, masks, keys, suffixes)
-    for s, rot in zip(suffixes, rots):
-        orients = _draws(keys, keys.k_orient, rot, draw_orientations, TAG_ORIENT + s)
-        for stack, (blocks, ids) in zip(work, orients):
-            orient_blocks(stack, blocks, INVERSE_ORIENTATION[ids])
+    _decrypt(work, entries, keys, suffixes)
 
     for i in unshifted:
         work[i] = unshift_histogram(work[i], side.pairs[i])

@@ -170,13 +170,21 @@ def block_slice(grid, a: int) -> tuple[slice, slice]:
     return slice(r * b, (r + 1) * b), slice(c * b, (c + 1) * b)
 
 
-def ref_rotate_flip(plane, grid, mask, key: bytes, tag: bytes) -> np.ndarray:
+def ref_rotate_flip(plane, grid, mask, key: bytes, tag: bytes, inverse=False) -> np.ndarray:
     """Per-block reference for rotation/flip: a new plane whose k-th
-    eligible block (ascending index) is turned by the k-th drawn id."""
+    eligible block (ascending index) is turned by the k-th drawn id;
+    unrotating (`inverse`) undoes the mirror, then turns the block back."""
     out = plane.copy()
     e = np.flatnonzero(mask)
     for a, o in zip(e, draw_orientations(e.size, key, tag).tolist()):
-        out[block_slice(grid, a)] = ref_orientation(plane[block_slice(grid, a)].tolist(), o)
+        blk = plane[block_slice(grid, a)].tolist()
+        if inverse:
+            blk = ref_flip_h(blk) if o >= 4 else blk
+            for _ in range(o & 3):  # `o & 3` CCW quarter turns, undone CW
+                blk = ref_rot90_cw(blk)
+        else:
+            blk = ref_orientation(blk, o)
+        out[block_slice(grid, a)] = blk
     return out
 
 
@@ -291,9 +299,9 @@ def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> Order
 
     same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
     same &= block_labels[1:] == block_labels[:-1]
-    tie_flagged = np.zeros(n_blocks, dtype=bool)
-    tie_flagged[blocks[1:][same]] = True
-    tie_flagged[blocks[:-1][same]] = True
+    scr_eligible = np.ones(n_blocks, dtype=bool)
+    scr_eligible[blocks[1:][same]] = False
+    scr_eligible[blocks[:-1][same]] = False
     rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 
@@ -303,9 +311,8 @@ def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> Order
     row, cell = row[visit], cell[visit]
     return OrderPlan(
         blocks=blocks,
-        tie_flagged=tie_flagged,
         rot_eligible=rot_eligible,
-        scr_eligible=~tie_flagged,
+        scr_eligible=scr_eligible,
         slots=blocks[row] * cells + cell,
         slot_labels=block_labels[row],
     )
@@ -370,6 +377,45 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
     for j, (_, plain_first) in enumerate(scopes):
         if not plain_first:
             planes = embed_scope(planes, plans, j)
+    return Image(tuple(planes))
+
+
+def ref_decrypt(image: Image, pairs, keys, block: int, mode: Mode) -> Image:
+    """Per-block reference for `decrypt` of shifted planes: nothing is
+    carried through the unscramble.
+
+    Scope by scope (one whole-grid scope, or region A then B), it plans the
+    ciphertext and unscrambles one block at a time (`ref_scramble` with
+    `inverse`), then plans the unscrambled planes again and unrotates that
+    plan's rotation set one block at a time (`ref_rotate_flip` with
+    `inverse`). Each scope uses its own key tag suffix, and with shared keys
+    the masks intersected over planes.
+    """
+    grid = split_blocks(image.planes[0], block)
+    if mode == Mode.TWO_DOMAIN:
+        labels = RegionMap.derive(keys.k_region, grid).labels.astype(np.intp)
+        suffixes = [b"/A", b"/B"]
+    else:
+        labels = np.zeros(grid.n_blocks, dtype=np.intp)
+        suffixes = [b""]
+    planes = list(image.planes)
+    for j, suffix in enumerate(suffixes):
+        for step, key, tag, field in (
+            (ref_scramble, keys.k_scramble, TAG_SCRAMBLE, "scr_eligible"),
+            (ref_rotate_flip, keys.k_orient, TAG_ORIENT, "rot_eligible"),
+        ):
+            masks = [
+                getattr(build_order_plan(block_stack(p, grid), pair, labels), field)
+                & (labels == j)
+                for p, pair in zip(planes, pairs)
+            ]
+            if not keys.per_plane:
+                masks = [np.logical_and.reduce(masks)] * len(masks)
+            planes = [
+                step(p, grid, m, plane_key(key, i if keys.per_plane else None), tag + suffix,
+                     inverse=True)
+                for i, (p, m) in enumerate(zip(planes, masks))
+            ]
     return Image(tuple(planes))
 
 

@@ -96,6 +96,18 @@ class TestImage:
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             Image((np.array([[300]]),))
 
+    @pytest.mark.parametrize(
+        "value, whole", [(0.6, False), (np.nan, False), (255.0, True), (True, True)]
+    )
+    def test_samples_must_be_whole(self, value, whole):
+        # The uint8 cast would make 0.6 and NaN 0, NaN with only a warning.
+        plane = np.full((4, 4), value)
+        if whole:
+            assert Image((plane,)).planes[0].tolist() == [[int(value)] * 4] * 4
+        else:
+            with pytest.raises(ValueError, match="whole"):
+                Image((plane,))
+
 
 class TestBlockGrid:
     def test_even_split(self):

@@ -34,6 +34,12 @@ from conftest import (
 )
 
 
+def _mask(plan, field):
+    """A plan's block mask under its `ref_order_plan` name: a block is
+    tie-flagged exactly when it may not be scrambled."""
+    return ~plan.scr_eligible if field == "tie_flagged" else getattr(plan, field)
+
+
 def _sparse_mask(side, cells):
     mask = np.zeros(side * side, dtype=bool)
     mask[list(cells)] = True
@@ -218,13 +224,13 @@ class TestAmongOrder:
         stack = _stack_of_blocks({0: three, 1: five, 2: three}, 4, 3, shifted={0: 4, 2: 1})
         plan = build_order_plan(stack, MARK)
         assert plan.blocks.tolist() == [1, 2, 0]
-        assert not plan.tie_flagged.any()
+        assert plan.scr_eligible.all()
 
     def test_single_block(self):
         mask = _single_mask(4, 0, 1) | _single_mask(4, 0, 2)
         plan = build_order_plan(_stack_of_blocks({9: mask}, 4, 10), MARK)
         assert plan.blocks.tolist() == [9]
-        assert not plan.tie_flagged.any()
+        assert plan.scr_eligible.all()
 
     def test_forced_tie_uses_index(self):
         # Block 7 is a rotated copy of block 2: their keys collide.
@@ -234,7 +240,7 @@ class TestAmongOrder:
         )
         plan = build_order_plan(stack, MARK)
         assert plan.blocks.tolist() == [2, 7]
-        assert np.flatnonzero(plan.tie_flagged).tolist() == [2, 7]
+        assert np.flatnonzero(~plan.scr_eligible).tolist() == [2, 7]
 
     @pytest.mark.parametrize(
         "label_2, label_7, order, flagged",
@@ -251,7 +257,6 @@ class TestAmongOrder:
         labels[[2, 7]] = label_2, label_7
         plan = build_order_plan(stack, MARK, labels)
         assert plan.blocks.tolist() == order
-        assert np.flatnonzero(plan.tie_flagged).tolist() == flagged
         assert np.flatnonzero(~plan.scr_eligible).tolist() == flagged
         assert plan.slot_labels.tolist() == sorted([label_2] * 2 + [label_7] * 2)
 
@@ -263,7 +268,7 @@ class TestAmongOrder:
         assert _canonical(mask0, mask1)[2] == [(5, 6), (0, 6)]
         plan = build_order_plan(_stack_of_blocks({0: mask0, 1: mask1}, 4, 2), MARK)
         assert plan.blocks.tolist() == [1, 0]
-        assert not plan.tie_flagged.any()
+        assert plan.scr_eligible.all()
 
 
 @st.composite
@@ -312,7 +317,7 @@ class TestPlanOracle:
             ref = ref_order_plan(plane, pair, block, np.flatnonzero(labels == j))
             assert plan.blocks[block_labels == j].tolist() == ref["blocks"]
             for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
-                got = getattr(plan, field) & (labels == j)
+                got = _mask(plan, field) & (labels == j)
                 assert set(np.flatnonzero(got).tolist()) == ref[field]
             assert plan.slots[plan.slot_labels == j].tolist() == ref["slots"]
 
@@ -346,7 +351,7 @@ class TestMaskStackOracle:
     def test_matches_mask_stack_plan(self, case):
         stack, pair, labels = case
         got, want = build_order_plan(stack, pair, labels), ref_mask_stack_plan(stack, pair, labels)
-        for field in ("blocks", "tie_flagged", "rot_eligible", "scr_eligible", "slots", "slot_labels"):
+        for field in ("blocks", "rot_eligible", "scr_eligible", "slots", "slot_labels"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), field
 
@@ -375,7 +380,7 @@ class TestOrderPlan:
         assert plan.blocks.tolist() == ref["blocks"]
         assert plan.slots.tolist() == ref["slots"]
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
-            assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
+            assert set(np.flatnonzero(_mask(plan, field)).tolist()) == ref[field]
 
     @pytest.mark.parametrize(
         "pair",
@@ -392,7 +397,7 @@ class TestOrderPlan:
         assert plan.blocks.tolist() == ref["blocks"]
         assert plan.slots.tolist() == ref["slots"]
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
-            assert set(np.flatnonzero(getattr(plan, field)).tolist()) == ref[field]
+            assert set(np.flatnonzero(_mask(plan, field)).tolist()) == ref[field]
 
     def test_non_contiguous_plane(self, rng):
         # The block stacks of interleaved RGB planes, as strided views.
@@ -402,7 +407,7 @@ class TestOrderPlan:
             assert not stack.flags.c_contiguous
             plan = build_order_plan(stack, pair)
             dense = build_order_plan(stack.copy(), pair)
-            for field in ("blocks", "tie_flagged", "rot_eligible", "scr_eligible", "slots"):
+            for field in ("blocks", "rot_eligible", "scr_eligible", "slots"):
                 assert np.array_equal(getattr(plan, field), getattr(dense, field))
 
     def test_marks_in_one_block(self):
@@ -423,8 +428,7 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan.blocks.tolist() == [0, 1]
-        assert np.flatnonzero(plan.tie_flagged).tolist() == [0, 1]
-        assert np.flatnonzero(plan.scr_eligible).tolist() == []
+        assert np.flatnonzero(~plan.scr_eligible).tolist() == [0, 1]
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1]
 
     def test_ambiguous_block_not_rotation_eligible(self):
@@ -466,27 +470,35 @@ class TestOrderPlan:
     @pytest.mark.parametrize("field", ["rot_eligible", "scr_eligible"])
     def test_shared_key_intersection_matches_sets(self, field):
         # Shared keys (per_plane=False) move only blocks every plane allows:
-        # the mask intersection must hold exactly the common block indices.
-        from blockmark.pipeline import _key_masks
+        # each scope's one key group holds exactly the common block indices.
+        # Per-plane keys give every plane a group of its own mask.
+        from blockmark.pipeline import _cipher_masks
 
         rng = np.random.default_rng(3)
-        masks = []
+        plans = []
         for _ in range(3):
             plane = valid_pair_plane(rng, 32, 32)
             pair = find_pp_zp(plane)
             inter = shift_histogram(plane, pair)
-            plan = build_order_plan(block_stack(inter, split_blocks(inter, 4)), pair)
-            masks.append(getattr(plan, field))
-        sets = [set(np.flatnonzero(m).tolist()) for m in masks]
+            plans.append(build_order_plan(block_stack(inter, split_blocks(inter, 4)), pair))
+        at = 3 if field == "rot_eligible" else 4  # the entries' mask of this kind
+        labels = np.arange(64) % 2
+        sets = [set(np.flatnonzero(getattr(p, field)).tolist()) for p in plans]
         common = set.intersection(*sets)
         assert any(s != common for s in sets)  # the planes disagree somewhere
-        per_plane = _key_masks(generate_keys(per_plane=True, seed=0), masks)
-        assert all(a is b for a, b in zip(per_plane, masks))
-        shared = _key_masks(generate_keys(per_plane=False, seed=0), masks)
-        assert len(shared) == 3
-        for mask in shared:
-            assert mask.dtype == bool and mask.shape == (64,)
-            assert set(np.flatnonzero(mask).tolist()) == common
+
+        def in_scope(j, blocks):
+            return {a for a in blocks if labels[a] == j}
+
+        per_plane = _cipher_masks(generate_keys(per_plane=True, seed=0), plans, labels, 2)
+        assert [e[:3] for e in per_plane] == [(j, [i], i) for j in range(2) for i in range(3)]
+        for e in per_plane:
+            assert set(np.flatnonzero(e[at]).tolist()) == in_scope(e[0], sets[e[2]])
+        shared = _cipher_masks(generate_keys(per_plane=False, seed=0), plans, labels, 2)
+        assert [e[:3] for e in shared] == [(j, [0, 1, 2], None) for j in range(2)]
+        for e in shared:
+            assert e[at].dtype == bool and e[at].shape == (64,)
+            assert set(np.flatnonzero(e[at]).tolist()) == in_scope(e[0], common)
 
 
 class TestPlanStability:

@@ -25,11 +25,9 @@ from blockmark import (
     encrypt_then_embed,
     extract_payload,
     extract_two_domain,
-    find_pp_zp,
     generate_keys,
     histogram,
     psnr,
-    shift_histogram,
     split_blocks,
     stack_to_plane,
 )
@@ -39,6 +37,7 @@ from conftest import (
     block_slice,
     encrypted_domain_reference,
     random_bits,
+    ref_decrypt,
     region_capacities,
     synth_image,
 )
@@ -381,48 +380,37 @@ def transport_cases(draw):
     return planes, block, draw(st.sampled_from(list(Mode))), keys
 
 
+def _embed_case(case, seed):
+    """The case's image, random payloads within each scope's capacity, and
+    the embedding's output and side info."""
+    planes, block, mode, keys = case
+    image = Image(tuple(planes))
+    caps = region_capacities(image, keys.k_region, block)
+    caps = [caps["A"], caps["B"]] if mode == Mode.TWO_DOMAIN else [sum(caps.values())]
+    rng = np.random.default_rng(seed)
+    payloads = tuple(random_bits(rng, rng.integers(0, cap + 1)) for cap in caps)
+    return image, payloads, *pipeline._embed(mode, image, payloads, keys, block)
+
+
 class TestPlanTransport:
     """Nothing is planned twice, and the rebuilt plan is the reference:
     embedding equals the keyless hider that plans the ciphertext again, and
-    decryption's carried rotation set equals the rebuilt plan's."""
+    decryption, which carries its rotation set through the unscramble,
+    equals a decryptor that plans the unscrambled planes again."""
 
     @settings(max_examples=200)
     @given(transport_cases(), st.integers(0, 2**32 - 1))
     def test_embed_equals_reference(self, case, seed):
-        planes, block, mode, keys = case
-        image = Image(tuple(planes))
-        caps = region_capacities(image, keys.k_region, block)
-        caps = [caps["A"], caps["B"]] if mode == Mode.TWO_DOMAIN else [sum(caps.values())]
-        rng = np.random.default_rng(seed)
-        payloads = tuple(random_bits(rng, rng.integers(0, cap + 1)) for cap in caps)
-        out, _ = pipeline._embed(mode, image, payloads, keys, block)
+        _, block, mode, keys = case
+        image, payloads, out, _ = _embed_case(case, seed)
         assert out == encrypted_domain_reference(image, payloads, keys, block, mode)
 
     @settings(max_examples=200)
-    @given(transport_cases())
-    def test_carried_plan_equals_rebuilt(self, case):
-        planes, block, mode, keys = case
-        grid = split_blocks(planes[0], block)
-        labels, suffixes = pipeline._scopes(mode, keys.k_region, grid)
-        pairs = [find_pp_zp(p) for p in planes]
-        work = [block_stack(shift_histogram(p, pair), grid) for p, pair in zip(planes, pairs)]
-        plans = [build_order_plan(s, pair, labels) for s, pair in zip(work, pairs)]
-        masks = pipeline._scope_masks(keys, plans, labels, len(suffixes))
-        pipeline._encrypt_planes(work, masks, keys, suffixes)
-        rebuilt = [build_order_plan(s, pair, labels) for s, pair in zip(work, pairs)]
-
-        # Decryption: after unscrambling, each scope's carried rotation
-        # masks are those of the plan rebuilt on the unscrambled planes.
-        rots = pipeline._unscramble_planes(
-            work, pipeline._scope_masks(keys, rebuilt, labels, len(suffixes)), keys, suffixes
-        )
-        after = [build_order_plan(s, pair, labels) for s, pair in zip(work, pairs)]
-        for j, rot in enumerate(rots):
-            want = [p.rot_eligible & (labels == j) for p in after]
-            if not keys.per_plane:
-                want = [np.logical_and.reduce(want)] * len(want)
-            for got, expected in zip(rot, want):
-                assert np.array_equal(got, expected)
+    @given(transport_cases(), st.integers(0, 2**32 - 1))
+    def test_decrypt_equals_reference(self, case, seed):
+        _, block, mode, keys = case
+        *_, out, side = _embed_case(case, seed)
+        assert decrypt(out, side, keys) == ref_decrypt(out, side.pairs, keys, block, mode)
 
     @pytest.mark.parametrize("per_plane", [True, False])
     @pytest.mark.parametrize("mode", list(Mode))
