@@ -60,7 +60,6 @@ from .ordering import (
     OrderPlan,
     apply_orientation,
     build_order_plan,
-    canonicalize,
     invert_orientation,
 )
 from .pipeline import (

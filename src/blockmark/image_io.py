@@ -41,8 +41,13 @@ class Image:
                 raise ValueError("plane must be a 2-D array")
             # Checked before the cast, which would truncate 0.6 (and NaN) to 0;
             # the range check comes first, so `% 1` sees only finite values.
+            # Only bool, integer and real float samples can pass either check.
             if a.dtype != np.uint8:
-                if not ((a >= 0) & (a <= 255)).all() or (a % 1).any():
+                if (
+                    a.dtype.kind not in "biuf"
+                    or not ((a >= 0) & (a <= 255)).all()
+                    or (a % 1).any()
+                ):
                     raise ValueError("samples must be whole numbers in [0, 255]")
                 a = a.astype(np.uint8)
             if shape is None:

@@ -8,11 +8,15 @@ rotated or flipped. Both come from the slots' (block, cell) coordinates:
 * Within a block, the slots are scanned under the dihedral orientation
   (one of 8: four rotations, each optionally mirrored) whose raster-index
   signature is lexicographically smallest. Packed most-significant-bit
-  first, that orientation's mask is the largest, so `canonicalize` keeps
+  first, that orientation's mask is the largest, so `canonical_keys` keeps
   it as the block's canonical key: an orientation invariant. When a single
   orientation attains it, the visiting order is invariant too. Blocks
   where several orientations tie are "ambiguous": they are scanned as-is
-  and must never be rotated or flipped.
+  and must never be rotated or flipped. Keys wider than one 64-bit word
+  (blocks larger than 8) are decided from each block's first slot where
+  they can be: the orientation that alone puts some slot at the block's
+  smallest reachable scan position has the largest mask. Only blocks that
+  several orientations reach there compare all 8 packed masks.
 
 * Among blocks, marked blocks are sorted by (scope label, slot count
   descending, shifted-band count ascending, canonical signature ascending):
@@ -69,34 +73,95 @@ def orientation_permutations(block: int) -> np.ndarray:
     )
 
 
-def canonicalize(mask_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical orientation of every block in an (n, cells) bool stack.
+# Index of the lowest set bit of a nonzero byte: an orientation bit's id.
+_LOW_BIT = np.array([(v & -v).bit_length() - 1 for v in range(256)], dtype=np.intp)
+
+
+@lru_cache(maxsize=16)
+def _scan_tables(block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell tables of one block size: `scan[o, c]` is cell c's position
+    under orientation o, `lowest[c]` its smallest position under any
+    orientation and `reach[c]` the bit set (bit o for orientation o) of the
+    orientations that put it there."""
+    scan = np.argsort(orientation_permutations(block), axis=1).astype(np.int32)
+    lowest = scan.min(axis=0)
+    bit = np.left_shift(1, np.arange(N_ORIENTATIONS))[:, None]
+    reach = np.where(scan == lowest, bit, 0).sum(axis=0).astype(np.uint8)
+    for table in (scan, lowest, reach):
+        table.flags.writeable = False
+    return scan, lowest, reach
+
+
+def canonical_keys(row: np.ndarray, cell: np.ndarray, n: int, cells: int):
+    """Canonical orientation of n blocks of `cells` cells whose marked cells
+    are `(row[k], cell[k])`, rows ascending (`np.nonzero` of an `(n, cells)`
+    bool stack, or the plan's block-major slots).
 
     Returns `(orientation, ambiguous, key)`. `key[i]` is block i's mask under
     its canonical orientation, packed into big-endian 64-bit words (word j
     holds cells 64j..64j+63, the earliest cell in the most significant bit,
     zero-padded). The canonical orientation is the one whose packed mask is
     largest; `ambiguous[i]` is True when several orientations attain it, and
-    `orientation[i]` is then 0. The marked cells' coordinates go through
-    the plan's own code. Raises GeometryError when `cells` is not a square
-    and ValueError when a block has no marked cells (skip slotless blocks).
+    `orientation[i]` is then 0. Raises GeometryError when `cells` is not a
+    square and ValueError when a block has no marked cells (skip slotless
+    blocks).
+
+    Keys wider than one word first take the first-slot round: a block's
+    earliest possible bit is the smallest `lowest` over its cells, and when
+    a single orientation sets it, that orientation's mask is the strict
+    maximum. Only the blocks that several orientations tie on go through
+    the 8-orientation comparison.
     """
-    mask_blocks = np.asarray(mask_blocks, dtype=bool)
-    n, cells = mask_blocks.shape
     side = math.isqrt(cells)
     if side * side != cells:
         raise GeometryError("mask blocks are not square")
-    scan = np.argsort(orientation_permutations(side), axis=1)
-    return _canonical(*np.nonzero(mask_blocks), n, scan)
+    scan, lowest, reach = _scan_tables(side)
+    scan = scan.astype(row.dtype, copy=False)
+    if cells <= 64:
+        return _canonical(row, cell, n, scan)
+    counts = np.bincount(row, minlength=n)
+    if not counts.all():
+        raise ValueError("mask block has no marked cells")
+    starts = np.zeros(n, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    low = np.take(lowest, cell)  # `take` gathers faster than fancy indexing
+    first = np.minimum.reduceat(low, starts)
+    hits = np.where(low == np.repeat(first, counts), np.take(reach, cell), np.uint8(0))
+    cand = np.bitwise_or.reduceat(hits, starts)
+    single = (cand & (cand - 1)) == 0
+    del low, hits
+
+    # One scatter and one pack for all blocks: the keys of those the first
+    # slot settles are final, the others are replaced below.
+    orientation = np.where(single, _LOW_BIT[cand], 0)
+    pos = np.take(scan, np.repeat(orientation.astype(row.dtype) * cells, counts) + cell)
+    pos += row * cells
+    bits = np.zeros((n, cells), dtype=bool)
+    bits.reshape(-1)[pos] = True
+    del pos
+    n_words = -(-cells // 64)
+    packed = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    packed[:, : -(-cells // 8)] = np.packbits(bits, axis=1)
+    del bits
+    key = packed.view(">u8").astype(np.uint64)
+    ambiguous = np.zeros(n, dtype=bool)
+    rest = ~single
+    if rest.any():
+        kept = counts[rest]
+        sub_row = np.repeat(np.arange(kept.size, dtype=row.dtype), kept)
+        sub = _canonical(sub_row, cell[np.repeat(rest, counts)], kept.size, scan)
+        orientation[rest], ambiguous[rest], key[rest] = sub
+    return orientation, ambiguous, key
 
 
 def _canonical(row: np.ndarray, cell: np.ndarray, n: int, scan: np.ndarray):
-    """`canonicalize` of n blocks whose marked cells are `(row[k], cell[k])`,
-    with `scan[o, c]` the position of cell c under orientation o. Each
-    orientation sets its positions in one zeroed bit per cell, packs, clears."""
+    """`canonical_keys` of n blocks whose marked cells are `(row[k], cell[k])`,
+    with `scan[o, c]` the position of cell c under orientation o, by comparing
+    all 8 orientations. Each orientation sets its positions in one zeroed bit
+    per cell, packs, clears."""
     cells = scan.shape[1]
     n_words = -(-cells // 64)
-    pos = scan[:, cell]
+    pos = np.take(scan, cell, axis=1)
     pos += row * cells
     packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
     bits = np.zeros(n * cells, dtype=bool)
@@ -165,8 +230,9 @@ def build_order_plan(
     row, cell = np.divmod(slots, cells)
     counts = np.bincount(row, minlength=n_blocks)
     marked = np.flatnonzero(counts)
+    n_slots = counts[marked]
     # Slots come in block order: `row` becomes each slot's marked-block row.
-    row = np.repeat(np.arange(marked.size, dtype=coord), counts[marked])
+    row = np.repeat(np.arange(marked.size, dtype=coord), n_slots)
     # Unsigned wrap-around maps the band [lo, hi] onto [0, hi - lo] (an empty
     # one, lo = hi + 1, onto -1), so one compare in one temporary finds it.
     lo, hi = pair.band
@@ -174,11 +240,10 @@ def build_order_plan(
     shifted = np.less_equal(in_band, hi - lo, out=in_band.view(np.bool_)).sum(axis=1)
     del in_band
 
-    scan = np.argsort(orientation_permutations(b), axis=1).astype(coord)
-    orientation, ambiguous, key = _canonical(row, cell, marked.size, scan)
+    orientation, ambiguous, key = canonical_keys(row, cell, marked.size, cells)
     # Sort by (label, slot count desc, shifted asc, signature asc, index).
     # With equal slot counts the smaller signature is the larger packed key.
-    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -counts[marked], labels[marked]))
+    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -n_slots, labels[marked]))
     blocks = marked[order]
     key, shifted, block_labels = key[order], shifted[order], labels[blocks]
 
@@ -193,8 +258,11 @@ def build_order_plan(
 
     # Visit blocks in plan order, each block's slots in its canonical scan
     # order (raster order for ambiguous blocks, whose orientation reads 0).
+    scan = _scan_tables(b)[0].astype(coord, copy=False)
     rank = np.empty(marked.size, dtype=coord)
     rank[order] = np.arange(marked.size, dtype=coord)
-    slots = slots[np.argsort(rank[row] * cells + scan[orientation.astype(coord)[row], cell])]
+    visit = np.take(scan, np.repeat(orientation.astype(coord) * cells, n_slots) + cell)
+    visit += np.repeat(rank * cells, n_slots)
+    slots = slots[np.argsort(visit)]
 
     return OrderPlan(blocks, rot_eligible, scr_eligible, slots, labels[slots // cells])

@@ -156,7 +156,7 @@ def ref_canonical_signature(mask: np.ndarray) -> tuple[tuple[int, ...], bool]:
 
 
 def key_signature(key: np.ndarray, cells: int) -> tuple[int, ...]:
-    """Decode one row of `canonicalize`'s packed key into its signature."""
+    """Decode one row of `canonical_keys`'s packed key into its signature."""
     bits = np.unpackbits(np.asarray(key).astype(">u8").view(np.uint8))
     assert not bits[cells:].any(), "padding bits must be zero"
     return tuple(int(i) for i in np.flatnonzero(bits[:cells]))
@@ -254,7 +254,7 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
 
 
 def ref_mask_stack_canonicalize(mask_blocks: np.ndarray):
-    """`canonicalize` over an `(n, cells)` bool stack, by packing each
+    """`canonical_keys` of an `(n, cells)` bool stack, by packing each
     orientation of the whole stack as a strided view."""
     n, cells = mask_blocks.shape
     side = math.isqrt(cells)

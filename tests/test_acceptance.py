@@ -23,7 +23,6 @@ from blockmark import (
     RegionMap,
     apply_orientation,
     block_stack,
-    canonicalize,
     capacity_report,
     compression_eval,
     correlation_report,
@@ -46,7 +45,7 @@ from blockmark import (
     split_blocks,
     stack_to_plane,
 )
-from blockmark.ordering import build_order_plan, orientation_permutations
+from blockmark.ordering import build_order_plan, canonical_keys, orientation_permutations
 from conftest import (
     encrypted_domain_reference,
     key_signature,
@@ -215,7 +214,7 @@ def test_c2_dihedral_canonicalization():
         stack = np.stack(
             [apply_orientation(m, o).ravel() for m in masks for o in range(8)]
         )
-        orientation, ambiguous, key = canonicalize(stack)
+        orientation, ambiguous, key = canonical_keys(*np.nonzero(stack), *stack.shape)
         # Each row read under its chosen orientation.
         rows = np.arange(len(stack))[:, None]
         oriented = stack[rows, orientation_permutations(n)[orientation]]

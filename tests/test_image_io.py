@@ -108,6 +108,24 @@ class TestImage:
             with pytest.raises(ValueError, match="whole"):
                 Image((plane,))
 
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            np.full((2, 2), 1 + 0j),  # complex
+            np.full((2, 2), "1"),  # str
+            np.full((2, 2), b"1"),  # bytes
+            np.full((2, 2), 1, dtype=object),
+            np.zeros((2, 2), dtype=[("v", np.uint8)]),  # structured
+            np.zeros((2, 2), dtype="V1"),  # raw void
+            np.full((2, 2), 1, dtype="m8[s]"),  # timedelta
+            np.full((2, 2), 1, dtype="M8[s]"),  # datetime
+        ],
+        ids=lambda p: p.dtype.kind,
+    )
+    def test_non_numeric_samples_rejected(self, plane):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Image((plane,))
+
 
 class TestBlockGrid:
     def test_even_split(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,6 @@ from blockmark import (
     apply_orientation,
     block_stack,
     build_order_plan,
-    canonicalize,
     find_pp_zp,
     generate_keys,
     invert_orientation,
@@ -22,9 +21,12 @@ from blockmark import (
     stack_to_plane,
 )
 from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
+from blockmark import ordering
+from blockmark.ordering import canonical_keys
 from conftest import (
     key_signature,
     ref_canonical_signature,
+    ref_mask_stack_canonicalize,
     ref_mask_stack_plan,
     ref_order_plan,
     ref_orientation,
@@ -67,10 +69,15 @@ def _single_mask(n, r, c):
     return mask
 
 
+def _stack_keys(stack):
+    """canonical_keys() of an `(n, cells)` bool stack's marked cells."""
+    return canonical_keys(*np.nonzero(stack), *stack.shape)
+
+
 def _canonical(*masks):
-    """canonicalize() over square masks: (orientations, ambiguous, signatures)."""
+    """canonical_keys() over square masks: (orientations, ambiguous, signatures)."""
     stack = np.stack([np.asarray(m, dtype=bool).ravel() for m in masks])
-    orientation, ambiguous, key = canonicalize(stack)
+    orientation, ambiguous, key = _stack_keys(stack)
     sigs = [key_signature(k, stack.shape[1]) for k in key]
     return orientation.tolist(), ambiguous.tolist(), sigs
 
@@ -172,15 +179,20 @@ class TestCanonical:
         assert _canonical(_single_mask(5, 2, 2)) == ([0], [True], [(12,)])
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            canonicalize(np.zeros((1, 16), dtype=bool))
-        stack = np.stack([_single_mask(4, 0, 1).ravel(), np.zeros(16, dtype=bool)])
-        with pytest.raises(ValueError):
-            canonicalize(stack)
+        # Side 16 takes the first-slot round, side 4 goes straight to the
+        # 8-orientation comparison; both reject a block without marks.
+        for side in (4, 16):
+            with pytest.raises(ValueError):
+                _stack_keys(np.zeros((1, side * side), dtype=bool))
+            marked = _single_mask(side, 0, 1).ravel()
+            empty = np.zeros(side * side, dtype=bool)
+            for stack in ([marked, empty], [empty, marked]):
+                with pytest.raises(ValueError):
+                    _stack_keys(np.stack(stack))
 
     def test_non_square_rejected(self):
         with pytest.raises(GeometryError):
-            canonicalize(np.ones((2, 8), dtype=bool))
+            _stack_keys(np.ones((2, 8), dtype=bool))
 
     @settings(max_examples=150)
     @given(mask_strategy)
@@ -345,7 +357,64 @@ def stack_cases(draw):
     return stack, pair, labels
 
 
+@st.composite
+def mask_stacks(draw):
+    """`(n, cells)` bool stacks at blocks 1 to 32 with sparse or dense fill,
+    every block carrying a slot; some blocks are made symmetric under a
+    random orientation, so several orientations attain their key."""
+    block = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 32]))
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.01, 0.05, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = rng.random((n, block, block)) < density
+    for k in np.flatnonzero(rng.random(n) < 0.3):
+        o = int(rng.integers(1, 8))
+        for _ in range(3):  # closes the mask under o's powers
+            masks[k] = masks[k] | apply_orientation(masks[k], o)
+    masks = masks.reshape(n, -1)
+    empty = np.flatnonzero(~masks.any(axis=1))
+    masks[empty, rng.integers(block * block, size=empty.size)] = True
+    return masks
+
+
+def _corners(n):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    return mask
+
+
 class TestMaskStackOracle:
+    def test_canonical_keys_match_mask_stack_oracle(self, monkeypatch):
+        # Keys wider than one word (blocks of 9 and up) go through the
+        # first-slot round, and only the blocks it leaves open reach the
+        # 8-orientation comparison: both must run across those cases.
+        compared = []
+        full = ordering._canonical
+
+        def spy(row, cell, n, scan):
+            compared.append(n)
+            return full(row, cell, n, scan)
+
+        monkeypatch.setattr(ordering, "_canonical", spy)
+        settled = left_open = 0
+
+        @settings(max_examples=300)
+        @given(mask_stacks())
+        @example(np.stack([_single_mask(16, 0, 1).ravel(), _corners(16).ravel()]))
+        def check(masks):
+            nonlocal settled, left_open
+            compared.clear()
+            got = _stack_keys(masks)
+            want = ref_mask_stack_canonicalize(masks)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            if masks.shape[1] > 64:
+                left_open += sum(compared)
+                settled += len(masks) - sum(compared)
+
+        check()
+        assert settled > 0 and left_open > 0
+
     @settings(max_examples=300)
     @given(stack_cases())
     def test_matches_mask_stack_plan(self, case):
@@ -511,7 +580,7 @@ class TestPlanStability:
         mask = marked_mask(flat, pair)
         lo, hi = pair.band
         shifted = ((flat >= lo) & (flat <= hi)).sum(axis=1)
-        _, _, key = canonicalize(mask[plan.blocks])
+        _, _, key = _stack_keys(mask[plan.blocks])
         return [
             (int(mask[a].sum()), int(shifted[a]), tuple(k))
             for a, k in zip(plan.blocks.tolist(), key.tolist())

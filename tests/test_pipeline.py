@@ -314,6 +314,16 @@ class TestTwoDomain:
             pass  # detected inconsistency is equally acceptable
 
 
+class TestShiftedStateProbe:
+    @pytest.mark.parametrize("at", [None, 0, 2**18 - 1, 2**18, 2 * 2**18 + 4])
+    def test_finds_zp_in_any_slice(self, at):
+        # Three probe slices, the last one partial; zp (9) sits in any of them.
+        stack = np.full((2 * 2**18 + 5, 1, 1), 50, dtype=np.uint8)
+        if at is not None:
+            stack[at] = 9
+        assert pipeline._plane_is_unshifted(stack, HistPair(pp=7, zp=9)) == (at is None)
+
+
 class TestPlanBuilds:
     """One order plan per plane serves every scope and every step: embedding
     writes every scope before the blocks move, extraction plans once, and
