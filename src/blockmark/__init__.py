@@ -4,14 +4,11 @@ in either order, recover payload and image exactly."""
 
 from .analysis import (
     CodecSpec,
-    CompressionResult,
-    CorrelationReport,
     capacity_report,
     compression_eval,
     correlation,
     correlation_report,
     load_codec_config,
-    mse,
     psnr,
     resize_topleft,
 )
@@ -19,7 +16,6 @@ from .cipher import (
     KeySet,
     generate_keys,
     load_key_file,
-    plane_key,
     save_key_file,
 )
 from .errors import (
@@ -41,12 +37,10 @@ from .histshift import (
     extract_bits,
     find_pp_zp,
     histogram,
-    marked_mask,
     shift_histogram,
     unshift_histogram,
 )
 from .image_io import (
-    BlockGrid,
     Image,
     block_stack,
     decode_image,
@@ -54,17 +48,10 @@ from .image_io import (
     load_image,
     save_image,
     split_blocks,
-    stack_to_plane,
 )
-from .ordering import (
-    OrderPlan,
-    apply_orientation,
-    build_order_plan,
-    invert_orientation,
-)
+from .ordering import build_order_plan
 from .pipeline import (
     Mode,
-    RegionMap,
     SideInfo,
     decrypt,
     embed_plain_then_encrypt,

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KeyFormatError
-from .ordering import N_ORIENTATIONS, apply_orientation, invert_orientation
+from .ordering import N_ORIENTATIONS, apply_orientation
 
 KEY_BYTES = 16
 
@@ -314,7 +314,8 @@ def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
             stack[at] = apply_orientation(np.take(stack, at, axis=0), o)
 
 
-# Orientation id -> id of its inverse.
+# Orientation id -> id of its inverse: mirrored ids are involutions, and
+# `o` quarter turns are undone by `-o mod 4` of them.
 INVERSE_ORIENTATION = np.array(
-    [invert_orientation(o) for o in range(N_ORIENTATIONS)], dtype=np.uint8
+    [o if o & 4 else -o % 4 for o in range(N_ORIENTATIONS)], dtype=np.uint8
 )

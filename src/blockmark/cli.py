@@ -135,7 +135,7 @@ def _cmd_analyze_capacity(ns) -> int:
         if keys.k_region is None:
             raise BlockmarkError("region capacities need a key file with a region key")
         grid = split_blocks(image.planes[0], ns.block or 16)
-        labels = pipeline.RegionMap.derive(keys.k_region, grid).labels
+        labels = pipeline.region_labels(keys.k_region, grid)
         # A region carries one bit per pp-valued pixel in its blocks: the
         # shift leaves the pp bin alone, so the unshifted plane counts them.
         caps = np.zeros(2)

@@ -27,7 +27,10 @@ rotated or flipped. Both come from the slots' (block, cell) coordinates:
   Each label's slice of the plan is the plan of that label's blocks alone.
 
 Blocks without slots carry no ordering constraints and are always eligible
-for both encryption steps.
+for both encryption steps. The plan (`OrderPlan`) is the slots in visiting
+order, their labels and the two eligibility masks; the block order is the
+order of the slots' blocks. The inverse of each orientation id is
+`cipher.INVERSE_ORIENTATION`.
 """
 
 from __future__ import annotations
@@ -52,15 +55,6 @@ def apply_orientation(mat: np.ndarray, orientation: int) -> np.ndarray:
         raise ValueError(f"orientation id must be in [0, 8), got {orientation}")
     out = np.rot90(mat, orientation & 3, axes=(-2, -1))
     return out[..., ::-1] if orientation & 4 else out
-
-
-def invert_orientation(orientation: int) -> int:
-    """Inverse element: mirrored orientations are involutions."""
-    if not 0 <= orientation < N_ORIENTATIONS:
-        raise ValueError(f"orientation id must be in [0, 8), got {orientation}")
-    if orientation & 4:
-        return orientation
-    return (4 - orientation) % 4
 
 
 @lru_cache(maxsize=16)
@@ -192,16 +186,16 @@ def _canonical(row: np.ndarray, cell: np.ndarray, n: int, scan: np.ndarray):
 class OrderPlan:
     """Complete embedding order and encryption eligibility for one plane.
 
-    `blocks` holds the marked (slot-carrying) block indices in embedding
-    order, label by label, and `slots` their slots in the same order;
-    `slot_labels` holds each slot's scope label, so scope `j` embeds into
+    `slots` holds the slots of the marked (slot-carrying) blocks in
+    embedding order, label by label and block by block: each block's slots
+    form one run, so `slots // (b * b)` reads the block order. `slot_labels`
+    holds each slot's scope label, so scope `j` embeds into
     `slots[slot_labels == j]`. `rot_eligible` and `scr_eligible` are boolean
     masks with one entry per block: entry `a` is True when block `a` may be
     rotated/flipped, or may be scrambled (it may not when its sort key ties
     within its label). Scope `j`'s are `mask & (labels == j)`.
     """
 
-    blocks: np.ndarray  # intp marked block indices, embedding order
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
     slots: np.ndarray  # stack-flat indices block * b * b + cell, embedding order
@@ -265,4 +259,4 @@ def build_order_plan(
     visit += np.repeat(rank * cells, n_slots)
     slots = slots[np.argsort(visit)]
 
-    return OrderPlan(blocks, rot_eligible, scr_eligible, slots, labels[slots // cells])
+    return OrderPlan(rot_eligible, scr_eligible, slots, labels[slots // cells])

@@ -11,9 +11,10 @@ and embedded on their own, with their own key tags and payload bits. A scope
 is a block label, and each scope's plan is its label's slice of the one
 order plan per plane. Plain-first and encrypted-first hiding use one
 whole-grid scope. Two-domain hiding labels every block region A (0) or B
-(1) by one fair key bit per block; A holds the plain-domain payload and B
-the encrypted-domain one. Payloads are consumed plane by plane in R, G, B
-order, each plane taking up to its own capacity in the scope.
+(1) by one fair key bit per block (`region_labels`); A holds the
+plain-domain payload and B the encrypted-domain one. Payloads are consumed
+plane by plane in R, G, B order, each plane taking up to its own capacity
+in the scope.
 
 Each call converts every plane to its `(n_blocks, b, b)` block stack once
 on entry and back once on exit; every step in between works on the stacks,
@@ -151,6 +152,8 @@ class SideInfo:
             mode = Mode(mode_v)
         except ValueError:
             raise SideInfoError(f"unknown mode {mode_v}") from None
+        if per_plane not in (0, 1):
+            raise SideInfoError(f"bad per-plane key flag {per_plane}")
         if bw != bh:
             raise SideInfoError("side info must describe square blocks")
         return cls(
@@ -170,15 +173,10 @@ class SideInfo:
         return cls.from_bytes(Path(path).read_bytes())
 
 
-@dataclass(frozen=True)
-class RegionMap:
-    """Per-block region labels, regenerated from the region key."""
-
-    labels: np.ndarray  # bool per block index; False -> A, True -> B
-
-    @classmethod
-    def derive(cls, k_region: bytes, grid: BlockGrid) -> "RegionMap":
-        return cls(labels=stream_bits(k_region, TAG_REGION, grid.n_blocks).astype(bool))
+def region_labels(k_region: bytes, grid: BlockGrid) -> np.ndarray:
+    """Per-block region labels, one key bit per block in raster order:
+    False is region A, True region B."""
+    return stream_bits(k_region, TAG_REGION, grid.n_blocks).astype(bool)
 
 
 def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.ndarray, list[bytes]]:
@@ -189,7 +187,7 @@ def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.nda
         return np.zeros(grid.n_blocks, dtype=bool), [b""]
     if k_region is None:
         raise SideInfoError("two-domain mode requires a region key")
-    return RegionMap.derive(k_region, grid).labels, [b"/A", b"/B"]
+    return region_labels(k_region, grid), [b"/A", b"/B"]
 
 
 def _cipher_masks(

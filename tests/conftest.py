@@ -21,19 +21,24 @@ from blockmark import (
     HistPair,
     Image,
     Mode,
-    RegionMap,
     block_stack,
     build_order_plan,
     embed_bits,
     find_pp_zp,
-    marked_mask,
-    plane_key,
     shift_histogram,
     split_blocks,
-    stack_to_plane,
 )
-from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE, draw_orientations, draw_permutation
+from blockmark.cipher import (
+    TAG_ORIENT,
+    TAG_SCRAMBLE,
+    draw_orientations,
+    draw_permutation,
+    plane_key,
+)
+from blockmark.histshift import marked_mask
+from blockmark.image_io import stack_to_plane
 from blockmark.ordering import N_ORIENTATIONS, OrderPlan, apply_orientation, orientation_permutations
+from blockmark.pipeline import region_labels
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -138,6 +143,15 @@ def ref_orientation(mat: list[list], orientation: int) -> list[list]:
     return ref_all_orientations(mat)[2 * (-orientation & 3) + (orientation >> 2)]
 
 
+def ref_unorientation(mat: list[list], orientation: int) -> list[list]:
+    """Undo orientation id `orientation`: undo its mirror, then turn its
+    `orientation & 3` CCW quarter turns back CW."""
+    out = ref_flip_h(mat) if orientation >= 4 else mat
+    for _ in range(orientation & 3):
+        out = ref_rot90_cw(out)
+    return out
+
+
 def ref_signature(mask: list[list[bool]]) -> tuple[int, ...]:
     n = len(mask[0])
     return tuple(
@@ -178,13 +192,7 @@ def ref_rotate_flip(plane, grid, mask, key: bytes, tag: bytes, inverse=False) ->
     e = np.flatnonzero(mask)
     for a, o in zip(e, draw_orientations(e.size, key, tag).tolist()):
         blk = plane[block_slice(grid, a)].tolist()
-        if inverse:
-            blk = ref_flip_h(blk) if o >= 4 else blk
-            for _ in range(o & 3):  # `o & 3` CCW quarter turns, undone CW
-                blk = ref_rot90_cw(blk)
-        else:
-            blk = ref_orientation(blk, o)
-        out[block_slice(grid, a)] = blk
+        out[block_slice(grid, a)] = (ref_unorientation if inverse else ref_orientation)(blk, o)
     return out
 
 
@@ -253,6 +261,16 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
     }
 
 
+def plan_blocks(plan: OrderPlan, cells: int) -> np.ndarray:
+    """The marked block indices of a plan in embedding order, read off its
+    slots: the block of the first slot of each run of one block's slots.
+    Asserts that every block's slots form a single contiguous run."""
+    rows = plan.slots // cells
+    blocks = rows[np.diff(rows, prepend=-1) != 0]
+    assert np.unique(blocks).size == blocks.size, "a block's slots are split"
+    return blocks
+
+
 def ref_mask_stack_canonicalize(mask_blocks: np.ndarray):
     """`canonical_keys` of an `(n, cells)` bool stack, by packing each
     orientation of the whole stack as a strided view."""
@@ -310,7 +328,6 @@ def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> Order
     visit = np.argsort(row * cells + scan[orientation[row], cell])
     row, cell = row[visit], cell[visit]
     return OrderPlan(
-        blocks=blocks,
         rot_eligible=rot_eligible,
         scr_eligible=scr_eligible,
         slots=blocks[row] * cells + cell,
@@ -334,7 +351,7 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
     """
     grid = split_blocks(image.planes[0], block)
     if mode == Mode.TWO_DOMAIN:
-        labels = RegionMap.derive(keys.k_region, grid).labels.astype(np.intp)
+        labels = region_labels(keys.k_region, grid).astype(np.intp)
         scopes = [(b"/A", True), (b"/B", False)]
     else:
         labels = np.zeros(grid.n_blocks, dtype=np.intp)
@@ -393,7 +410,7 @@ def ref_decrypt(image: Image, pairs, keys, block: int, mode: Mode) -> Image:
     """
     grid = split_blocks(image.planes[0], block)
     if mode == Mode.TWO_DOMAIN:
-        labels = RegionMap.derive(keys.k_region, grid).labels.astype(np.intp)
+        labels = region_labels(keys.k_region, grid).astype(np.intp)
         suffixes = [b"/A", b"/B"]
     else:
         labels = np.zeros(grid.n_blocks, dtype=np.intp)
@@ -423,7 +440,7 @@ def region_capacities(image: Image, k_region: bytes, block: int) -> dict[str, in
     """Bits regions A and B can carry: the peak-valued pixels of the shifted
     planes inside each region's blocks, counted without an order plan."""
     grid = split_blocks(image.planes[0], block)
-    labels = RegionMap.derive(k_region, grid).labels.reshape(grid.rows, grid.cols)
+    labels = region_labels(k_region, grid).reshape(grid.rows, grid.cols)
     in_b = np.repeat(np.repeat(labels, block, axis=0), block, axis=1)
     caps = {"A": 0, "B": 0}
     for plane in image.planes:

@@ -20,8 +20,6 @@ from blockmark import (
     CodecSpec,
     Image,
     Mode,
-    RegionMap,
-    apply_orientation,
     block_stack,
     capacity_report,
     compression_eval,
@@ -43,9 +41,15 @@ from blockmark import (
     save_image,
     shift_histogram,
     split_blocks,
-    stack_to_plane,
 )
-from blockmark.ordering import build_order_plan, canonical_keys, orientation_permutations
+from blockmark.image_io import stack_to_plane
+from blockmark.ordering import (
+    apply_orientation,
+    build_order_plan,
+    canonical_keys,
+    orientation_permutations,
+)
+from blockmark.pipeline import region_labels
 from conftest import (
     encrypted_domain_reference,
     key_signature,
@@ -89,7 +93,7 @@ def _marked_plain_reference(image, payload, keys, block, mode):
     used as the non-circular before-encryption histogram reference."""
     grid = split_blocks(image.planes[0], block)
     if mode == "two-domain":
-        labels = RegionMap.derive(keys.k_region, grid).labels
+        labels = region_labels(keys.k_region, grid)
         payloads = list(payload)  # (bits_a, bits_b)
     else:
         labels = None

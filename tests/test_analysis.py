@@ -20,11 +20,11 @@ from blockmark import (
     correlation,
     correlation_report,
     load_codec_config,
-    mse,
     psnr,
     resize_topleft,
     save_image,
 )
+from blockmark.analysis import mse
 from conftest import natural_image, synth_image
 
 ZLIB_ENCODE = (

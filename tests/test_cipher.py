@@ -16,20 +16,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from blockmark import (
-    BlockGrid,
     KeyFormatError,
     KeySet,
-    RegionMap,
-    apply_orientation,
     block_stack,
     generate_keys,
     histogram,
-    invert_orientation,
     load_key_file,
-    plane_key,
     save_key_file,
     split_blocks,
-    stack_to_plane,
 )
 from blockmark.cipher import (
     INVERSE_ORIENTATION,
@@ -42,9 +36,13 @@ from blockmark.cipher import (
     keyed_stream,
     move_blocks,
     orient_blocks,
+    plane_key,
     stream_bits,
 )
-from conftest import block_slice, ref_orientation
+from blockmark.image_io import BlockGrid, stack_to_plane
+from blockmark.ordering import apply_orientation
+from blockmark.pipeline import region_labels
+from conftest import block_slice, ref_orientation, ref_unorientation
 
 KEY = bytes(range(16))
 
@@ -240,7 +238,7 @@ class TestBulkDraws:
 
     def test_region_labels_pinned_digest(self):
         # SHA-256 of the packed labels, pinned like the orientations.
-        labels = RegionMap.derive(KEY, BlockGrid(4, 256, 256)).labels
+        labels = region_labels(KEY, BlockGrid(4, 256, 256))
         assert hashlib.sha256(np.packbits(labels).tobytes()).hexdigest() == (
             "64a34a66a2638b5ef5a1d86c4dd046233c6103090bfb30cb286d1f736d9b983a"
         )
@@ -540,10 +538,9 @@ def _reference_transform(plane, grid, eligible, key, inverse):
     stream = BitReader(keyed_stream(key, TAG_ORIENT))
     for a in sorted(eligible):
         o = stream.take(3)
-        if inverse:
-            o = invert_orientation(o)
         rs, cs = block_slice(grid, a)
-        out[rs, cs] = ref_orientation(plane[rs, cs].tolist(), o)
+        transform = ref_unorientation if inverse else ref_orientation
+        out[rs, cs] = transform(plane[rs, cs].tolist(), o)
     return out
 
 

@@ -15,10 +15,10 @@ from blockmark import (
     extract_bits,
     find_pp_zp,
     histogram,
-    marked_mask,
     shift_histogram,
     unshift_histogram,
 )
+from blockmark.histshift import marked_mask
 from conftest import random_bits, ref_find_pp_zp, ref_shift, valid_pair_plane
 
 EXAMPLE = np.array(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockmark import (
-    BlockGrid,
     GeometryError,
     Image,
     ImageFormatError,
@@ -15,8 +14,8 @@ from blockmark import (
     decode_image,
     encode_image,
     split_blocks,
-    stack_to_plane,
 )
+from blockmark.image_io import BlockGrid, stack_to_plane
 from conftest import block_slice
 
 

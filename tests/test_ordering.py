@@ -9,22 +9,21 @@ from hypothesis.extra.numpy import arrays
 from blockmark import (
     GeometryError,
     HistPair,
-    apply_orientation,
     block_stack,
     build_order_plan,
     find_pp_zp,
     generate_keys,
-    invert_orientation,
-    marked_mask,
     shift_histogram,
     split_blocks,
-    stack_to_plane,
 )
-from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 from blockmark import ordering
-from blockmark.ordering import canonical_keys
+from blockmark.cipher import INVERSE_ORIENTATION, TAG_ORIENT, TAG_SCRAMBLE
+from blockmark.histshift import marked_mask
+from blockmark.image_io import stack_to_plane
+from blockmark.ordering import apply_orientation, canonical_keys
 from conftest import (
     key_signature,
+    plan_blocks,
     ref_canonical_signature,
     ref_mask_stack_canonicalize,
     ref_mask_stack_plan,
@@ -101,7 +100,7 @@ class TestOrientations:
     @pytest.mark.parametrize("o", range(8))
     def test_inverse(self, o, rng):
         mat = rng.integers(0, 256, size=(6, 6), dtype=np.uint8)
-        restored = apply_orientation(apply_orientation(mat, o), invert_orientation(o))
+        restored = apply_orientation(apply_orientation(mat, o), int(INVERSE_ORIENTATION[o]))
         assert np.array_equal(restored, mat)
 
     def test_all_eight_distinct_on_asymmetric_input(self):
@@ -144,7 +143,7 @@ class TestSignature:
         assert cw.ravel()[7] == 1
         rotated = apply_orientation(_single_mask(4, 0, 1), 3)
         assert np.flatnonzero(rotated).tolist() == [7]
-        assert _canonical(rotated) == ([invert_orientation(3)], [False], [(1,)])
+        assert _canonical(rotated) == ([INVERSE_ORIENTATION[3]], [False], [(1,)])
 
     def test_corner_mask_invariant(self):
         mask = np.zeros((4, 4), dtype=bool)
@@ -235,13 +234,13 @@ class TestAmongOrder:
         five[1, 0] = True
         stack = _stack_of_blocks({0: three, 1: five, 2: three}, 4, 3, shifted={0: 4, 2: 1})
         plan = build_order_plan(stack, MARK)
-        assert plan.blocks.tolist() == [1, 2, 0]
+        assert plan_blocks(plan, 16).tolist() == [1, 2, 0]
         assert plan.scr_eligible.all()
 
     def test_single_block(self):
         mask = _single_mask(4, 0, 1) | _single_mask(4, 0, 2)
         plan = build_order_plan(_stack_of_blocks({9: mask}, 4, 10), MARK)
-        assert plan.blocks.tolist() == [9]
+        assert plan_blocks(plan, 16).tolist() == [9]
         assert plan.scr_eligible.all()
 
     def test_forced_tie_uses_index(self):
@@ -251,7 +250,7 @@ class TestAmongOrder:
             {7: apply_orientation(mask, 1), 2: mask}, 4, 8, shifted={2: 3, 7: 3}
         )
         plan = build_order_plan(stack, MARK)
-        assert plan.blocks.tolist() == [2, 7]
+        assert plan_blocks(plan, 16).tolist() == [2, 7]
         assert np.flatnonzero(~plan.scr_eligible).tolist() == [2, 7]
 
     @pytest.mark.parametrize(
@@ -268,7 +267,7 @@ class TestAmongOrder:
         labels = np.zeros(len(stack), dtype=np.intp)
         labels[[2, 7]] = label_2, label_7
         plan = build_order_plan(stack, MARK, labels)
-        assert plan.blocks.tolist() == order
+        assert plan_blocks(plan, 16).tolist() == order
         assert np.flatnonzero(~plan.scr_eligible).tolist() == flagged
         assert plan.slot_labels.tolist() == sorted([label_2] * 2 + [label_7] * 2)
 
@@ -279,7 +278,7 @@ class TestAmongOrder:
         mask1 = _single_mask(4, 0, 0) | _single_mask(4, 2, 1)
         assert _canonical(mask0, mask1)[2] == [(5, 6), (0, 6)]
         plan = build_order_plan(_stack_of_blocks({0: mask0, 1: mask1}, 4, 2), MARK)
-        assert plan.blocks.tolist() == [1, 0]
+        assert plan_blocks(plan, 16).tolist() == [1, 0]
         assert plan.scr_eligible.all()
 
 
@@ -321,13 +320,13 @@ class TestPlanOracle:
         plan = build_order_plan(block_stack(plane, grid), pair, labels)
         if labels is None:
             labels = np.zeros(grid.n_blocks, dtype=np.intp)
-        assert plan.blocks.dtype == np.intp
-        block_labels = labels[plan.blocks]
+        blocks = plan_blocks(plan, block * block)
+        block_labels = labels[blocks]
         assert (np.diff(block_labels) >= 0).all()
         assert plan.slot_labels.shape == plan.slots.shape
         for j in range(3):
             ref = ref_order_plan(plane, pair, block, np.flatnonzero(labels == j))
-            assert plan.blocks[block_labels == j].tolist() == ref["blocks"]
+            assert blocks[block_labels == j].tolist() == ref["blocks"]
             for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
                 got = _mask(plan, field) & (labels == j)
                 assert set(np.flatnonzero(got).tolist()) == ref[field]
@@ -420,7 +419,9 @@ class TestMaskStackOracle:
     def test_matches_mask_stack_plan(self, case):
         stack, pair, labels = case
         got, want = build_order_plan(stack, pair, labels), ref_mask_stack_plan(stack, pair, labels)
-        for field in ("blocks", "rot_eligible", "scr_eligible", "slots", "slot_labels"):
+        cells = stack[0].size
+        assert np.array_equal(plan_blocks(got, cells), plan_blocks(want, cells))
+        for field in ("rot_eligible", "scr_eligible", "slots", "slot_labels"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), field
 
@@ -430,7 +431,7 @@ class TestOrderPlan:
         plane = np.full((32, 32), 50, dtype=np.uint8)
         grid = split_blocks(plane, 16)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
-        assert plan.blocks.tolist() == []
+        assert plan_blocks(plan, 256).tolist() == []
         assert plan.slots.size == 0 and plan.slot_labels.size == 0
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
@@ -445,8 +446,9 @@ class TestOrderPlan:
         grid = split_blocks(plane, 4)
         plan = build_order_plan(block_stack(plane, grid), pair)
         ref = ref_order_plan(plane, pair, 4)
-        assert sorted(plan.blocks.tolist()) == list(range(grid.n_blocks))
-        assert plan.blocks.tolist() == ref["blocks"]
+        blocks = plan_blocks(plan, 16).tolist()
+        assert sorted(blocks) == list(range(grid.n_blocks))
+        assert blocks == ref["blocks"]
         assert plan.slots.tolist() == ref["slots"]
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
             assert set(np.flatnonzero(_mask(plan, field)).tolist()) == ref[field]
@@ -463,7 +465,7 @@ class TestOrderPlan:
         plane[::4, ::4] = pair.pp
         plan = build_order_plan(block_stack(plane, split_blocks(plane, 4)), pair)
         ref = ref_order_plan(plane, pair, 4)
-        assert plan.blocks.tolist() == ref["blocks"]
+        assert plan_blocks(plan, 16).tolist() == ref["blocks"]
         assert plan.slots.tolist() == ref["slots"]
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
             assert set(np.flatnonzero(_mask(plan, field)).tolist()) == ref[field]
@@ -476,7 +478,8 @@ class TestOrderPlan:
             assert not stack.flags.c_contiguous
             plan = build_order_plan(stack, pair)
             dense = build_order_plan(stack.copy(), pair)
-            for field in ("blocks", "rot_eligible", "scr_eligible", "slots"):
+            assert np.array_equal(plan_blocks(plan, 16), plan_blocks(dense, 16))
+            for field in ("rot_eligible", "scr_eligible", "slots"):
                 assert np.array_equal(getattr(plan, field), getattr(dense, field))
 
     def test_marks_in_one_block(self):
@@ -485,7 +488,7 @@ class TestOrderPlan:
         plane[2, 3] = 7
         grid = split_blocks(plane, 16)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
-        assert plan.blocks.tolist() == [0]
+        assert plan_blocks(plan, 256).tolist() == [0]
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
         assert plan.slots.tolist() == [1, 2 * 16 + 3]
@@ -496,7 +499,7 @@ class TestOrderPlan:
         plane[0, 17] = 7
         grid = split_blocks(plane, 16)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
-        assert plan.blocks.tolist() == [0, 1]
+        assert plan_blocks(plan, 256).tolist() == [0, 1]
         assert np.flatnonzero(~plan.scr_eligible).tolist() == [0, 1]
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1]
 
@@ -515,7 +518,8 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16)
         labels = np.array([0, 1])
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9), labels)
-        assert plan.blocks[labels[plan.blocks] == 1].tolist() == [1]
+        blocks = plan_blocks(plan, 256)
+        assert blocks[labels[blocks] == 1].tolist() == [1]
         assert not (plan.rot_eligible & (labels == 1))[0]
         assert plan.slots[plan.slot_labels == 1].tolist() == [16 * 16 + 4]
 
@@ -533,7 +537,7 @@ class TestOrderPlan:
         plane[1, 9] = 7
         grid = split_blocks(plane, 8)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
-        assert plan.blocks.tolist() == [1, 0]
+        assert plan_blocks(plan, 64).tolist() == [1, 0]
         assert plan.slots.tolist() == [64 + 1, 64 + 8 + 1, 1]
 
     @pytest.mark.parametrize("field", ["rot_eligible", "scr_eligible"])
@@ -580,10 +584,11 @@ class TestPlanStability:
         mask = marked_mask(flat, pair)
         lo, hi = pair.band
         shifted = ((flat >= lo) & (flat <= hi)).sum(axis=1)
-        _, _, key = _stack_keys(mask[plan.blocks])
+        blocks = plan_blocks(plan, flat.shape[1])
+        _, _, key = _stack_keys(mask[blocks])
         return [
             (int(mask[a].sum()), int(shifted[a]), tuple(k))
-            for a, k in zip(plan.blocks.tolist(), key.tolist())
+            for a, k in zip(blocks.tolist(), key.tolist())
         ]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -602,7 +607,7 @@ class TestPlanStability:
         marked = embed_bits(inter.copy(), pair, plan1.slots, bits)
         plan2 = build_order_plan(marked, pair)
 
-        assert plan1.blocks.tolist() == plan2.blocks.tolist()
+        assert plan_blocks(plan1, 64).tolist() == plan_blocks(plan2, 64).tolist()
         assert self._content_keys(inter, pair, plan1) == self._content_keys(
             marked, pair, plan2
         )
@@ -619,7 +624,7 @@ class TestPlanStability:
         assert self._content_keys(enc, pair, plan3) == self._content_keys(
             marked, pair, plan2
         )
-        assert len(plan3.blocks) == len(plan2.blocks)
+        assert len(plan_blocks(plan3, 64)) == len(plan_blocks(plan2, 64))
         # Scramble closure: the permutation maps the scramble-eligible
         # position set onto itself. (The rotation set travels with block
         # content instead, so it is only recomputable after unscrambling.)

@@ -14,7 +14,6 @@ from blockmark import (
     Image,
     KeySet,
     Mode,
-    RegionMap,
     SideInfo,
     SideInfoError,
     block_stack,
@@ -29,10 +28,11 @@ from blockmark import (
     histogram,
     psnr,
     split_blocks,
-    stack_to_plane,
 )
 from blockmark import pipeline
+from blockmark.image_io import stack_to_plane
 from blockmark.ordering import apply_orientation, build_order_plan
+from blockmark.pipeline import region_labels
 from conftest import (
     block_slice,
     encrypted_domain_reference,
@@ -262,9 +262,9 @@ class TestTwoDomain:
         # All slot pixels sit in region A's blocks; region B still encrypts
         # but carries an empty payload.
         grid = split_blocks(np.zeros((16, 32), np.uint8), 16)
-        regions = RegionMap.derive(keys.k_region, grid)
+        labels = region_labels(keys.k_region, grid)
         plane = np.full((16, 32), 50, dtype=np.uint8)
-        target = int(np.flatnonzero(~regions.labels)[0])
+        target = int(np.flatnonzero(~labels)[0])
         rs, cs = block_slice(grid, target)
         plane[rs.start, cs.start] = 40
         plane[rs.start + 1, cs.start + 2] = 40
@@ -277,10 +277,10 @@ class TestTwoDomain:
 
     def test_region_map_regenerates(self, keys):
         grid = split_blocks(np.zeros((64, 64), np.uint8), 8)
-        a = RegionMap.derive(keys.k_region, grid)
-        b = RegionMap.derive(keys.k_region, grid)
-        assert np.array_equal(a.labels, b.labels)
-        region_a, region_b = np.flatnonzero(~a.labels), np.flatnonzero(a.labels)
+        a = region_labels(keys.k_region, grid)
+        b = region_labels(keys.k_region, grid)
+        assert np.array_equal(a, b)
+        region_a, region_b = np.flatnonzero(~a), np.flatnonzero(a)
         assert set(region_a) | set(region_b) == set(range(64))
         assert not set(region_a) & set(region_b)
 
@@ -496,6 +496,19 @@ class TestSideInfo:
         raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
         with pytest.raises(SideInfoError, match="square blocks"):
             SideInfo.from_bytes(bytes(raw))
+
+    def test_per_plane_flag_must_be_0_or_1(self):
+        # The per-plane key flag sits at byte 6. The writer emits only 0 and
+        # 1; every other value is refused, even under a recomputed CRC.
+        raw = bytearray(self._sample().to_bytes())
+        for value in range(256):
+            raw[6] = value
+            raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
+            if value in (0, 1):
+                assert SideInfo.from_bytes(bytes(raw)).per_plane_keys is bool(value)
+                continue
+            with pytest.raises(SideInfoError, match="per-plane key flag"):
+                SideInfo.from_bytes(bytes(raw))
 
     def test_length_count_must_match_mode(self):
         with pytest.raises(SideInfoError):
