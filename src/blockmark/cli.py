@@ -149,7 +149,7 @@ def _cmd_analyze_capacity(ns) -> int:
 
 def _cmd_analyze_correlation(ns) -> int:
     image = load_image(ns.input)
-    if ns.subsample:
+    if ns.subsample is not None:
         image = analysis.resize_topleft(image, ns.subsample)
     lines = {}
     for i, plane in enumerate(image.planes):

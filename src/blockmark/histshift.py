@@ -89,13 +89,12 @@ def find_pp_zp(plane: np.ndarray) -> HistPair:
 
 def _step_band(plane: np.ndarray, lo: int, hi: int, step: int) -> np.ndarray:
     """Copy of the plane with `step` (+1 or -1) added to every value in
-    [lo, hi]; an unchanged copy when lo > hi."""
-    if lo > hi:
-        return plane.copy()
-    # Unsigned wrap-around maps [lo, hi] onto [0, hi - lo], so one compare
-    # finds the band. Its 0/1 flags are written into the output buffer,
-    # which then becomes plane +/- flag: no other whole-plane temporary.
-    out = plane - np.uint8(lo)
+    [lo, hi]; an unchanged copy when the band is empty (lo = hi + 1)."""
+    # Unsigned wrap-around maps [lo, hi] onto [0, hi - lo] (an empty band
+    # onto -1), so one compare finds the band. Its 0/1 flags are written
+    # into the output buffer, which then becomes plane +/- flag: no other
+    # whole-plane temporary.
+    out = plane - np.uint8(lo & 0xFF)
     np.less_equal(out, hi - lo, out=out.view(np.bool_))
     return (np.add if step > 0 else np.subtract)(plane, out, out=out)
 
@@ -111,6 +110,21 @@ def unshift_histogram(plane: np.ndarray, pair: HistPair) -> np.ndarray:
     """Exact inverse of shift_histogram on a plane without 1-bit pixels."""
     lo, hi = pair.band
     return _step_band(plane, lo, hi, -1 if pair.up else +1)
+
+
+def is_shifted(plane: np.ndarray, pair: HistPair) -> bool:
+    """Whether a plane of the pair's image is shifted (intermediate or
+    marked) rather than original. The nearest-empty-bin rule leaves the bin
+    next to zp (toward pp) occupied in the original, so a shifted plane has
+    zp samples and an original one has none. Under the adjacent pair zp is
+    the marked value and the shift is the identity: True. Slices of 2**18
+    samples stop at the first zp sample and scan a whole plane faster than
+    one pass."""
+    if pair.zp == pair.marked_value:
+        return True
+    flat = plane.reshape(-1)
+    step = 1 << 18
+    return any((flat[i : i + step] == pair.zp).any() for i in range(0, flat.size, step))
 
 
 def marked_mask(plane: np.ndarray, pair: HistPair) -> np.ndarray:

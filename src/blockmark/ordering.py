@@ -57,16 +57,6 @@ def apply_orientation(mat: np.ndarray, orientation: int) -> np.ndarray:
     return out[..., ::-1] if orientation & 4 else out
 
 
-@lru_cache(maxsize=16)
-def orientation_permutations(block: int) -> np.ndarray:
-    """(8, block*block) table: row o holds, per transformed scan position,
-    the flat index of the source cell."""
-    idx = np.arange(block * block).reshape(block, block)
-    return np.stack(
-        [apply_orientation(idx, o).ravel() for o in range(N_ORIENTATIONS)]
-    )
-
-
 # Index of the lowest set bit of a nonzero byte: an orientation bit's id.
 _LOW_BIT = np.array([(v & -v).bit_length() - 1 for v in range(256)], dtype=np.intp)
 
@@ -77,7 +67,10 @@ def _scan_tables(block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     under orientation o, `lowest[c]` its smallest position under any
     orientation and `reach[c]` the bit set (bit o for orientation o) of the
     orientations that put it there."""
-    scan = np.argsort(orientation_permutations(block), axis=1).astype(np.int32)
+    # Row o of `source` is the cell at each scan position under orientation o.
+    cells = np.arange(block * block).reshape(block, block)
+    source = np.stack([apply_orientation(cells, o).ravel() for o in range(N_ORIENTATIONS)])
+    scan = np.argsort(source, axis=1)
     lowest = scan.min(axis=0)
     bit = np.left_shift(1, np.arange(N_ORIENTATIONS))[:, None]
     reach = np.where(scan == lowest, bit, 0).sum(axis=0).astype(np.uint8)
@@ -118,7 +111,8 @@ def canonical_keys(row: np.ndarray, cell: np.ndarray, n: int, cells: int):
         raise ValueError("mask block has no marked cells")
     starts = np.zeros(n, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
-    low = np.take(lowest, cell)  # `take` gathers faster than fancy indexing
+    # At the coordinates' dtype, as `scan`; `take` gathers faster than indexing.
+    low = np.take(lowest.astype(row.dtype, copy=False), cell)
     first = np.minimum.reduceat(low, starts)
     hits = np.where(low == np.repeat(first, counts), np.take(reach, cell), np.uint8(0))
     cand = np.bitwise_or.reduceat(hits, starts)
@@ -235,9 +229,10 @@ def build_order_plan(
     del in_band
 
     orientation, ambiguous, key = canonical_keys(row, cell, marked.size, cells)
-    # Sort by (label, slot count desc, shifted asc, signature asc, index).
-    # With equal slot counts the smaller signature is the larger packed key.
-    order = np.lexsort((marked, *(~key[:, ::-1]).T, shifted, -n_slots, labels[marked]))
+    # Sort by (label, slot count desc, shifted asc, signature asc); the sort
+    # is stable and `marked` ascends, so ties keep block-index order. With
+    # equal slot counts the smaller signature is the larger packed key.
+    order = np.lexsort((*(~key[:, ::-1]).T, shifted, -n_slots, labels[marked]))
     blocks = marked[order]
     key, shifted, block_labels = key[order], shifted[order], labels[blocks]
 

@@ -58,6 +58,7 @@ from .histshift import (
     embed_bits,
     extract_bits,
     find_pp_zp,
+    is_shifted,
     shift_histogram,
     unshift_histogram,
 )
@@ -87,9 +88,14 @@ class SideInfo:
     pairs: tuple[HistPair, ...]
     bit_lengths: tuple[int, ...]
     per_plane_keys: bool = True
-    version: int = SIDEINFO_VERSION
 
     def __post_init__(self):
+        if not 1 <= self.block <= 0xFFFF:
+            raise SideInfoError(f"block must lie in [1, 65535], got {self.block}")
+        if len(self.pairs) > 0xFF or len(self.bit_lengths) > 0xFF:
+            raise SideInfoError("side info holds at most 255 pairs and 255 bit lengths")
+        if not all(0 <= length < 2**64 for length in self.bit_lengths):
+            raise SideInfoError("bit lengths must lie in [0, 2**64)")
         expected = (
             2 * len(self.pairs) if self.mode == Mode.TWO_DOMAIN else len(self.pairs)
         )
@@ -104,7 +110,7 @@ class SideInfo:
         body += SIDEINFO_MAGIC
         body += struct.pack(
             ">BBBHHB",
-            self.version,
+            SIDEINFO_VERSION,
             int(self.mode),
             1 if self.per_plane_keys else 0,
             self.block,
@@ -162,7 +168,6 @@ class SideInfo:
             pairs=tuple(pairs),
             bit_lengths=tuple(int(v) for v in lengths),
             per_plane_keys=bool(per_plane),
-            version=version,
         )
 
     def save(self, path) -> None:
@@ -191,52 +196,52 @@ def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.nda
 
 
 def _cipher_masks(
-    keys: KeySet, plans: list[OrderPlan], labels: np.ndarray, n_scopes: int
-) -> list[tuple[int, list[int], int | None, np.ndarray, np.ndarray]]:
-    """One `(scope, planes, subkey index, rot mask, scr mask)` entry per scope
-    and key group. With per-plane keys each plane is a group under its own
-    subkey; with shared keys all planes form one group under the shared key
-    and move the blocks that every plane allows."""
+    keys: KeySet, plans: list[OrderPlan], labels: np.ndarray, suffixes: list[bytes]
+) -> list[tuple[list[int], np.ndarray, np.ndarray, tuple[bytes, bytes], tuple[bytes, bytes]]]:
+    """One `(planes, rot mask, scr mask, orient draw, scramble draw)` entry
+    per scope and key group, scope-major; each draw is the `(key, tag)` of
+    its stream, so encryption and decryption read the same ones. With
+    per-plane keys each plane is a group under its own subkey; with shared
+    keys all planes form one group under the shared key and move the blocks
+    that every plane allows."""
     n = len(plans)
     groups = [([i], i) for i in range(n)] if keys.per_plane else [(list(range(n)), None)]
     return [
         (
-            j,
             planes,
-            sub,
             np.logical_and.reduce([plans[i].rot_eligible for i in planes]) & (labels == j),
             np.logical_and.reduce([plans[i].scr_eligible for i in planes]) & (labels == j),
+            (plane_key(keys.k_orient, sub), TAG_ORIENT + suffix),
+            (plane_key(keys.k_scramble, sub), TAG_SCRAMBLE + suffix),
         )
-        for j in range(n_scopes)
+        for j, suffix in enumerate(suffixes)
         for planes, sub in groups
     ]
 
 
-def _encrypt(stacks: list[np.ndarray], entries: list, keys: KeySet, suffixes: list[bytes]) -> None:
+def _encrypt(stacks: list[np.ndarray], entries: list) -> None:
     """Rotate/flip, then scramble, each entry's blocks in every plane of its
     group, in place on the block stacks."""
-    for j, planes, sub, rot, scr in entries:
-        suffix = suffixes[j]
+    for planes, rot, scr, orient, scramble in entries:
         blocks = np.flatnonzero(rot)
-        ids = draw_orientations(blocks.size, plane_key(keys.k_orient, sub), TAG_ORIENT + suffix)
+        ids = draw_orientations(blocks.size, *orient)
         for i in planes:
             orient_blocks(stacks[i], blocks, ids)
         blocks = np.flatnonzero(scr)
-        perm = draw_permutation(blocks.size, plane_key(keys.k_scramble, sub), TAG_SCRAMBLE + suffix)
+        perm = draw_permutation(blocks.size, *scramble)
         src = blocks[perm]
         del perm  # before the moves, which copy the moved blocks
         for i in planes:
             move_blocks(stacks[i], src, blocks)
 
 
-def _decrypt(stacks: list[np.ndarray], entries: list, keys: KeySet, suffixes: list[bytes]) -> None:
+def _decrypt(stacks: list[np.ndarray], entries: list) -> None:
     """Unscramble, then unrotate, each entry's blocks in every plane of its
     group, in place. The rotation mask describes the scrambled blocks, so it
     moves with them before the unrotation reads it."""
-    for j, planes, sub, rot, scr in entries:
-        suffix = suffixes[j]
+    for planes, rot, scr, orient, scramble in entries:
         blocks = np.flatnonzero(scr)
-        perm = draw_permutation(blocks.size, plane_key(keys.k_scramble, sub), TAG_SCRAMBLE + suffix)
+        perm = draw_permutation(blocks.size, *scramble)
         dst = blocks[perm]
         del perm  # before the moves, which copy the moved blocks
         for i in planes:
@@ -244,21 +249,9 @@ def _decrypt(stacks: list[np.ndarray], entries: list, keys: KeySet, suffixes: li
         rot[dst] = rot[blocks]
         del blocks, dst  # before the orientation draw
         blocks = np.flatnonzero(rot)
-        ids = draw_orientations(blocks.size, plane_key(keys.k_orient, sub), TAG_ORIENT + suffix)
+        ids = draw_orientations(blocks.size, *orient)
         for i in planes:
             orient_blocks(stacks[i], blocks, INVERSE_ORIENTATION[ids])
-
-
-def _plane_is_unshifted(plane: np.ndarray, pair: HistPair) -> bool:
-    # Reliable state probe: the nearest-empty-bin rule guarantees the bin
-    # adjacent to zp (toward pp) is occupied in the original image, so every
-    # shifted plane has a non-empty zp bin, while an un-shifted plane has an
-    # empty one by construction. For the degenerate adjacent pair both
-    # interpretations coincide. Slices of 2**18 samples stop a shifted plane
-    # at its first zp sample, and scan an un-shifted one faster than one pass.
-    flat = plane.reshape(-1)
-    step = 1 << 18
-    return not any((flat[i : i + step] == pair.zp).any() for i in range(0, flat.size, step))
 
 
 def _chunk_payload(bits: np.ndarray, capacities: list[int], what: str) -> list[np.ndarray]:
@@ -284,15 +277,11 @@ def _embed(
     grid = split_blocks(image.planes[0], block_size)
     labels, suffixes = _scopes(mode, keys.k_region, grid)
     payloads = [np.asarray(p).ravel() for p in payloads]
-    # Checked before the cast, which would truncate 0.6 to 0.
-    if not all(((bits == 0) | (bits == 1)).all() for bits in payloads):
-        raise ValueError("payload bits must be 0 or 1")
-    payloads = [bits.astype(np.uint8, copy=False) for bits in payloads]
     pairs = [find_pp_zp(plane) for plane in image.planes]
     work = [shift_histogram(block_stack(p, grid), pair) for p, pair in zip(image.planes, pairs)]
     plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]
     slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
-    entries = _cipher_masks(keys, plans, labels, len(suffixes))
+    entries = _cipher_masks(keys, plans, labels, suffixes)
     del plans  # the plans' arrays are not needed through the block moves
     # Every capacity is checked before any plane is written.
     chunks = [
@@ -307,7 +296,7 @@ def _embed(
     for i, pair in enumerate(pairs):
         for j in range(len(suffixes)):
             work[i] = embed_bits(work[i], pair, slots[j][i], chunks[j][i])
-    _encrypt(work, entries, keys, suffixes)
+    _encrypt(work, entries)
     for i, stack in enumerate(work):
         work[i] = stack_to_plane(stack, grid)
 
@@ -373,7 +362,7 @@ def _extract(
     planes_out = []
     for i, (plane, pair) in enumerate(zip(image.planes, side.pairs)):
         stack = block_stack(plane, grid)
-        if _plane_is_unshifted(stack, pair) and pair.zp != pair.marked_value:
+        if not is_shifted(stack, pair):
             raise SideInfoError(
                 "image histogram is not in the shifted state; "
                 "was the payload already extracted?"
@@ -432,16 +421,16 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     # per-value shift, so an un-shifted plane is shifted once, decrypted in
     # the shifted state and un-shifted at the end.
     work = [block_stack(plane, grid) for plane in image.planes]
-    unshifted = [i for i, s in enumerate(work) if _plane_is_unshifted(s, side.pairs[i])]
+    unshifted = [i for i, s in enumerate(work) if not is_shifted(s, side.pairs[i])]
     for i in unshifted:
         work[i] = shift_histogram(work[i], side.pairs[i])
 
     # Scopes are disjoint and each one's plan depends only on its own
     # blocks, so one plan per plane serves every scope.
     plans = [build_order_plan(s, pair, labels) for s, pair in zip(work, side.pairs)]
-    entries = _cipher_masks(keys, plans, labels, len(suffixes))
+    entries = _cipher_masks(keys, plans, labels, suffixes)
     del plans  # the plans' arrays are not needed through the block moves
-    _decrypt(work, entries, keys, suffixes)
+    _decrypt(work, entries)
 
     for i in unshifted:
         work[i] = unshift_histogram(work[i], side.pairs[i])

@@ -37,7 +37,7 @@ from blockmark.cipher import (
 )
 from blockmark.histshift import marked_mask
 from blockmark.image_io import stack_to_plane
-from blockmark.ordering import N_ORIENTATIONS, OrderPlan, apply_orientation, orientation_permutations
+from blockmark.ordering import N_ORIENTATIONS, OrderPlan, apply_orientation
 from blockmark.pipeline import region_labels
 
 settings.register_profile("ci", deadline=None)
@@ -150,6 +150,15 @@ def ref_unorientation(mat: list[list], orientation: int) -> list[list]:
     for _ in range(orientation & 3):
         out = ref_rot90_cw(out)
     return out
+
+
+def ref_orientation_permutations(b: int) -> np.ndarray:
+    """(8, b*b) table from `ref_orientation`: row o holds, per scan position
+    under orientation o, the raster index of the cell found there."""
+    cells = [[r * b + c for c in range(b)] for r in range(b)]
+    return np.array(
+        [[v for row in ref_orientation(cells, o) for v in row] for o in range(N_ORIENTATIONS)]
+    )
 
 
 def ref_signature(mask: list[list[bool]]) -> tuple[int, ...]:
@@ -323,7 +332,7 @@ def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> Order
     rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 
-    scan = np.argsort(orientation_permutations(b), axis=1)
+    scan = np.argsort(ref_orientation_permutations(b), axis=1)
     row, cell = np.nonzero(mask_blocks[order])
     visit = np.argsort(row * cells + scan[orientation[row], cell])
     row, cell = row[visit], cell[visit]

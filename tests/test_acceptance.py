@@ -47,7 +47,6 @@ from blockmark.ordering import (
     apply_orientation,
     build_order_plan,
     canonical_keys,
-    orientation_permutations,
 )
 from blockmark.pipeline import region_labels
 from conftest import (
@@ -55,6 +54,7 @@ from conftest import (
     key_signature,
     natural_plane,
     ref_canonical_signature,
+    ref_orientation_permutations,
     region_capacities,
     synth_image,
 )
@@ -221,7 +221,7 @@ def test_c2_dihedral_canonicalization():
         orientation, ambiguous, key = canonical_keys(*np.nonzero(stack), *stack.shape)
         # Each row read under its chosen orientation.
         rows = np.arange(len(stack))[:, None]
-        oriented = stack[rows, orientation_permutations(n)[orientation]]
+        oriented = stack[rows, ref_orientation_permutations(n)[orientation]]
         for i, mask in enumerate(masks):
             expected_sig, expected_amb = ref_canonical_signature(mask)
             for row in range(8 * i, 8 * i + 8):

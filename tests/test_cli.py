@@ -321,6 +321,19 @@ class TestAnalyze:
         assert set(data) == {"horizontal", "vertical", "diagonal", "pairs"}
         assert "horizontal=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("subsample", ["0", "-8"])
+    def test_correlation_rejects_non_positive_subsample(self, tmp_path, capsys, subsample):
+        # 0 is a block size like any other, not "no subsampling".
+        save_image(natural_image(64, 64, seed=4), tmp_path / "nat.pgm")
+        rc = _run(
+            "analyze", "correlation", tmp_path / "nat.pgm",
+            "--pairs", "200", "--subsample", subsample,
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "GeometryError" in captured.err
+        assert "horizontal=" not in captured.out
+
     def test_compress_eval_output(self, workdir, capsys):
         cfg = workdir / "codecs.json"
         cfg.write_text('[{"name": "copy", "encode": "cp {in} {out}"}]')

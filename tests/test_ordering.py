@@ -29,6 +29,7 @@ from conftest import (
     ref_mask_stack_plan,
     ref_order_plan,
     ref_orientation,
+    ref_orientation_permutations,
     ref_rotate_flip,
     ref_scramble,
     valid_pair_plane,
@@ -129,6 +130,23 @@ class TestOrientations:
     def test_bad_id(self):
         with pytest.raises(ValueError):
             apply_orientation(np.zeros((2, 2)), 8)
+
+    @pytest.mark.parametrize("b", range(1, 33))
+    def test_scan_tables_match_reference(self, b):
+        # scan[o, c] is cell c's position under orientation o, lowest[c] its
+        # smallest over the 8, and reach[c] has bit o set for each
+        # orientation that puts it there; read cell by cell off the table.
+        source = ref_orientation_permutations(b)
+        scan, lowest, reach = ordering._scan_tables(b)
+        want = np.empty_like(source)
+        for o in range(8):
+            for position, c in enumerate(source[o].tolist()):
+                want[o, c] = position
+        assert np.array_equal(scan, want)
+        for c in range(b * b):
+            low = want[:, c].min()
+            assert lowest[c] == low
+            assert reach[c] == sum(1 << o for o in range(8) if want[o, c] == low)
 
 
 class TestSignature:
@@ -544,7 +562,9 @@ class TestOrderPlan:
     def test_shared_key_intersection_matches_sets(self, field):
         # Shared keys (per_plane=False) move only blocks every plane allows:
         # each scope's one key group holds exactly the common block indices.
-        # Per-plane keys give every plane a group of its own mask.
+        # Per-plane keys give every plane a group of its own mask. Every
+        # entry carries its scope's draws: the (key, tag) of its orientation
+        # and scramble streams, under its plane's subkey or the shared key.
         from blockmark.pipeline import _cipher_masks
 
         rng = np.random.default_rng(3)
@@ -554,8 +574,9 @@ class TestOrderPlan:
             pair = find_pp_zp(plane)
             inter = shift_histogram(plane, pair)
             plans.append(build_order_plan(block_stack(inter, split_blocks(inter, 4)), pair))
-        at = 3 if field == "rot_eligible" else 4  # the entries' mask of this kind
+        at = 1 if field == "rot_eligible" else 2  # the entries' mask of this kind
         labels = np.arange(64) % 2
+        suffixes = [b"/A", b"/B"]
         sets = [set(np.flatnonzero(getattr(p, field)).tolist()) for p in plans]
         common = set.intersection(*sets)
         assert any(s != common for s in sets)  # the planes disagree somewhere
@@ -563,15 +584,28 @@ class TestOrderPlan:
         def in_scope(j, blocks):
             return {a for a in blocks if labels[a] == j}
 
-        per_plane = _cipher_masks(generate_keys(per_plane=True, seed=0), plans, labels, 2)
-        assert [e[:3] for e in per_plane] == [(j, [i], i) for j in range(2) for i in range(3)]
-        for e in per_plane:
-            assert set(np.flatnonzero(e[at]).tolist()) == in_scope(e[0], sets[e[2]])
-        shared = _cipher_masks(generate_keys(per_plane=False, seed=0), plans, labels, 2)
-        assert [e[:3] for e in shared] == [(j, [0, 1, 2], None) for j in range(2)]
-        for e in shared:
+        def draws(keys, j, sub):
+            k_orient, k_scramble = keys.k_orient, keys.k_scramble
+            if sub is not None:
+                k_orient, k_scramble = k_orient + bytes([sub]), k_scramble + bytes([sub])
+            return (k_orient, TAG_ORIENT + suffixes[j]), (k_scramble, TAG_SCRAMBLE + suffixes[j])
+
+        keys = generate_keys(per_plane=True, seed=0)
+        per_plane = _cipher_masks(keys, plans, labels, suffixes)
+        scopes = [(j, i) for j in range(2) for i in range(3)]
+        assert len(per_plane) == len(scopes)
+        for (j, i), e in zip(scopes, per_plane):
+            assert e[0] == [i]
+            assert set(np.flatnonzero(e[at]).tolist()) == in_scope(j, sets[i])
+            assert e[3:] == draws(keys, j, i)
+        keys = generate_keys(per_plane=False, seed=0)
+        shared = _cipher_masks(keys, plans, labels, suffixes)
+        assert len(shared) == 2
+        for j, e in enumerate(shared):
+            assert e[0] == [0, 1, 2]
             assert e[at].dtype == bool and e[at].shape == (64,)
-            assert set(np.flatnonzero(e[at]).tolist()) == in_scope(e[0], common)
+            assert set(np.flatnonzero(e[at]).tolist()) == in_scope(j, common)
+            assert e[3:] == draws(keys, j, None)
 
 
 class TestPlanStability:

@@ -30,6 +30,7 @@ from blockmark import (
     split_blocks,
 )
 from blockmark import pipeline
+from blockmark.histshift import is_shifted
 from blockmark.image_io import stack_to_plane
 from blockmark.ordering import apply_orientation, build_order_plan
 from blockmark.pipeline import region_labels
@@ -321,7 +322,16 @@ class TestShiftedStateProbe:
         stack = np.full((2 * 2**18 + 5, 1, 1), 50, dtype=np.uint8)
         if at is not None:
             stack[at] = 9
-        assert pipeline._plane_is_unshifted(stack, HistPair(pp=7, zp=9)) == (at is None)
+        assert (not is_shifted(stack, HistPair(pp=7, zp=9))) == (at is None)
+
+    @pytest.mark.parametrize("pair", [HistPair(pp=7, zp=8), HistPair(pp=7, zp=6)])
+    def test_adjacent_pair_is_always_shifted(self, pair):
+        # zp is the marked value: the shift is the identity, so a plane with
+        # or without zp samples is in both states at once.
+        stack = np.full((4, 1, 1), 7, dtype=np.uint8)
+        assert is_shifted(stack, pair)
+        stack[-1] = pair.zp
+        assert is_shifted(stack, pair)
 
 
 class TestPlanBuilds:
@@ -518,6 +528,59 @@ class TestSideInfo:
                 pairs=(HistPair(1, 2),),
                 bit_lengths=(1, 2),
             )
+
+    @pytest.mark.parametrize(
+        "block, n_pairs, lengths",
+        [
+            (0, 1, (1,)),
+            (70000, 1, (1,)),
+            (-16, 1, (1,)),
+            (16, 1, (-1,)),
+            (16, 1, (2**64,)),
+            (16, 256, (0,) * 256),
+        ],
+    )
+    def test_unwritable_fields_rejected(self, block, n_pairs, lengths):
+        # Every field `to_bytes` could not pack is refused at construction,
+        # with the library's error rather than a raw struct.error.
+        pairs = (HistPair(1, 2),) * n_pairs
+        with pytest.raises(SideInfoError):
+            SideInfo(mode=Mode.PLAIN_FIRST, block=block, pairs=pairs, bit_lengths=lengths)
+
+    def test_limits_accepted(self):
+        for block, n_pairs in ((1, 0), (65535, 255)):
+            lengths = (2**64 - 1,) * n_pairs
+            side = SideInfo(Mode.ENCRYPT_FIRST, block, (HistPair(9, 0),) * n_pairs, lengths)
+            assert SideInfo.from_bytes(side.to_bytes()) == side
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_every_accepted_side_info_round_trips(self, data):
+        mode = data.draw(st.sampled_from(list(Mode)))
+        per_pair = 2 if mode == Mode.TWO_DOMAIN else 1
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 255), st.integers(0, 255))
+                .filter(lambda v: v[0] != v[1])
+                .map(lambda v: HistPair(*v)),
+                max_size=255 // per_pair,
+            )
+        )
+        lengths = data.draw(
+            st.lists(
+                st.integers(0, 2**64 - 1),
+                min_size=per_pair * len(pairs),
+                max_size=per_pair * len(pairs),
+            )
+        )
+        side = SideInfo(
+            mode=mode,
+            block=data.draw(st.integers(1, 65535)),
+            pairs=tuple(pairs),
+            bit_lengths=tuple(lengths),
+            per_plane_keys=data.draw(st.booleans()),
+        )
+        assert SideInfo.from_bytes(side.to_bytes()) == side
 
     def test_declared_length_beyond_slots(self, rng, keys):
         img = synth_image(64, 64, rng, color=False)
