@@ -16,22 +16,23 @@ The permutation is a Fisher-Yates shuffle of ``range(n)``: for i = n-1 .. 1,
 items i and j swap, where j is the next ``i.bit_length()`` stream bits,
 redrawn while it exceeds i. It is computed without a loop over the items,
 in two halves that give exactly what that loop gives. The draws are read a
-run of equal bit width at a time, with acceptance found by a fixed-point
-prefix sum (`_swap_targets`). The swaps are then resolved all at once: one
-stable sort of the targets links each step to the next step with the same
-target and to the first step that targets its position, and pointer jumping
-follows those links to where each item ends (`_compose_swaps`).
+run of equal bit width at a time, in passes of at most 2**14 candidates,
+with acceptance found by a fixed-point prefix sum (`_swap_targets`). The
+swaps are then resolved all at once (`_compose_swaps`): a scatter-minimum
+links each position to the first step that targets it, pointer jumping
+follows those links to their ends, and a stable sort of the targets links
+each step to the next step with the same target.
 
 Each operation is a draw followed by an apply. The draws depend only on
 (count, key, tag): `draw_permutation` is the keyed shuffle of the eligible
 blocks and `draw_orientations` their orientation ids. The applies work in
-place on a plane's ``(n_blocks, b, b)`` block stack
-(``image_io.block_stack``) from a given draw: `move_blocks` puts the
-content of block ``src[k]`` at ``dst[k]`` and `orient_blocks` transforms
-block ``blocks[k]`` by orientation ``ids[k]``. With ``e`` the ascending
-eligible block indices, scrambling moves ``e[perm]`` to ``e`` and
-unscrambling moves ``e`` to ``e[perm]``; unrotating applies
-``INVERSE_ORIENTATION[ids]``.
+place on a plane's C-contiguous ``(n_blocks, b, b)`` block stack
+(``image_io.block_stack``) from a given draw, each block one item:
+`move_blocks` puts the content of block ``src[k]`` at ``dst[k]`` and
+`orient_blocks` transforms block ``blocks[k]`` by orientation ``ids[k]``.
+With ``e`` the ascending eligible block indices, scrambling moves
+``e[perm]`` to ``e`` and unscrambling moves ``e`` to ``e[perm]``;
+unrotating applies ``INVERSE_ORIENTATION[ids]``.
 """
 
 from __future__ import annotations
@@ -94,11 +95,12 @@ class KeySet:
     per_plane: bool = True
 
     def __post_init__(self):
-        for name in ("k_scramble", "k_orient"):
-            if len(getattr(self, name)) != KEY_BYTES:
+        for name in ("k_scramble", "k_orient", "k_region"):
+            key = getattr(self, name)
+            if name == "k_region" and key is None:
+                continue
+            if not isinstance(key, bytes) or len(key) != KEY_BYTES:
                 raise KeyFormatError(f"{name} must be {KEY_BYTES} bytes")
-        if self.k_region is not None and len(self.k_region) != KEY_BYTES:
-            raise KeyFormatError(f"k_region must be {KEY_BYTES} bytes")
 
 
 def plane_key(key: bytes, plane: int | None) -> bytes:
@@ -173,6 +175,11 @@ def _count(n) -> int:
     return n
 
 
+# Candidates one pass of `_swap_targets` reads at most: a longer run takes
+# several passes, which keeps its temporaries small.
+_PASS = 1 << 14
+
+
 def _swap_targets(stream: Iterator[bytes], n: int) -> np.ndarray:
     """Fisher-Yates swap targets from a fresh stream of digests: for
     i = n-1 .. 1, ``j[i]`` is the next ``i.bit_length()`` bits, redrawn while
@@ -180,13 +187,14 @@ def _swap_targets(stream: Iterator[bytes], n: int) -> np.ndarray:
 
     The steps of one bit width k form a run, and every candidate of a run,
     accepted or rejected, is the next k bits, so a run's candidates are
-    read as one array. Candidate p is drawn by step ``A[p]``, the number of
-    candidates accepted before it, and accepted when
-    ``vals[p] <= i_top - A[p]``. So A is the exclusive prefix sum of its own
-    acceptances. That sum has one fixed point, and iterating it reaches the
-    point in a few passes from a start at the expected counts: each pass
-    makes at least the next entry exact. A run short of candidates reads
-    more; the bits after its last accepted candidate go on to the next run.
+    read as one array, at most `_PASS` of them a pass. Candidate p is drawn
+    by step ``A[p]``, the number of candidates accepted before it, and
+    accepted when ``vals[p] <= i_top - A[p]``. So A is the exclusive prefix
+    sum of its own acceptances. That sum has one fixed point, and iterating
+    it reaches the point in a few passes from a start at the expected
+    counts: each pass makes at least the next entry exact. A pass short of
+    candidates leaves the rest of its run to the next pass; the bits after
+    its last accepted candidate go on to the next pass.
     """
     j = np.zeros(n, dtype=np.int32)
     # Stream bits read but not yet used: `pool` after its first `skip` bits.
@@ -198,20 +206,30 @@ def _swap_targets(stream: Iterator[bytes], n: int) -> np.ndarray:
         # Step i accepts with probability (i + 1) / 2^k, so the run's steps
         # expect this many candidates. Read that and a margin.
         expected = (1 << k) * math.log((i_top + 1) / (i_top + 1 - steps))
-        c = int(expected + math.sqrt(expected)) + 8
-        short = (skip + c * k + 7) // 8 - len(pool)
+        c = min(int(expected + math.sqrt(expected)) + 8, _PASS)
+        # Eight candidates take k bytes. Row g of `windows` holds the 8-byte
+        # windows that start at bytes g*k, g*k + 1, ...; candidate 8g + r
+        # starts in the one at byte offset (skip + r*k) // 8 of its row, at
+        # bit (skip + r*k) % 8. Shift those bits to the top, then down to k.
+        rows = -(-c // 8)
+        start = [skip + r * k for r in range(8)]
+        width = start[7] // 8 + 1
+        short = (rows - 1) * k + width + 8 - len(pool)
         if short > 0:
             pool += b"".join(itertools.islice(stream, -(-short // 64)))
-        # Candidate p starts at bit `skip + p*k`: shift its 8-byte big-endian
-        # window left by the bit offset in its first byte, then right to k bits.
-        windows = np.ndarray((len(pool),), ">u8", pool + bytes(7), strides=(1,))
-        at = np.arange(skip, skip + c * k, k, dtype=np.uint64)
-        vals = ((windows[at >> 3] << (at & 7)) >> (64 - k)).astype(np.int32)
-        del at, windows
+        # Each window read little-endian, then byte-swapped: its big-endian
+        # value, in the native order of most machines.
+        windows = np.ndarray((rows, width), "<u8", pool, strides=(k, 1))
+        vals = windows[:, [s >> 3 for s in start]].byteswap(inplace=True)
+        del windows
+        vals <<= np.array([s & 7 for s in start], dtype=np.uint64)
+        vals >>= np.uint64(64 - k)
+        vals = vals.astype(np.int32).reshape(-1)[:c]
 
         # Start from the steps expected before each candidate, the inverse
         # of the expected candidate count above.
-        before = ((i_top + 1) * -np.expm1(np.arange(c) / -(1 << k))).astype(np.int32)
+        before = np.expm1(np.arange(c, dtype=np.float32) * np.float32(-1 / (1 << k)))
+        before = (np.float32(-(i_top + 1)) * before).astype(np.int32)
         after = np.zeros(c, dtype=np.int32)
         room = i_top - vals
         while True:
@@ -224,7 +242,7 @@ def _swap_targets(stream: Iterator[bytes], n: int) -> np.ndarray:
 
         taken = accepted.nonzero()[0][:steps]
         used = taken[-1] + 1 if taken.size == steps else c
-        j[i_top - taken.size + 1 : i_top + 1] = vals[taken[::-1]]
+        j[i_top - taken.size + 1 : i_top + 1] = np.take(vals, taken[::-1])
         skip += int(used) * k
         pool, skip = pool[skip // 8 :], skip % 8
         i_top -= taken.size
@@ -233,42 +251,52 @@ def _swap_targets(stream: Iterator[bytes], n: int) -> np.ndarray:
 
 def _compose_swaps(j: np.ndarray) -> np.ndarray:
     """What swapping items i and ``j[i]`` of ``range(n)`` for i = n-1 .. 1
-    leaves, given ``j[i] <= i`` and ``j[0] = 0``, without a loop over the
-    swaps.
+    leaves, given int32 ``j[i] <= i`` and ``j[0] = 0``, without a loop over
+    the swaps.
 
     Follow the item that starts at position p. Steps before p never touch
     it (their targets are below p); step p moves it to ``j[p]``; after that
     it moves only when a later step targets where it sits, to that step's
     position. So with ``g(p)``, the next step after p with the same target,
     and ``f(q)``, the first step after q that targets q, the item ends at
-    ``root_f(g(p))`` if g(p) exists and at ``j[p]`` otherwise. One stable
-    sort of the targets gives both links; the f roots come from pointer
-    jumping, which takes a few passes because the chains are short (Shun
-    et al., SODA 2015).
+    ``root_f(g(p))`` if g(p) exists and at ``j[p]`` otherwise. f is the
+    smallest step at each target, one scatter-minimum; its roots come from
+    pointer jumping, which takes a few passes because the chains are short
+    (Shun et al., SODA 2015). g pairs neighbours in a stable sort of the
+    targets. Every gather and scatter is on int32.
     """
     n = j.size
-    # Stable sort by target in two 16-bit radix passes: a target's steps
-    # stay in step order, and `first` marks where each target's group starts.
-    order = np.argsort((j & 0xFFFF).astype(np.uint16), kind="stable").astype(np.int32)
-    order = order[np.argsort((j[order] >> 16).astype(np.uint16), kind="stable")]
-    target = j[order]
-    first = np.ones(n, dtype=bool)
-    np.not_equal(target[1:], target[:-1], out=first[1:])
-    g = np.full(n, -1, dtype=np.int32)
-    g[order[:-1]] = np.where(first[1:], -1, order[1:])
-    # f: the first step of a target's group, or the position itself (a
-    # root). Where j[q] = q that head is q itself, but no link reaches such
-    # a q: g and f only lead to steps that target a position below them.
-    heads = np.flatnonzero(first)
-    f = np.arange(n, dtype=np.int32)
-    f[target[heads]] = order[heads]
-    del order, target, first, heads
+    # f: the smallest step that targets each position. The top bit marks the
+    # positions no step targets; each is its own root. Where j[q] = q that
+    # step is q itself, but no link reaches such a q: g and f only lead to
+    # steps that target a position below them.
+    f = np.arange(2**31, 2**31 + n, dtype=np.uint32)
+    np.minimum.at(f, j, np.arange(n, dtype=np.uint32))
+    f &= 2**31 - 1
+    f = f.view(np.int32)
     while True:
-        jumped = f[f]
-        if (jumped == f).all():
+        jumped = np.take(f, f)
+        if np.array_equal(jumped, f):
             break
         f = jumped
-    return np.where(g >= 0, f[g], j).astype(np.intp)
+    del jumped
+    # A stable sort by target, an LSD radix sort over 16-bit digits, keeps
+    # each target's steps in step order. There step order[k] ends at the
+    # root of g = order[k + 1] when that step has the same target, and at
+    # its own target otherwise.
+    order = np.argsort(j.astype(np.uint16), kind="stable").astype(np.int32)
+    for shift in range(16, (n - 1).bit_length(), 16):
+        digit = (np.take(j, order) >> shift).astype(np.uint16)
+        order = np.take(order, np.argsort(digit, kind="stable"))
+    target = np.take(j, order)
+    del j
+    roots = np.take(f, order[1:])
+    del f
+    target[:-1] += (roots - target[:-1]) * (target[1:] == target[:-1])
+    del roots
+    out = np.empty(n, dtype=np.int32)
+    np.put(out, order, target)
+    return out.astype(np.intp)
 
 
 def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
@@ -279,9 +307,9 @@ def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
     next ``i.bit_length()`` stream bits, redrawn while it exceeds i. The
     draws are read a run of equal bit width at a time and accepted by a
     fixed-point prefix sum (`_swap_targets`); the swaps are resolved all at
-    once by one stable sort of the targets and pointer jumping
-    (`_compose_swaps`). A numpy integer n is accepted; a negative one raises
-    `ValueError`.
+    once by a scatter-minimum, pointer jumping and one stable sort of the
+    targets (`_compose_swaps`). A numpy integer n is accepted; a negative
+    one raises `ValueError`.
     """
     n = _count(n)
     if n >= 2**31:
@@ -296,22 +324,41 @@ def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
     return (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
 
 
+def _block_items(stack: np.ndarray) -> np.ndarray:
+    """A C-contiguous `(n_blocks, b, b)` block stack as n one-block items."""
+    if not stack.flags.c_contiguous:
+        raise ValueError("the block stack must be C-contiguous")
+    n, b, _ = stack.shape
+    return stack.reshape(n, b * b).view(np.dtype((np.void, b * b * stack.itemsize)))[:, 0]
+
+
 def move_blocks(stack: np.ndarray, src, dst) -> None:
-    """In place on a `(n_blocks, b, b)` block stack: block `dst[k]` gets
-    what block `src[k]` held. `np.take` gathers whole blocks about twice as
-    fast as indexing does at block 4."""
-    stack[dst] = np.take(stack, src, axis=0)
+    """In place on a C-contiguous `(n_blocks, b, b)` block stack: block
+    `dst[k]` gets what block `src[k]` held. Each block moves as one item."""
+    items = _block_items(stack)
+    np.put(items, dst, np.take(items, src))
 
 
 def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
-    """In place on a `(n_blocks, b, b)` block stack: block `blocks[k]` is
-    transformed by orientation `ids[k]`. Each of the 8 symmetries gathers
-    its blocks, transforms them together and scatters them back."""
-    blocks, ids = np.asarray(blocks), np.asarray(ids)
+    """In place on a C-contiguous `(n_blocks, b, b)` block stack: block
+    `blocks[k]` is transformed by orientation `ids[k]`. Each of the 7
+    non-identity symmetries gathers its blocks with one item per block,
+    transforms them into a contiguous copy and scatters them back.
+
+    The groups come from one mask per id. A stable `argsort` of the ids
+    finds them a little faster, but its intp result and radix buffer take
+    16 bytes per block, which at block 4 grew the heap enough to raise the
+    benchmark's resident peak in most processes."""
+    items = _block_items(stack)
+    ids = np.asarray(ids)
+    if ids.size and not 0 <= ids.min() <= ids.max() < N_ORIENTATIONS:
+        raise ValueError(f"orientation ids must be in [0, {N_ORIENTATIONS})")
     for o in range(1, N_ORIENTATIONS):  # id 0 is the identity
-        at = blocks[ids == o]
+        at = np.take(blocks, np.flatnonzero(ids == o))
         if at.size:
-            stack[at] = apply_orientation(np.take(stack, at, axis=0), o)
+            group = np.take(items, at).view(stack.dtype).reshape(-1, *stack.shape[1:])
+            turned = np.ascontiguousarray(apply_orientation(group, o))
+            np.put(items, at, _block_items(turned))
 
 
 # Orientation id -> id of its inverse: mirrored ids are involutions, and

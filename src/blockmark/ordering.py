@@ -122,14 +122,17 @@ def canonical_keys(row: np.ndarray, cell: np.ndarray, n: int, cells: int):
     # One scatter and one pack for all blocks: the keys of those the first
     # slot settles are final, the others are replaced below.
     orientation = np.where(single, _LOW_BIT[cand], 0)
+    # Each block's bits are padded to whole bytes, so one flat pack packs
+    # every row.
+    row_bytes = -(-cells // 8)
     pos = np.take(scan, np.repeat(orientation.astype(row.dtype) * cells, counts) + cell)
-    pos += row * cells
-    bits = np.zeros((n, cells), dtype=bool)
-    bits.reshape(-1)[pos] = True
+    pos += row * (8 * row_bytes)
+    bits = np.zeros(n * 8 * row_bytes, dtype=bool)
+    bits[pos] = True
     del pos
     n_words = -(-cells // 64)
     packed = np.zeros((n, 8 * n_words), dtype=np.uint8)
-    packed[:, : -(-cells // 8)] = np.packbits(bits, axis=1)
+    packed[:, :row_bytes] = np.packbits(bits).reshape(n, row_bytes)
     del bits
     key = packed.view(">u8").astype(np.uint64)
     ambiguous = np.zeros(n, dtype=bool)
@@ -146,16 +149,18 @@ def _canonical(row: np.ndarray, cell: np.ndarray, n: int, scan: np.ndarray):
     """`canonical_keys` of n blocks whose marked cells are `(row[k], cell[k])`,
     with `scan[o, c]` the position of cell c under orientation o, by comparing
     all 8 orientations. Each orientation sets its positions in one zeroed bit
-    per cell, packs, clears."""
+    per cell, each block's bits padded to whole bytes, packs them flat and
+    clears them."""
     cells = scan.shape[1]
     n_words = -(-cells // 64)
+    row_bytes = -(-cells // 8)
     pos = np.take(scan, cell, axis=1)
-    pos += row * cells
+    pos += row * (8 * row_bytes)
     packed = np.zeros((n, N_ORIENTATIONS, 8 * n_words), dtype=np.uint8)
-    bits = np.zeros(n * cells, dtype=bool)
+    bits = np.zeros(n * 8 * row_bytes, dtype=bool)
     for o in range(N_ORIENTATIONS):
         bits[pos[o]] = True
-        packed[:, o, : -(-cells // 8)] = np.packbits(bits.reshape(n, cells), axis=1)
+        packed[:, o, :row_bytes] = np.packbits(bits).reshape(n, row_bytes)
         bits.fill(False)
     del pos, bits  # the word loop's temporaries would otherwise stack on them
     words = packed.view(">u8")  # (n, 8, n_words)

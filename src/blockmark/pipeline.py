@@ -32,6 +32,7 @@ unrotates, so it too plans each plane once.
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -90,6 +91,21 @@ class SideInfo:
     per_plane_keys: bool = True
 
     def __post_init__(self):
+        # Normalize every field to what `to_bytes` writes; refuse the rest.
+        try:
+            fields = (
+                Mode(self.mode),
+                operator.index(self.block),
+                tuple(self.pairs),
+                tuple(operator.index(length) for length in self.bit_lengths),
+                bool(self.per_plane_keys),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SideInfoError(f"unwritable side info field: {exc}") from None
+        for name, value in zip(("mode", "block", "pairs", "bit_lengths", "per_plane_keys"), fields):
+            object.__setattr__(self, name, value)
+        if not all(isinstance(pair, HistPair) for pair in self.pairs):
+            raise SideInfoError("side info pairs must be HistPair instances")
         if not 1 <= self.block <= 0xFFFF:
             raise SideInfoError(f"block must lie in [1, 65535], got {self.block}")
         if len(self.pairs) > 0xFF or len(self.bit_lengths) > 0xFF:
@@ -221,16 +237,15 @@ def _cipher_masks(
 
 def _encrypt(stacks: list[np.ndarray], entries: list) -> None:
     """Rotate/flip, then scramble, each entry's blocks in every plane of its
-    group, in place on the block stacks."""
+    group, in place on the block stacks. Block indices are int32, which the
+    draw caps at fewer than 2**31 items."""
     for planes, rot, scr, orient, scramble in entries:
-        blocks = np.flatnonzero(rot)
+        blocks = np.flatnonzero(rot).astype(np.int32)
         ids = draw_orientations(blocks.size, *orient)
         for i in planes:
             orient_blocks(stacks[i], blocks, ids)
-        blocks = np.flatnonzero(scr)
-        perm = draw_permutation(blocks.size, *scramble)
-        src = blocks[perm]
-        del perm  # before the moves, which copy the moved blocks
+        blocks = np.flatnonzero(scr).astype(np.int32)
+        src = np.take(blocks, draw_permutation(blocks.size, *scramble))
         for i in planes:
             move_blocks(stacks[i], src, blocks)
 
@@ -240,15 +255,13 @@ def _decrypt(stacks: list[np.ndarray], entries: list) -> None:
     group, in place. The rotation mask describes the scrambled blocks, so it
     moves with them before the unrotation reads it."""
     for planes, rot, scr, orient, scramble in entries:
-        blocks = np.flatnonzero(scr)
-        perm = draw_permutation(blocks.size, *scramble)
-        dst = blocks[perm]
-        del perm  # before the moves, which copy the moved blocks
+        blocks = np.flatnonzero(scr).astype(np.int32)
+        dst = np.take(blocks, draw_permutation(blocks.size, *scramble))
         for i in planes:
             move_blocks(stacks[i], blocks, dst)
-        rot[dst] = rot[blocks]
+        np.put(rot, dst, np.take(rot, blocks))
         del blocks, dst  # before the orientation draw
-        blocks = np.flatnonzero(rot)
+        blocks = np.flatnonzero(rot).astype(np.int32)
         ids = draw_orientations(blocks.size, *orient)
         for i in planes:
             orient_blocks(stacks[i], blocks, INVERSE_ORIENTATION[ids])

@@ -251,6 +251,14 @@ class TestBulkDraws:
             "c606ba147f4ed90132689b8774d7ba0e184d74247f4927ded3a17d26d0d5afdc"
         )
 
+    def test_quarter_million_permutation_pinned_digest(self):
+        # The scramble draw of 2048x2048 gray at block 4 (253,837 eligible
+        # blocks, bit widths up to 18), pinned like the draw above.
+        drawn = draw_permutation(253_837, KEY, b"scramble").astype("<i8")
+        assert hashlib.sha256(drawn.tobytes()).hexdigest() == (
+            "809855b4e18ab3d228c1e1ad477cebc610f9d48760086b24d075ca106e685a03"
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 300),
@@ -434,12 +442,22 @@ class TestScramble:
         assert not np.array_equal(stack, before)
 
 
+def _with_index_types(blocks):
+    """(block, index dtype) cases for the applies: `intp` under the bare
+    block id, and `int32`, which the pipeline passes, under "<block>-int32"."""
+    return [
+        pytest.param(block, index, id=f"{block}{suffix}")
+        for index, suffix in ((np.intp, ""), (np.int32, "-int32"))
+        for block in blocks
+    ]
+
+
 class TestBlockMoves:
-    @pytest.mark.parametrize("block", [1, 3, 4, 32])
-    def test_move_matches_per_block_reference(self, rng, block):
+    @pytest.mark.parametrize("block, index", _with_index_types([1, 3, 4, 8, 16, 32]))
+    def test_move_matches_per_block_reference(self, rng, block, index):
         plane = random_plane(rng, 2 * block, 5 * block)
         grid = split_blocks(plane, block)
-        dst = rng.choice(grid.n_blocks, size=6, replace=False)
+        dst = rng.choice(grid.n_blocks, size=6, replace=False).astype(index)
         src = rng.permutation(dst)
         want = plane.copy()
         for s, d in zip(src, dst):
@@ -447,6 +465,26 @@ class TestBlockMoves:
         stack = block_stack(plane, grid)
         assert move_blocks(stack, src, dst) is None  # in place
         assert np.array_equal(stack_to_plane(stack, grid), want)
+
+    def test_strided_stack_refused(self, rng):
+        # The applies work in place on whole-block items, which a strided
+        # stack does not have; a silent copy would drop the writes.
+        plane = random_plane(rng, 8, 16)
+        stack = block_stack(plane, split_blocks(plane, 4))[::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            move_blocks(stack, [0], [1])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            orient_blocks(stack, [0], [1])
+
+    @pytest.mark.parametrize("bad", [8, -1, 257])
+    def test_orientation_id_out_of_range_refused(self, rng, bad):
+        # Refused before any block moves, not skipped.
+        plane = random_plane(rng, 8, 8)
+        stack = block_stack(plane, split_blocks(plane, 4))
+        before = stack.copy()
+        with pytest.raises(ValueError, match="orientation ids"):
+            orient_blocks(stack, np.array([0, 1]), np.array([1, bad]))
+        assert np.array_equal(stack, before)
 
     def test_lists_accepted(self, rng):
         plane = random_plane(rng, 8, 8)
@@ -545,9 +583,9 @@ def _reference_transform(plane, grid, eligible, key, inverse):
 
 
 class TestRotateFlipOracle:
-    @pytest.mark.parametrize("block", [2, 3, 4, 8, 16, 32])
+    @pytest.mark.parametrize("block, index", _with_index_types([2, 3, 4, 8, 16, 32]))
     @pytest.mark.parametrize("which", ["empty", "all", "random"])
-    def test_matches_per_block_reference(self, rng, block, which):
+    def test_matches_per_block_reference(self, rng, block, which, index):
         plane = random_plane(rng, *{3: (33, 48), 32: (96, 128)}.get(block, (32, 48)))
         grid = split_blocks(plane, block)
         mask = {
@@ -555,7 +593,7 @@ class TestRotateFlipOracle:
             "all": np.ones(grid.n_blocks, dtype=bool),
             "random": rng.random(grid.n_blocks) < 0.5,
         }[which]
-        e = np.flatnonzero(mask)
+        e = np.flatnonzero(mask).astype(index)
         ids = draw_orientations(e.size, KEY, TAG_ORIENT)
         for applied, inverse in ((ids, False), (INVERSE_ORIENTATION[ids], True)):
             stack = block_stack(plane, grid)

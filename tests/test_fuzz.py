@@ -19,6 +19,8 @@ from blockmark import (
     BlockmarkError,
     CodecError,
     CodecSpec,
+    HistPair,
+    KeySet,
     Mode,
     SideInfo,
     decode_image,
@@ -135,6 +137,60 @@ class TestSideInfoBytes:
         except BlockmarkError:
             return
         _receive(decode_image(image_bytes), side, keys)
+
+
+# Arbitrary Python values for a constructor field.
+_ANY = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 300)
+    | st.floats(allow_nan=False)
+    | st.binary(max_size=20)
+    | st.text(max_size=20)
+    | st.tuples(st.integers(0, 255), st.integers(0, 255))
+)
+_KEY = st.binary(min_size=16, max_size=16) | st.text(min_size=16, max_size=16) | _ANY
+_PAIR = st.builds(HistPair, st.integers(0, 127), st.integers(128, 255)) | _ANY
+
+
+@st.composite
+def side_info_fields(draw):
+    """SideInfo arguments: often shaped like a valid one (a bit length per
+    pair, or two), with any field replaced by an arbitrary value."""
+    n = draw(st.integers(0, 3))
+    lengths = st.lists(st.integers(0, 99), min_size=n, max_size=n)
+    fields = [
+        st.sampled_from(list(Mode)) | _ANY,
+        st.integers(1, 64) | _ANY,
+        st.lists(_PAIR, min_size=n, max_size=n).map(tuple) | _ANY,
+        st.one_of(lengths, st.lists(st.integers(0, 99), min_size=2 * n, max_size=2 * n)).map(tuple)
+        | _ANY,
+        _ANY,
+    ]
+    return [draw(field) for field in fields]
+
+
+class TestConstructors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(_KEY, _KEY, _KEY | st.none(), _ANY), side_info_fields())
+    def test_arbitrary_fields(self, key_fields, side_fields):
+        # What KeySet accepts, the embed flows can use; what SideInfo
+        # accepts, `to_bytes` writes and `from_bytes` reads back as it was.
+        image_bytes, _, keys = CASES[2]
+        image = decode_image(image_bytes)
+        try:
+            made = KeySet(*key_fields)
+            embed_plain_then_encrypt(image, [1, 0], made, 8)
+            encrypt_then_embed(image, [1, 0], made, 8)
+            embed_two_domain(image, [1], [0], made, 8)
+        except BlockmarkError:
+            pass
+        try:
+            side = SideInfo(*side_fields)
+        except BlockmarkError:
+            return
+        assert SideInfo.from_bytes(side.to_bytes()) == side
+        _receive(image, side, keys)
 
 
 # Templates near the edges of what `load_codec_config` accepts.
