@@ -28,6 +28,7 @@ from .errors import (
     KeyFormatError,
     LossyCodecError,
     NoZeroPointError,
+    PayloadError,
     SideInfoError,
 )
 from .histshift import (

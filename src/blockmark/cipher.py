@@ -27,7 +27,8 @@ Each operation is a draw followed by an apply. The draws depend only on
 (count, key, tag): `draw_permutation` is the keyed shuffle of the eligible
 blocks and `draw_orientations` their orientation ids. The applies work in
 place on a plane's C-contiguous ``(n_blocks, b, b)`` block stack
-(``image_io.block_stack``) from a given draw, each block one item:
+(``image_io.block_stack``) from a given draw, each block one item
+(``image_io.block_items``):
 `move_blocks` puts the content of block ``src[k]`` at ``dst[k]`` and
 `orient_blocks` transforms block ``blocks[k]`` by orientation ``ids[k]``.
 With ``e`` the ascending eligible block indices, scrambling moves
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KeyFormatError
+from .image_io import block_items
 from .ordering import N_ORIENTATIONS, apply_orientation
 
 KEY_BYTES = 16
@@ -296,7 +298,7 @@ def _compose_swaps(j: np.ndarray) -> np.ndarray:
     del roots
     out = np.empty(n, dtype=np.int32)
     np.put(out, order, target)
-    return out.astype(np.intp)
+    return out
 
 
 def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
@@ -308,8 +310,9 @@ def draw_permutation(n: int, key: bytes, tag: bytes) -> np.ndarray:
     draws are read a run of equal bit width at a time and accepted by a
     fixed-point prefix sum (`_swap_targets`); the swaps are resolved all at
     once by a scatter-minimum, pointer jumping and one stable sort of the
-    targets (`_compose_swaps`). A numpy integer n is accepted; a negative
-    one raises `ValueError`.
+    targets (`_compose_swaps`). The result is int32, like every block index
+    of the cipher. A numpy integer n is accepted; a negative one raises
+    `ValueError`.
     """
     n = _count(n)
     if n >= 2**31:
@@ -324,18 +327,10 @@ def draw_orientations(n: int, key: bytes, tag: bytes) -> np.ndarray:
     return (b[:, 0] << 2) | (b[:, 1] << 1) | b[:, 2]
 
 
-def _block_items(stack: np.ndarray) -> np.ndarray:
-    """A C-contiguous `(n_blocks, b, b)` block stack as n one-block items."""
-    if not stack.flags.c_contiguous:
-        raise ValueError("the block stack must be C-contiguous")
-    n, b, _ = stack.shape
-    return stack.reshape(n, b * b).view(np.dtype((np.void, b * b * stack.itemsize)))[:, 0]
-
-
 def move_blocks(stack: np.ndarray, src, dst) -> None:
     """In place on a C-contiguous `(n_blocks, b, b)` block stack: block
     `dst[k]` gets what block `src[k]` held. Each block moves as one item."""
-    items = _block_items(stack)
+    items = block_items(stack)
     np.put(items, dst, np.take(items, src))
 
 
@@ -349,7 +344,7 @@ def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
     finds them a little faster, but its intp result and radix buffer take
     16 bytes per block, which at block 4 grew the heap enough to raise the
     benchmark's resident peak in most processes."""
-    items = _block_items(stack)
+    items = block_items(stack)
     ids = np.asarray(ids)
     if ids.size and not 0 <= ids.min() <= ids.max() < N_ORIENTATIONS:
         raise ValueError(f"orientation ids must be in [0, {N_ORIENTATIONS})")
@@ -358,7 +353,7 @@ def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
         if at.size:
             group = np.take(items, at).view(stack.dtype).reshape(-1, *stack.shape[1:])
             turned = np.ascontiguousarray(apply_orientation(group, o))
-            np.put(items, at, _block_items(turned))
+            np.put(items, at, block_items(turned))
 
 
 # Orientation id -> id of its inverse: mirrored ids are involutions, and

@@ -27,6 +27,10 @@ class CapacityExceededError(BlockmarkError):
     """Payload is longer than the available embedding slots."""
 
 
+class PayloadError(BlockmarkError, ValueError):
+    """Payload that is not an array of 0 and 1 bits."""
+
+
 class SideInfoError(BlockmarkError):
     """Side-information is malformed or inconsistent with the image."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceededError, NoZeroPointError
+from .errors import CapacityExceededError, NoZeroPointError, PayloadError
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def embed_bits(
             f"payload of {bits.size} bits exceeds {slots.size} available slots"
         )
     if not ((bits == 0) | (bits == 1)).all():  # 0.6 must not pass as a 0-bit
-        raise ValueError("payload bits must be 0 or 1")
+        raise PayloadError("payload bits must be 0 or 1")
     used = slots[: bits.size]
     if np.any(np.take(plane, used) != pair.pp):
         raise ValueError("slots must address pp-valued pixels")

@@ -8,8 +8,8 @@ emitted on write.
 
 Planes are cut into `block` x `block` tiles, the one shape that the cipher's
 8 dihedral symmetries map onto itself. The plan and the cipher work on the
-`(n_blocks, block, block)` stack of those tiles: `block_stack` and
-`stack_to_plane` are the only code that knows where a block sits.
+`(n_blocks, block, block)` stack of those tiles: `block_stack`,
+`stack_to_plane` and `block_items` are the only code that knows its layout.
 """
 
 from __future__ import annotations
@@ -123,17 +123,16 @@ def decode_image(data: bytes) -> Image:
         raise ImageFormatError("missing whitespace before pixel data", offset=pos)
     pos += 1
     need = width * height * n_planes
-    raster = data[pos : pos + need]
-    if len(raster) < need:
+    if len(data) - pos < need:
         raise ImageFormatError(
-            f"truncated pixel data: expected {need} bytes, found {len(raster)}",
+            f"truncated pixel data: expected {need} bytes, found {len(data) - pos}",
             offset=len(data),
         )
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    if n_planes == 1:
-        return Image((arr.reshape(height, width).copy(),))
-    rgb = arr.reshape(height, width, 3)
-    return Image((rgb[:, :, 0].copy(), rgb[:, :, 1].copy(), rgb[:, :, 2].copy()))
+    # One copy de-interleaves the samples of any plane count; the planes are
+    # its rows.
+    samples = np.frombuffer(data, np.uint8, count=need, offset=pos)
+    planes = samples.reshape(height, width, n_planes).transpose(2, 0, 1).copy()
+    return Image(tuple(planes))
 
 
 def encode_image(image: Image) -> bytes:
@@ -196,6 +195,15 @@ def block_stack(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
     b = grid.block
     rows = _items(np.ascontiguousarray(plane), b).reshape(grid.rows, b, grid.cols)
     return rows.swapaxes(1, 2).copy().view(plane.dtype).reshape(grid.n_blocks, b, b)
+
+
+def block_items(stack: np.ndarray) -> np.ndarray:
+    """A C-contiguous `(n_blocks, b, b)` block stack as a view of n items,
+    one block each."""
+    if not stack.flags.c_contiguous:
+        raise ValueError("the block stack must be C-contiguous")
+    n, b, _ = stack.shape
+    return _items(stack.reshape(n, b * b), b * b)[:, 0]
 
 
 def stack_to_plane(stack: np.ndarray, grid: BlockGrid) -> np.ndarray:

@@ -79,10 +79,11 @@ def _scan_tables(block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scan, lowest, reach
 
 
-def canonical_keys(row: np.ndarray, cell: np.ndarray, n: int, cells: int):
-    """Canonical orientation of n blocks of `cells` cells whose marked cells
+def canonical_keys(row: np.ndarray, cell: np.ndarray, counts: np.ndarray, cells: int):
+    """Canonical orientation of the blocks of `cells` cells whose marked cells
     are `(row[k], cell[k])`, rows ascending (`np.nonzero` of an `(n, cells)`
-    bool stack, or the plan's block-major slots).
+    bool stack, or the plan's block-major slots), where block i has
+    `counts[i]` of them.
 
     Returns `(orientation, ambiguous, key)`. `key[i]` is block i's mask under
     its canonical orientation, packed into big-endian 64-bit words (word j
@@ -90,8 +91,7 @@ def canonical_keys(row: np.ndarray, cell: np.ndarray, n: int, cells: int):
     zero-padded). The canonical orientation is the one whose packed mask is
     largest; `ambiguous[i]` is True when several orientations attain it, and
     `orientation[i]` is then 0. Raises GeometryError when `cells` is not a
-    square and ValueError when a block has no marked cells (skip slotless
-    blocks).
+    square and ValueError when a count is 0 (skip slotless blocks).
 
     Keys wider than one word first take the first-slot round: a block's
     earliest possible bit is the smallest `lowest` over its cells, and when
@@ -102,13 +102,13 @@ def canonical_keys(row: np.ndarray, cell: np.ndarray, n: int, cells: int):
     side = math.isqrt(cells)
     if side * side != cells:
         raise GeometryError("mask blocks are not square")
+    if not counts.all():
+        raise ValueError("mask block has no marked cells")
+    n = counts.size
     scan, lowest, reach = _scan_tables(side)
     scan = scan.astype(row.dtype, copy=False)
     if cells <= 64:
         return _canonical(row, cell, n, scan)
-    counts = np.bincount(row, minlength=n)
-    if not counts.all():
-        raise ValueError("mask block has no marked cells")
     starts = np.zeros(n, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
     # At the coordinates' dtype, as `scan`; `take` gathers faster than indexing.
@@ -174,8 +174,6 @@ def _canonical(row: np.ndarray, cell: np.ndarray, n: int, scan: np.ndarray):
         best = np.where(cand, w, 0).max(axis=1, initial=0)
         cand &= w == best[:, None]
         key[:, j] = best
-    if not key.any(axis=1).all():
-        raise ValueError("mask block has no marked cells")
     ambiguous = cand.sum(axis=1) > 1
     orientation = np.where(ambiguous, 0, cand.argmax(axis=1))
     return orientation, ambiguous, key
@@ -233,7 +231,7 @@ def build_order_plan(
     shifted = np.less_equal(in_band, hi - lo, out=in_band.view(np.bool_)).sum(axis=1)
     del in_band
 
-    orientation, ambiguous, key = canonical_keys(row, cell, marked.size, cells)
+    orientation, ambiguous, key = canonical_keys(row, cell, n_slots, cells)
     # Sort by (label, slot count desc, shifted asc, signature asc); the sort
     # is stable and `marked` ascends, so ties keep block-index order. With
     # equal slot counts the smaller signature is the larger packed key.

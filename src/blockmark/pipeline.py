@@ -53,7 +53,7 @@ from .cipher import (
     plane_key,
     stream_bits,
 )
-from .errors import CapacityExceededError, SideInfoError
+from .errors import CapacityExceededError, PayloadError, SideInfoError
 from .histshift import (
     HistPair,
     embed_bits,
@@ -170,16 +170,12 @@ class SideInfo:
             raise SideInfoError(f"unsupported side-info version {version}")
         if pos != len(data) - 4:
             raise SideInfoError("side info has trailing bytes")
-        try:
-            mode = Mode(mode_v)
-        except ValueError:
-            raise SideInfoError(f"unknown mode {mode_v}") from None
         if per_plane not in (0, 1):
             raise SideInfoError(f"bad per-plane key flag {per_plane}")
         if bw != bh:
             raise SideInfoError("side info must describe square blocks")
         return cls(
-            mode=mode,
+            mode=mode_v,
             block=bw,
             pairs=tuple(pairs),
             bit_lengths=tuple(int(v) for v in lengths),
@@ -289,7 +285,10 @@ def _embed(
     """
     grid = split_blocks(image.planes[0], block_size)
     labels, suffixes = _scopes(mode, keys.k_region, grid)
-    payloads = [np.asarray(p).ravel() for p in payloads]
+    try:
+        payloads = [np.asarray(p).ravel() for p in payloads]
+    except ValueError as exc:  # a ragged nesting has no array form
+        raise PayloadError(f"payload is not an array of bits: {exc}") from None
     pairs = [find_pp_zp(plane) for plane in image.planes]
     work = [shift_histogram(block_stack(p, grid), pair) for p, pair in zip(image.planes, pairs)]
     plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]

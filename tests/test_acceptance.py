@@ -218,7 +218,9 @@ def test_c2_dihedral_canonicalization():
         stack = np.stack(
             [apply_orientation(m, o).ravel() for m in masks for o in range(8)]
         )
-        orientation, ambiguous, key = canonical_keys(*np.nonzero(stack), *stack.shape)
+        orientation, ambiguous, key = canonical_keys(
+            *np.nonzero(stack), stack.sum(axis=1), stack.shape[1]
+        )
         # Each row read under its chosen orientation.
         rows = np.arange(len(stack))[:, None]
         oriented = stack[rows, ref_orientation_permutations(n)[orientation]]

@@ -17,6 +17,7 @@ PUBLIC = {
     "KeyFormatError",
     "LossyCodecError",
     "NoZeroPointError",
+    "PayloadError",
     "SideInfoError",
     # Images and keys.
     "Image",

@@ -107,7 +107,7 @@ class TestKeyedStream:
 
     def test_shuffle_is_permutation(self):
         shuffled = draw_permutation(40, KEY, b"shuffle")
-        assert shuffled.dtype == np.intp
+        assert shuffled.dtype == np.int32
         assert sorted(shuffled.tolist()) == list(range(40))
         assert shuffled.tolist() != list(range(40))
 
@@ -275,7 +275,7 @@ class TestBulkDraws:
         for step in range(n - 1, 0, -1):
             want[step], want[j[step]] = want[j[step]], want[step]
         got = _compose_swaps(np.array(j, dtype=np.int32))
-        assert got.dtype == np.intp
+        assert got.dtype == np.int32
         assert got.tolist() == want
 
     @pytest.mark.parametrize("n", [200, 70_000])

@@ -193,6 +193,30 @@ class TestConstructors:
         _receive(image, side, keys)
 
 
+# Payloads: bits, other values, and nestings of both, ragged ones too.
+_PAYLOAD = st.recursive(st.sampled_from([0, 1]) | _ANY, lambda inner: st.lists(inner, max_size=4))
+
+
+class TestPayloads:
+    @settings(max_examples=200, deadline=None)
+    @given(_PAYLOAD, _PAYLOAD)
+    def test_arbitrary_payloads(self, payload, payload_b):
+        # Each embed flow embeds a payload of 0 and 1 bits and refuses any
+        # other with a BlockmarkError.
+        image_bytes, _, keys = CASES[2]
+        image = decode_image(image_bytes)
+        flows = (
+            lambda: embed_plain_then_encrypt(image, payload, keys, 8),
+            lambda: encrypt_then_embed(image, payload, keys, 8),
+            lambda: embed_two_domain(image, payload, payload_b, keys, 8),
+        )
+        for flow in flows:
+            try:
+                flow()
+            except BlockmarkError:
+                pass
+
+
 # Templates near the edges of what `load_codec_config` accepts.
 _TEMPLATE = st.sampled_from(
     ["cp {in} {out}", "", "  ", "{", "{x}", "{0}", "{in.x}", "{in[x]}", "{in!z}", "'", "a\x00b"]

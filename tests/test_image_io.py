@@ -42,8 +42,27 @@ class TestDecode:
 
     def test_truncated_names_offset(self):
         data = b"P5 4 4 255 " + bytes(7)
-        with pytest.raises(ImageFormatError, match=r"byte 18"):
+        with pytest.raises(ImageFormatError, match=r"expected 16 bytes, found 7 \(byte 18\)"):
             decode_image(data)
+
+    @pytest.mark.parametrize("magic, n_planes", [(b"P5", 1), (b"P6", 3)])
+    def test_planes_are_separate_writable_arrays(self, magic, n_planes):
+        # Each plane is a writable, C-contiguous uint8 array of its own
+        # samples; bytes after the raster are ignored.
+        samples = bytes(range(2 * 3 * n_planes))
+        data = magic + b" 3 2 255\n" + samples + b"trailing bytes"
+        want = np.frombuffer(samples, np.uint8).reshape(2, 3, n_planes).transpose(2, 0, 1)
+        image = decode_image(data)
+        assert len(image.planes) == n_planes
+        for plane, expected in zip(image.planes, want):
+            assert plane.dtype == np.uint8
+            assert plane.flags.c_contiguous and plane.flags.writeable
+            assert np.array_equal(plane, expected)
+        # Writing one plane changes no other plane and no later decode.
+        image.planes[0][:] = 255
+        for plane, expected in zip(image.planes[1:], want[1:]):
+            assert np.array_equal(plane, expected)
+        assert all(np.array_equal(a, b) for a, b in zip(decode_image(data).planes, want))
 
     def test_comments_tolerated(self):
         data = b"P5 # width next\n2 # height\n2\n# maxval\n255\n" + bytes([9, 8, 7, 6])

@@ -71,7 +71,7 @@ def _single_mask(n, r, c):
 
 def _stack_keys(stack):
     """canonical_keys() of an `(n, cells)` bool stack's marked cells."""
-    return canonical_keys(*np.nonzero(stack), *stack.shape)
+    return canonical_keys(*np.nonzero(stack), stack.sum(axis=1), stack.shape[1])
 
 
 def _canonical(*masks):

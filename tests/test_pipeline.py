@@ -1,6 +1,7 @@
 """End-to-end flows: all modes, both receiver orders, side-info transport."""
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -519,6 +520,27 @@ class TestSideInfo:
                 continue
             with pytest.raises(SideInfoError, match="per-plane key flag"):
                 SideInfo.from_bytes(bytes(raw))
+
+    def test_mode_byte_must_name_a_mode(self):
+        # The mode sits at byte 5. Under a recomputed CRC each mode's value
+        # reads back as that mode, where the length count fits it, and every
+        # other value is refused.
+        single = SideInfo(Mode.PLAIN_FIRST, 16, (HistPair(12, 17),), (10,))
+        for side in (single, self._sample()):
+            raw = bytearray(side.to_bytes())
+            for value in range(256):
+                raw[5] = value
+                raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
+                if value >= len(Mode):
+                    with pytest.raises(SideInfoError, match="unwritable side info field"):
+                        SideInfo.from_bytes(bytes(raw))
+                elif (value == Mode.TWO_DOMAIN) == (side.mode == Mode.TWO_DOMAIN):
+                    got = SideInfo.from_bytes(bytes(raw))
+                    assert got.mode is Mode(value)
+                    assert got == replace(side, mode=value)
+                else:
+                    with pytest.raises(SideInfoError, match="bit lengths"):
+                        SideInfo.from_bytes(bytes(raw))
 
     def test_length_count_must_match_mode(self):
         with pytest.raises(SideInfoError):
