@@ -3,7 +3,8 @@
 
 For every benchmark workload, runs one round trip on its golden input
 (`bench/workloads.py`, read-only) through the public pipeline calls, in the
-workload's mode and receiver order, and prints one `key=value` line per call:
+workload's mode and receiver order, and the receiver's final
+`encode_image`, and prints one `key=value` line per call:
 
     texture-rgb-b16.embed_peak_x=3.90
 
@@ -65,7 +66,8 @@ def round_trip(w, inp):
     else:
         marked, peaks["decrypt"] = traced_peak(bm.decrypt, sent, side, inp.keys)
         bits, restored = extract(marked)
-    ok = bm.encode_image(restored) == inp.image_bytes and all(
+    out_bytes, peaks["encode"] = traced_peak(bm.encode_image, restored)
+    ok = out_bytes == inp.image_bytes and all(
         np.array_equal(got, want) for got, want in zip(bits, inp.payloads)
     )
     return peaks, ok

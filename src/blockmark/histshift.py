@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import CapacityExceededError, NoZeroPointError, PayloadError
 
+# Samples per slice of the whole-plane passes that work in slices.
+_SLICE = 1 << 18
+
 
 @dataclass(frozen=True)
 class HistPair:
@@ -38,6 +41,13 @@ class HistPair:
     def marked_value(self) -> int:
         """Pixel value that encodes an embedded 1-bit."""
         return self.pp + 1 if self.up else self.pp - 1
+
+    @property
+    def moved(self) -> tuple[int, int]:
+        """Inclusive value range that the shift moves; empty when lo > hi."""
+        if self.up:
+            return self.pp + 1, self.zp - 1
+        return self.zp + 1, self.pp - 1
 
     @property
     def band(self) -> tuple[int, int]:
@@ -87,29 +97,50 @@ def find_pp_zp(plane: np.ndarray) -> HistPair:
     return HistPair(pp=pp, zp=int(nearest.max()))
 
 
-def _step_band(plane: np.ndarray, lo: int, hi: int, step: int) -> np.ndarray:
-    """Copy of the plane with `step` (+1 or -1) added to every value in
-    [lo, hi]; an unchanged copy when the band is empty (lo = hi + 1)."""
+def _step_band(
+    plane: np.ndarray, lo: int, hi: int, step: int, out: np.ndarray | None
+) -> np.ndarray:
+    """`plane` with `step` (+1 or -1) added to every value in [lo, hi] (none
+    when lo = hi + 1), written into `out` or a new C-order array."""
+    if out is None:
+        out = np.empty(plane.shape, plane.dtype)
+    elif out.shape != plane.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the plane's shape")
+    np.copyto(out, plane)  # a no-op when `out` is the plane
     # Unsigned wrap-around maps [lo, hi] onto [0, hi - lo] (an empty band
-    # onto -1), so one compare finds the band. Its 0/1 flags are written
-    # into the output buffer, which then becomes plane +/- flag: no other
+    # onto -1), so one compare finds the band. Its 0/1 flags go into one
+    # reused slice buffer, and each slice becomes itself +/- flag: no
     # whole-plane temporary.
-    out = plane - np.uint8(lo & 0xFF)
-    np.less_equal(out, hi - lo, out=out.view(np.bool_))
-    return (np.add if step > 0 else np.subtract)(plane, out, out=out)
+    flat = out.reshape(-1)
+    flag = np.empty(min(flat.size, _SLICE), out.dtype)
+    for i in range(0, flat.size, _SLICE):
+        part = flat[i : i + _SLICE]
+        f = flag[: part.size]
+        np.subtract(part, np.uint8(lo & 0xFF), out=f)
+        np.less_equal(f, hi - lo, out=f.view(np.bool_))
+        (np.add if step > 0 else np.subtract)(part, f, out=part)
+    return out
 
 
-def shift_histogram(plane: np.ndarray, pair: HistPair) -> np.ndarray:
-    """Move every value strictly between pp and zp one step toward zp."""
-    if pair.up:
-        return _step_band(plane, pair.pp + 1, pair.zp - 1, +1)
-    return _step_band(plane, pair.zp + 1, pair.pp - 1, -1)
+def shift_histogram(
+    plane: np.ndarray, pair: HistPair, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Move every value strictly between pp and zp one step toward zp.
+
+    As in numpy, `out` receives the result: a C-contiguous array of the
+    plane's shape, the plane itself included (any other raises ValueError).
+    Without it the result is a new C-order array."""
+    lo, hi = pair.moved
+    return _step_band(plane, lo, hi, +1 if pair.up else -1, out)
 
 
-def unshift_histogram(plane: np.ndarray, pair: HistPair) -> np.ndarray:
-    """Exact inverse of shift_histogram on a plane without 1-bit pixels."""
+def unshift_histogram(
+    plane: np.ndarray, pair: HistPair, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact inverse of shift_histogram on a plane without 1-bit pixels;
+    `out` as there."""
     lo, hi = pair.band
-    return _step_band(plane, lo, hi, -1 if pair.up else +1)
+    return _step_band(plane, lo, hi, -1 if pair.up else +1, out)
 
 
 def is_shifted(plane: np.ndarray, pair: HistPair) -> bool:
@@ -123,8 +154,7 @@ def is_shifted(plane: np.ndarray, pair: HistPair) -> bool:
     if pair.zp == pair.marked_value:
         return True
     flat = plane.reshape(-1)
-    step = 1 << 18
-    return any((flat[i : i + step] == pair.zp).any() for i in range(0, flat.size, step))
+    return any((flat[i : i + _SLICE] == pair.zp).any() for i in range(0, flat.size, _SLICE))
 
 
 def marked_mask(plane: np.ndarray, pair: HistPair) -> np.ndarray:
@@ -155,11 +185,14 @@ def embed_bits(
     and return `plane` itself.
 
     Slot k moves to the marked value for a 1-bit and stays at pp for a
-    0-bit; slots beyond len(bits) are untouched. Every check runs before
-    the first write.
+    0-bit; slots beyond len(bits) are untouched. `bits` is read in its
+    flat order. Every check runs before the first write.
     """
     slots = np.asarray(slots, dtype=np.intp)
-    bits = np.asarray(bits)
+    try:
+        bits = np.asarray(bits).ravel()
+    except ValueError as exc:  # a ragged nesting has no array form
+        raise PayloadError(f"payload is not an array of bits: {exc}") from None
     if bits.size > slots.size:
         raise CapacityExceededError(
             f"payload of {bits.size} bits exceeds {slots.size} available slots"

@@ -14,6 +14,7 @@ Planes are cut into `block` x `block` tiles, the one shape that the cipher's
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import GeometryError, ImageFormatError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_ENCODE_SLICE_BYTES = 1 << 16  # at most this, or one row, is interleaved at a time
 
 
 @dataclass(frozen=True)
@@ -136,14 +138,26 @@ def decode_image(data: bytes) -> Image:
 
 
 def encode_image(image: Image) -> bytes:
-    """Serialize to canonical binary PGM/PPM (no comments, maxval 255)."""
-    header = b"P%d\n%d %d\n255\n" % (6 if image.is_color else 5, image.width, image.height)
-    # One buffer for the header and the samples: no whole-image temporaries.
-    out = np.empty(len(header) + image.width * image.height * len(image.planes), np.uint8)
-    out[: len(header)] = list(header)
-    for i, plane in enumerate(image.planes):
-        out[len(header) :].reshape(image.height, image.width, -1)[:, :, i] = plane
-    return out.tobytes()
+    """Serialize to canonical binary PGM/PPM (no comments, maxval 255),
+    interleaving a slice of rows at a time straight into the result."""
+    height, width, n_planes = image.height, image.width, len(image.planes)
+    header = b"P%d\n%d %d\n255\n" % (6 if image.is_color else 5, width, height)
+    out = io.BytesIO()
+    # One write at the last offset sizes the buffer to header plus samples.
+    out.seek(len(header) + height * width * n_planes - 1)
+    out.write(b"\0")
+    out.seek(0)
+    out.write(header)
+    rows = max(1, _ENCODE_SLICE_BYTES // (width * n_planes))
+    buf = np.empty((min(rows, height), width, n_planes), np.uint8)
+    for top in range(0, height, rows):
+        part = buf[: min(rows, height - top)]
+        for i, plane in enumerate(image.planes):
+            part[:, :, i] = plane[top : top + part.shape[0]]
+        out.write(part)
+    # CPython hands over the exactly sized, unexported buffer without copying
+    # it; the bytes are the same either way.
+    return out.getvalue()
 
 
 def load_image(path: str | Path) -> Image:

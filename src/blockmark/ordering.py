@@ -200,13 +200,20 @@ class OrderPlan:
 
 
 def build_order_plan(
-    stack: np.ndarray, pair: HistPair, labels: np.ndarray | None = None
+    stack: np.ndarray,
+    pair: HistPair,
+    labels: np.ndarray | None = None,
+    shifted_state: bool = True,
 ) -> OrderPlan:
     """Derive the full plan from the `(n_blocks, b, b)` block stack of an
     intermediate or marked plane, from its slots' (block, cell) coordinates.
     `labels` gives every block a scope label (all zero by default). Ordering
     and sort-key ties never cross labels, so each label's slice of the plan
     is the plan of that label's blocks alone.
+
+    With `shifted_state=False` the stack is a payload-free unshifted plane:
+    its slots are the pp cells and its band is `pair.moved`, which the
+    shift maps onto `pair.band`, so the plan is the plan of its shift.
     """
     n_blocks, b, _ = stack.shape
     cells = b * b
@@ -217,7 +224,8 @@ def build_order_plan(
     # int32 coordinates, where they fit, halve the plan's largest arrays.
     coord = np.int32 if n_blocks * cells < 2**31 else np.intp
     flat = stack.reshape(n_blocks, cells)
-    slots = np.flatnonzero(marked_mask(flat, pair)).astype(coord)
+    slots = np.flatnonzero(marked_mask(flat, pair) if shifted_state else flat == pair.pp)
+    slots = slots.astype(coord)
     row, cell = np.divmod(slots, cells)
     counts = np.bincount(row, minlength=n_blocks)
     marked = np.flatnonzero(counts)
@@ -226,7 +234,7 @@ def build_order_plan(
     row = np.repeat(np.arange(marked.size, dtype=coord), n_slots)
     # Unsigned wrap-around maps the band [lo, hi] onto [0, hi - lo] (an empty
     # one, lo = hi + 1, onto -1), so one compare in one temporary finds it.
-    lo, hi = pair.band
+    lo, hi = pair.band if shifted_state else pair.moved
     in_band = flat[marked] - np.uint8(lo & 0xFF)
     shifted = np.less_equal(in_band, hi - lo, out=in_band.view(np.bool_)).sum(axis=1)
     del in_band

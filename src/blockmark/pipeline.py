@@ -26,7 +26,8 @@ ciphertext would write. The mode is recorded in the side info and changes
 no pixel. The cipher runs per scope and key group (one plane each under
 per-plane keys, all planes under shared keys), and decryption mirrors it:
 it moves the rotation mask with its blocks as it unscrambles, then
-unrotates, so it too plans each plane once.
+unrotates, so it too plans each plane once, in the state the plane arrives
+in: a payload-free un-shifted plane has the plan of its shift.
 """
 
 from __future__ import annotations
@@ -290,7 +291,9 @@ def _embed(
     except ValueError as exc:  # a ragged nesting has no array form
         raise PayloadError(f"payload is not an array of bits: {exc}") from None
     pairs = [find_pp_zp(plane) for plane in image.planes]
-    work = [shift_histogram(block_stack(p, grid), pair) for p, pair in zip(image.planes, pairs)]
+    work = [block_stack(plane, grid) for plane in image.planes]
+    for stack, pair in zip(work, pairs):
+        shift_histogram(stack, pair, out=stack)
     plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]
     slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
     entries = _cipher_masks(keys, plans, labels, suffixes)
@@ -389,7 +392,7 @@ def _extract(
                 )
             scope_bits, stack = extract_bits(stack, pair, slots[:length])
             bits[j].append(scope_bits)
-        stack = unshift_histogram(stack, pair)
+        unshift_histogram(stack, pair, out=stack)
         planes_out.append(stack_to_plane(stack, grid))
     return [np.concatenate(b) for b in bits], Image(tuple(planes_out))
 
@@ -429,23 +432,18 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
         raise SideInfoError("per-plane key flag does not match side info")
     labels, suffixes = _scopes(side.mode, keys.k_region, grid)
 
-    # Every plan was built on shifted planes. Block moves commute with the
-    # per-value shift, so an un-shifted plane is shifted once, decrypted in
-    # the shifted state and un-shifted at the end.
-    work = [block_stack(plane, grid) for plane in image.planes]
-    unshifted = [i for i, s in enumerate(work) if not is_shifted(s, side.pairs[i])]
-    for i in unshifted:
-        work[i] = shift_histogram(work[i], side.pairs[i])
-
+    # Each plane is planned in the state it arrives in: block moves commute
+    # with the per-value shift, so an un-shifted plane has its shift's plan.
     # Scopes are disjoint and each one's plan depends only on its own
     # blocks, so one plan per plane serves every scope.
-    plans = [build_order_plan(s, pair, labels) for s, pair in zip(work, side.pairs)]
+    work = [block_stack(plane, grid) for plane in image.planes]
+    plans = [
+        build_order_plan(s, pair, labels, shifted_state=is_shifted(s, pair))
+        for s, pair in zip(work, side.pairs)
+    ]
     entries = _cipher_masks(keys, plans, labels, suffixes)
     del plans  # the plans' arrays are not needed through the block moves
     _decrypt(work, entries)
-
-    for i in unshifted:
-        work[i] = unshift_histogram(work[i], side.pairs[i])
     for i, stack in enumerate(work):
         work[i] = stack_to_plane(stack, grid)
     return Image(tuple(work))

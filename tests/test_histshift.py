@@ -10,6 +10,7 @@ from blockmark import (
     CapacityExceededError,
     HistPair,
     NoZeroPointError,
+    PayloadError,
     capacity,
     embed_bits,
     extract_bits,
@@ -148,6 +149,7 @@ class TestEveryPair:
                 lo, hi = pair.band
                 step = 1 if pair.up else -1
                 between = (v > min(pp, zp)) & (v < max(pp, zp))
+                assert np.array_equal(between, (v >= pair.moved[0]) & (v <= pair.moved[1]))
                 in_band = (v >= lo) & (v <= hi)
                 shifted = shift_histogram(values, pair)
                 unshifted = unshift_histogram(values, pair)
@@ -166,6 +168,61 @@ class TestEveryPair:
                 pair = HistPair(pp=pp, zp=zp)
                 want = (values == pair.pp) | (values == pair.marked_value)
                 assert np.array_equal(marked_mask(values, pair), want), (pp, zp)
+
+
+_PAIRS = {
+    "up": HistPair(pp=2, zp=6),
+    "down": HistPair(pp=9, zp=5),
+    "adjacent up": HistPair(pp=10, zp=11),
+    "adjacent down": HistPair(pp=10, zp=9),
+}
+
+
+class TestShiftOut:
+    """`out=` writes the result into a given C-contiguous array of the
+    plane's shape, the plane itself included; without it the result is a
+    new C-order array and the plane is left as it was."""
+
+    @pytest.mark.parametrize("fn", [shift_histogram, unshift_histogram])
+    @pytest.mark.parametrize("pair", _PAIRS.values(), ids=_PAIRS.keys())
+    def test_in_place_equals_copy(self, rng, fn, pair):
+        # Three 2**18-sample slices, the last one partial.
+        plane = rng.integers(0, 16, size=(5, 2**17 + 3), dtype=np.uint8)
+        before = plane.copy()
+        want = fn(plane, pair)
+        assert np.array_equal(plane, before)
+        assert want.flags.c_contiguous and want is not plane
+        other = np.empty_like(plane)
+        assert fn(plane, pair, out=other) is other
+        assert np.array_equal(other, want)
+        assert fn(plane, pair, out=plane) is plane
+        assert np.array_equal(plane, want)
+
+    @pytest.mark.parametrize("fn", [shift_histogram, unshift_histogram])
+    @pytest.mark.parametrize("pair", _PAIRS.values(), ids=_PAIRS.keys())
+    def test_strided_plane(self, rng, fn, pair):
+        base = rng.integers(0, 16, size=(40, 60), dtype=np.uint8)
+        want = fn(base, pair)
+        for view, expect in [(base.T, want.T), (base[::2], want[::2])]:
+            before = view.copy()
+            got = fn(view, pair)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expect)
+            assert np.array_equal(view, before)
+            out = np.empty(view.shape, np.uint8)
+            assert np.array_equal(fn(view, pair, out=out), expect)
+
+    @pytest.mark.parametrize("fn", [shift_histogram, unshift_histogram])
+    def test_out_must_be_c_contiguous_of_the_plane_shape(self, fn):
+        plane = np.zeros((4, 6), np.uint8)
+        for out in [
+            np.zeros((6, 4), np.uint8).T,
+            np.zeros((4, 12), np.uint8)[:, ::2],
+            np.zeros((6, 4), np.uint8),
+            np.zeros(24, np.uint8),
+        ]:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                fn(plane, HistPair(pp=2, zp=6), out=out)
 
 
 class TestUnshift:
@@ -228,6 +285,10 @@ class TestEmbedExtract:
         with pytest.raises(ValueError, match="0 or 1"):
             embed_bits(plane, pair, self._slots(plane, pair), bits)
 
+    def test_nested_bits_read_flat(self):
+        marked = embed_bits(np.zeros(4, np.uint8), HistPair(0, 1), np.arange(4), [[1, 0], [1, 1]])
+        assert marked.tolist() == [1, 0, 1, 1]
+
     def test_extract_inverse_replay(self):
         plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
         pair = HistPair(pp=2, zp=6)
@@ -271,6 +332,7 @@ class TestEmbedExtract:
             ([0, 2, 3], [1, 0, 1, 1], CapacityExceededError),
             ([0, 2, 3], [1, 2, 1], ValueError),
             ([0, 1, 2], [1, 1, 1], ValueError),
+            ([0, 2, 3], [[1, 0], [1]], PayloadError),
         ],
     )
     def test_rejected_embed_writes_nothing(self, slots, bits, error):

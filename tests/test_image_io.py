@@ -1,5 +1,7 @@
 """PGM/PPM codec and block-grid arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from blockmark import (
     encode_image,
     split_blocks,
 )
+from blockmark import image_io
 from blockmark.image_io import BlockGrid, stack_to_plane
 from conftest import block_slice
 
@@ -93,6 +96,55 @@ class TestEncode:
         planes = (plane, plane.copy(), plane.copy()) if color else (plane,)
         img = Image(planes)
         assert decode_image(encode_image(img)) == img
+
+
+def _slice_shapes():
+    """(height, width) per plane count around the encoder's row slices:
+    1x1, two slices and one row, and one row wider than a slice."""
+    shapes = []
+    for n_planes in (1, 3):
+        rows = image_io._ENCODE_SLICE_BYTES // (700 * n_planes)
+        wide = image_io._ENCODE_SLICE_BYTES // n_planes + 1
+        for shape in [(1, 1), (2 * rows + 1, 700), (3, wide)]:
+            shapes.append((n_planes, shape))
+    return shapes
+
+
+class TestEncodeSlices:
+    """`encode_image` interleaves a slice of rows at a time into the bytes
+    it returns; the result is the interleaved raster of the planes."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "every other row"])
+    @pytest.mark.parametrize("n_planes, shape", _slice_shapes())
+    def test_equals_interleaved_raster(self, rng, n_planes, shape, layout):
+        h, w = shape
+        planes = []
+        for _ in range(n_planes):
+            if layout == "transposed":
+                plane = rng.integers(0, 256, (w, h), dtype=np.uint8).T
+            elif layout == "every other row":
+                plane = rng.integers(0, 256, (2 * h, w), dtype=np.uint8)[::2]
+            else:
+                plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            planes.append(plane)
+        header = b"P%d\n%d %d\n255\n" % (6 if n_planes == 3 else 5, w, h)
+        data = encode_image(Image(tuple(planes)))
+        assert type(data) is bytes
+        assert data == header + np.stack(planes, axis=-1).tobytes()
+
+    def test_traced_peak_is_the_returned_bytes(self, rng):
+        # The whole-image buffer is the result itself: no interleaved copy
+        # of the image besides it.
+        image = Image(tuple(rng.integers(0, 256, (512, 512), dtype=np.uint8) for _ in range(3)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            data = encode_image(image)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(data)
 
 
 class TestImage:

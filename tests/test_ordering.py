@@ -1,8 +1,10 @@
 """Dihedral canonicalization, among-block sorting, and plan stability."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +22,7 @@ from blockmark import ordering
 from blockmark.cipher import INVERSE_ORIENTATION, TAG_ORIENT, TAG_SCRAMBLE
 from blockmark.histshift import marked_mask
 from blockmark.image_io import stack_to_plane
-from blockmark.ordering import apply_orientation, canonical_keys
+from blockmark.ordering import OrderPlan, apply_orientation, canonical_keys
 from conftest import (
     key_signature,
     plan_blocks,
@@ -673,3 +675,31 @@ class TestPlanStability:
         )
         plan4 = build_order_plan(block_stack(unscrambled, grid), pair)
         assert np.array_equal(plan4.rot_eligible, plan2.rot_eligible)
+
+
+class TestUnshiftedState:
+    """A payload-free unshifted stack, planned with `shifted_state=False`,
+    has the plan of its shift: its pp cells are the slots and its moved
+    band maps onto the shifted band."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_plan_equals_plan_of_the_shift(self, data):
+        block = data.draw(st.sampled_from([2, 3, 4, 9]))
+        n_blocks = data.draw(st.integers(1, 12))
+        pp = data.draw(st.sampled_from([0, 1, 100, 254, 255]))
+        # Up, down and adjacent pairs; zp is an empty bin of the plane.
+        zp = pp + data.draw(st.sampled_from([1, 2, 3, 5, -1, -2, -4]))
+        assume(0 <= zp <= 255)
+        values = [v for v in range(max(0, pp - 6), min(256, pp + 7)) if v != zp]
+        stack = data.draw(
+            arrays(np.uint8, (n_blocks, block, block), elements=st.sampled_from(values))
+        )
+        labels = np.array(
+            data.draw(st.lists(st.integers(0, 2), min_size=n_blocks, max_size=n_blocks))
+        )
+        pair = HistPair(pp=pp, zp=zp)
+        got = build_order_plan(stack, pair, labels, shifted_state=False)
+        want = build_order_plan(shift_histogram(stack, pair), pair, labels)
+        for field in fields(OrderPlan):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name

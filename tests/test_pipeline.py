@@ -30,7 +30,7 @@ from blockmark import (
     psnr,
     split_blocks,
 )
-from blockmark import pipeline
+from blockmark import histshift, pipeline
 from blockmark.histshift import is_shifted
 from blockmark.image_io import stack_to_plane
 from blockmark.ordering import apply_orientation, build_order_plan
@@ -432,6 +432,56 @@ class TestPlanTransport:
         _, block, mode, keys = case
         *_, out, side = _embed_case(case, seed)
         assert decrypt(out, side, keys) == ref_decrypt(out, side.pairs, keys, block, mode)
+
+    @settings(max_examples=200)
+    @given(transport_cases(), st.integers(0, 2**32 - 1))
+    def test_decrypt_after_extract_restores_original(self, case, seed):
+        # Extraction leaves unshifted planes, which decryption plans as
+        # they arrive.
+        keys = case[3]
+        image, _, out, side = _embed_case(case, seed)
+        if side.mode == Mode.TWO_DOMAIN:
+            *_, plain = extract_two_domain(out, side, keys.k_region)
+        else:
+            _, plain = extract_payload(out, side)
+        assert decrypt(plain, side, keys) == image
+
+    @pytest.mark.parametrize("extract_first", [True, False])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_decrypt_neither_shifts_nor_unshifts(
+        self, rng, keys, monkeypatch, mode, extract_first
+    ):
+        img = synth_image(64, 64, rng, color=True)
+        payloads = ([1, 0, 1], [0, 1]) if mode == Mode.TWO_DOMAIN else ([1, 0, 1],)
+        out, side = pipeline._embed(mode, img, payloads, keys, 8)
+
+        def extract(image):
+            if mode == Mode.TWO_DOMAIN:
+                *_, plain = extract_two_domain(image, side, keys.k_region)
+                return plain
+            return extract_payload(image, side)[1]
+
+        calls = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for fn in (histshift.shift_histogram, histshift.unshift_histogram):
+            for module in (pipeline, histshift):
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+        if extract_first:
+            plain = extract(out)
+            calls.clear()
+            assert decrypt(plain, side, keys) == img
+            assert calls == []
+        else:
+            marked = decrypt(out, side, keys)
+            assert calls == []
+            assert extract(marked) == img
 
     @pytest.mark.parametrize("per_plane", [True, False])
     @pytest.mark.parametrize("mode", list(Mode))
