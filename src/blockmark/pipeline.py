@@ -69,6 +69,14 @@ from .ordering import OrderPlan, build_order_plan
 
 SIDEINFO_MAGIC = b"ETRD"
 SIDEINFO_VERSION = 1
+_N_PAIRS_AT = 11  # offset of the pair count: after magic, version, mode, flag, block twice
+
+
+def _layout(n_pairs: int, n_lengths: int) -> struct.Struct:
+    """The v1 side-info bytes before the CRC-32, in order: magic, version,
+    mode, per-plane key flag, block side twice, pair count, (pp, zp) per
+    pair, length count, and one 64-bit bit length each."""
+    return struct.Struct(f">4sBBBHHB{2 * n_pairs}BB{n_lengths}Q")
 
 
 class Mode(enum.IntEnum):
@@ -107,12 +115,12 @@ class SideInfo:
             object.__setattr__(self, name, value)
         if not all(isinstance(pair, HistPair) for pair in self.pairs):
             raise SideInfoError("side info pairs must be HistPair instances")
-        if not 1 <= self.block <= 0xFFFF:
-            raise SideInfoError(f"block must lie in [1, 65535], got {self.block}")
-        if len(self.pairs) > 0xFF or len(self.bit_lengths) > 0xFF:
-            raise SideInfoError("side info holds at most 255 pairs and 255 bit lengths")
-        if not all(0 <= length < 2**64 for length in self.bit_lengths):
-            raise SideInfoError("bit lengths must lie in [0, 2**64)")
+        if self.block < 1:
+            raise SideInfoError(f"block must be at least 1, got {self.block}")
+        try:
+            self._body()
+        except struct.error as exc:
+            raise SideInfoError(f"unwritable side info field: {exc}") from None
         expected = (
             2 * len(self.pairs) if self.mode == Mode.TWO_DOMAIN else len(self.pairs)
         )
@@ -122,25 +130,16 @@ class SideInfo:
                 f"got {len(self.bit_lengths)}"
             )
 
-    def to_bytes(self) -> bytes:
-        body = bytearray()
-        body += SIDEINFO_MAGIC
-        body += struct.pack(
-            ">BBBHHB",
-            SIDEINFO_VERSION,
-            int(self.mode),
-            1 if self.per_plane_keys else 0,
-            self.block,
-            self.block,
-            len(self.pairs),
+    def _body(self) -> bytes:
+        pp_zp = [v for pair in self.pairs for v in (pair.pp, pair.zp)]
+        return _layout(len(self.pairs), len(self.bit_lengths)).pack(
+            SIDEINFO_MAGIC, SIDEINFO_VERSION, self.mode, self.per_plane_keys, self.block,
+            self.block, len(self.pairs), *pp_zp, len(self.bit_lengths), *self.bit_lengths,
         )
-        for pair in self.pairs:
-            body += struct.pack(">BB", pair.pp, pair.zp)
-        body += struct.pack(">B", len(self.bit_lengths))
-        for length in self.bit_lengths:
-            body += struct.pack(">Q", length)
-        body += struct.pack(">I", zlib.crc32(bytes(body)))
-        return bytes(body)
+
+    def to_bytes(self) -> bytes:
+        body = self._body()
+        return body + struct.pack(">I", zlib.crc32(body))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideInfo":
@@ -152,24 +151,16 @@ class SideInfo:
         if zlib.crc32(data[:-4]) != crc_stored:
             raise SideInfoError("side info CRC mismatch")
         try:
-            version, mode_v, per_plane, bw, bh, n_pairs = struct.unpack_from(
-                ">BBBHHB", data, 4
-            )
-            pos = 4 + struct.calcsize(">BBBHHB")
-            pairs = []
-            for _ in range(n_pairs):
-                pp, zp = struct.unpack_from(">BB", data, pos)
-                pos += 2
-                pairs.append(HistPair(pp=pp, zp=zp))
-            (n_lengths,) = struct.unpack_from(">B", data, pos)
-            pos += 1
-            lengths = struct.unpack_from(f">{n_lengths}Q", data, pos)
-            pos += 8 * n_lengths
-        except (struct.error, ValueError) as exc:
+            n_pairs = data[_N_PAIRS_AT]
+            layout = _layout(n_pairs, data[_N_PAIRS_AT + 1 + 2 * n_pairs])
+            _, version, mode_v, per_plane, bw, bh, _, *rest = layout.unpack_from(data)
+            pp_zp = rest[: 2 * n_pairs]
+            pairs = tuple(HistPair(pp=pp, zp=zp) for pp, zp in zip(pp_zp[::2], pp_zp[1::2]))
+        except (IndexError, struct.error, ValueError) as exc:
             raise SideInfoError(f"malformed side info: {exc}") from None
         if version != SIDEINFO_VERSION:
             raise SideInfoError(f"unsupported side-info version {version}")
-        if pos != len(data) - 4:
+        if layout.size != len(data) - 4:
             raise SideInfoError("side info has trailing bytes")
         if per_plane not in (0, 1):
             raise SideInfoError(f"bad per-plane key flag {per_plane}")
@@ -178,8 +169,8 @@ class SideInfo:
         return cls(
             mode=mode_v,
             block=bw,
-            pairs=tuple(pairs),
-            bit_lengths=tuple(int(v) for v in lengths),
+            pairs=pairs,
+            bit_lengths=rest[2 * n_pairs + 1 :],
             per_plane_keys=bool(per_plane),
         )
 

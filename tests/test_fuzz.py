@@ -136,6 +136,8 @@ class TestSideInfoBytes:
             side = SideInfo.from_bytes(_with_crc(body))
         except BlockmarkError:
             return
+        # What the reader accepts, the writer writes back byte for byte.
+        assert side.to_bytes() == _with_crc(body)
         _receive(decode_image(image_bytes), side, keys)
 
 
