@@ -175,7 +175,7 @@ def capacity(plane: np.ndarray, pair: HistPair) -> int:
     Defined on the plane the pair came from; shifting does not touch the
     peak bin, so the original and intermediate planes agree.
     """
-    return int(histogram(plane)[pair.pp])
+    return int(np.count_nonzero(plane == pair.pp))
 
 
 def embed_bits(

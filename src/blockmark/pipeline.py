@@ -17,17 +17,19 @@ plane by plane in R, G, B order, each plane taking up to its own capacity
 in the scope.
 
 Each call converts every plane to its `(n_blocks, b, b)` block stack once
-on entry and back once on exit; every step in between works on the stacks,
-with slots as stack-flat indices. Each call builds one plan per plane.
+on entry and back once on exit, and builds one plan per plane; every step
+in between works on the stacks, with slots as stack-flat indices.
 Encryption only moves block content, and every slot moves with its block,
 so embedding writes every scope into its plan's slots before any block
 moves: an encrypted-first scope gets the pixels a hider working on the
 ciphertext would write. The mode is recorded in the side info and changes
 no pixel. The cipher runs per scope and key group (one plane each under
-per-plane keys, all planes under shared keys), and decryption mirrors it:
-it moves the rotation mask with its blocks as it unscrambles, then
-unrotates, so it too plans each plane once, in the state the plane arrives
-in: a payload-free un-shifted plane has the plan of its shift.
+per-plane keys, all planes under shared keys). Extraction and decryption
+are one receiver pass, which probes each plane once and plans it in the
+state it arrives in: a payload-free un-shifted plane has the plan of its
+shift. Extraction reads every scope's bits and unshifts in place before
+any block moves; decryption moves the rotation mask with its blocks as it
+unscrambles, then unrotates.
 """
 
 from __future__ import annotations
@@ -160,7 +162,9 @@ class SideInfo:
             raise SideInfoError(f"malformed side info: {exc}") from None
         if version != SIDEINFO_VERSION:
             raise SideInfoError(f"unsupported side-info version {version}")
-        if layout.size != len(data) - 4:
+        if layout.size > len(data) - 4:
+            raise SideInfoError("side info truncated")
+        if layout.size < len(data) - 4:
             raise SideInfoError("side info has trailing bytes")
         if per_plane not in (0, 1):
             raise SideInfoError(f"bad per-plane key flag {per_plane}")
@@ -350,42 +354,51 @@ def embed_two_domain(
     return _embed(Mode.TWO_DOMAIN, image, (payload_a, payload_b), keys, block_size)
 
 
-def _validate_side(image: Image, side: SideInfo) -> BlockGrid:
+def _receive(
+    image: Image, side: SideInfo, k_region: bytes | None, keys: KeySet | None, extract: bool
+) -> tuple[list[np.ndarray], Image]:
+    """The receiver pass: each scope's bits when `extract` is set, and the
+    image, unshifted when `extract` is set and decrypted when `keys` are
+    given. Scopes are disjoint and each one's plan depends only on its own
+    blocks, so one plan per plane serves every scope and the cipher."""
     if len(side.pairs) != len(image.planes):
         raise SideInfoError(
             f"side info describes {len(side.pairs)} planes, image has {len(image.planes)}"
         )
-    return split_blocks(image.planes[0], side.block)
-
-
-def _extract(
-    image: Image, side: SideInfo, k_region: bytes | None
-) -> tuple[list[np.ndarray], Image]:
-    """Each scope's payload bits and the payload-free image."""
-    grid = _validate_side(image, side)
+    grid = split_blocks(image.planes[0], side.block)
+    if keys is not None and side.per_plane_keys != keys.per_plane:
+        raise SideInfoError("per-plane key flag does not match side info")
     labels, suffixes = _scopes(side.mode, k_region, grid)
-    bits = [[] for _ in suffixes]
-    planes_out = []
-    for i, (plane, pair) in enumerate(zip(image.planes, side.pairs)):
-        stack = block_stack(plane, grid)
-        if not is_shifted(stack, pair):
-            raise SideInfoError(
-                "image histogram is not in the shifted state; "
-                "was the payload already extracted?"
-            )
-        plan = build_order_plan(stack, pair, labels)
-        for j in range(len(suffixes)):
-            length = side.bit_lengths[len(suffixes) * i + j]
-            slots = plan.slots[plan.slot_labels == j]
-            if length > slots.size:
-                raise SideInfoError(
-                    f"side info declares {length} bits but only {slots.size} slots exist"
-                )
-            scope_bits, stack = extract_bits(stack, pair, slots[:length])
-            bits[j].append(scope_bits)
-        unshift_histogram(stack, pair, out=stack)
-        planes_out.append(stack_to_plane(stack, grid))
-    return [np.concatenate(b) for b in bits], Image(tuple(planes_out))
+    work = [block_stack(plane, grid) for plane in image.planes]
+    shifted = [is_shifted(stack, pair) for stack, pair in zip(work, side.pairs)]
+    if extract and not all(shifted):
+        raise SideInfoError(
+            "image histogram is not in the shifted state; was the payload already extracted?"
+        )
+    # Extraction drops each plane's plan once it has read it; decryption
+    # keeps every plan for the cipher masks.
+    plans, bits = [], [[] for _ in suffixes]
+    for i, (stack, pair, state) in enumerate(zip(work, side.pairs, shifted)):
+        plan = build_order_plan(stack, pair, labels, shifted_state=state)
+        if extract:
+            for j, scope_bits in enumerate(bits):
+                length = side.bit_lengths[len(suffixes) * i + j]
+                slots = plan.slots[plan.slot_labels == j]
+                if length > slots.size:
+                    raise SideInfoError(
+                        f"side info declares {length} bits but only {slots.size} slots exist"
+                    )
+                scope_bits.append(extract_bits(stack, pair, slots[:length])[0])
+            unshift_histogram(stack, pair, out=stack)
+        if keys is not None:
+            plans.append(plan)
+        del plan
+    entries = [] if keys is None else _cipher_masks(keys, plans, labels, suffixes)
+    del plans  # the plans' arrays are not needed through the block moves
+    _decrypt(work, entries)
+    for i, stack in enumerate(work):
+        work[i] = stack_to_plane(stack, grid)
+    return [np.concatenate(b) for b in bits] if extract else [], Image(tuple(work))
 
 
 def extract_payload(image: Image, side: SideInfo) -> tuple[np.ndarray, Image]:
@@ -397,7 +410,7 @@ def extract_payload(image: Image, side: SideInfo) -> tuple[np.ndarray, Image]:
     """
     if side.mode == Mode.TWO_DOMAIN:
         raise SideInfoError("two-domain side info requires extract_two_domain")
-    (bits,), planes = _extract(image, side, None)
+    (bits,), planes = _receive(image, side, None, None, extract=True)
     return bits, planes
 
 
@@ -407,7 +420,7 @@ def extract_two_domain(
     """Recover both region payloads and the payload-free image."""
     if side.mode != Mode.TWO_DOMAIN:
         raise SideInfoError("side info does not describe two-domain hiding")
-    (bits_a, bits_b), planes = _extract(image, side, k_region)
+    (bits_a, bits_b), planes = _receive(image, side, k_region, None, extract=True)
     return bits_a, bits_b, planes
 
 
@@ -418,23 +431,4 @@ def decrypt(image: Image, side: SideInfo, keys: KeySet) -> Image:
     Commutes with extraction: applied before extraction it yields the marked
     plain image; applied after it yields the exact original.
     """
-    grid = _validate_side(image, side)
-    if side.per_plane_keys != keys.per_plane:
-        raise SideInfoError("per-plane key flag does not match side info")
-    labels, suffixes = _scopes(side.mode, keys.k_region, grid)
-
-    # Each plane is planned in the state it arrives in: block moves commute
-    # with the per-value shift, so an un-shifted plane has its shift's plan.
-    # Scopes are disjoint and each one's plan depends only on its own
-    # blocks, so one plan per plane serves every scope.
-    work = [block_stack(plane, grid) for plane in image.planes]
-    plans = [
-        build_order_plan(s, pair, labels, shifted_state=is_shifted(s, pair))
-        for s, pair in zip(work, side.pairs)
-    ]
-    entries = _cipher_masks(keys, plans, labels, suffixes)
-    del plans  # the plans' arrays are not needed through the block moves
-    _decrypt(work, entries)
-    for i, stack in enumerate(work):
-        work[i] = stack_to_plane(stack, grid)
-    return Image(tuple(work))
+    return _receive(image, side, keys.k_region, keys, extract=False)[1]

@@ -352,9 +352,11 @@ class TestPlanBuilds:
 
             return counted
 
-        for fn in (build_order_plan, block_stack, stack_to_plane):
+        for fn in (build_order_plan, block_stack, stack_to_plane, is_shifted):
             monkeypatch.setattr(pipeline, fn.__name__, counting(fn))
         per_call = ["block_stack", "build_order_plan", "stack_to_plane"] * 3
+        # Each receiver call probes each plane once.
+        per_receive = per_call + ["is_shifted"] * 3
         img = synth_image(64, 64, rng, color=True)
         if mode == Mode.TWO_DOMAIN:
             out, side = embed_two_domain(img, [1, 0, 1], [0, 1], keys, 16)
@@ -368,10 +370,10 @@ class TestPlanBuilds:
             *_, etc_img = extract_two_domain(out, side, keys.k_region)
         else:
             _, etc_img = extract_payload(out, side)
-        assert sorted(calls) == sorted(per_call)
+        assert sorted(calls) == sorted(per_receive)
         calls.clear()
         assert decrypt(etc_img, side, keys) == img
-        assert sorted(calls) == sorted(per_call)
+        assert sorted(calls) == sorted(per_receive)
 
 
 @st.composite
@@ -433,18 +435,31 @@ class TestPlanTransport:
         *_, out, side = _embed_case(case, seed)
         assert decrypt(out, side, keys) == ref_decrypt(out, side.pairs, keys, block, mode)
 
+    @pytest.mark.parametrize("extract_first", [True, False])
     @settings(max_examples=200)
     @given(transport_cases(), st.integers(0, 2**32 - 1))
-    def test_decrypt_after_extract_restores_original(self, case, seed):
+    def test_receiver_orders_restore_original(self, extract_first, case, seed):
         # Extraction leaves unshifted planes, which decryption plans as
-        # they arrive.
+        # they arrive; decryption first leaves marked plain planes.
         keys = case[3]
-        image, _, out, side = _embed_case(case, seed)
-        if side.mode == Mode.TWO_DOMAIN:
-            *_, plain = extract_two_domain(out, side, keys.k_region)
+        image, payloads, out, side = _embed_case(case, seed)
+
+        def extract(img):
+            if side.mode == Mode.TWO_DOMAIN:
+                *bits, plain = extract_two_domain(img, side, keys.k_region)
+                return bits, plain
+            bits, plain = extract_payload(img, side)
+            return [bits], plain
+
+        if extract_first:
+            bits, plain = extract(out)
+            restored = decrypt(plain, side, keys)
         else:
-            _, plain = extract_payload(out, side)
-        assert decrypt(plain, side, keys) == image
+            bits, restored = extract(decrypt(out, side, keys))
+        assert restored == image
+        assert len(bits) == len(payloads)
+        for got, want in zip(bits, payloads):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("extract_first", [True, False])
     @pytest.mark.parametrize("mode", list(Mode))
@@ -548,6 +563,16 @@ class TestSideInfo:
         raw = self._sample().to_bytes()
         with pytest.raises(SideInfoError):
             SideInfo.from_bytes(raw[:-4] + b"\x00" + raw[-4:])
+
+    def test_fields_past_the_body_read_truncated(self):
+        # The pair count sits at byte 11; with two pairs the length count
+        # sits at byte 16. Under a recomputed CRC the declared fields need
+        # 25 bytes of a 23-byte body.
+        raw = bytearray(SideInfo(Mode.PLAIN_FIRST, 16, (HistPair(1, 2),), (3,)).to_bytes())
+        raw[11], raw[16] = 2, 1
+        raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
+        with pytest.raises(SideInfoError, match="truncated"):
+            SideInfo.from_bytes(bytes(raw))
 
     def test_non_square_blocks_rejected(self):
         # Block width and height sit at bytes 7-10; declare 16x8 blocks and
