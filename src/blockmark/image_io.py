@@ -15,6 +15,8 @@ Planes are cut into `block` x `block` tiles, the one shape that the cipher's
 from __future__ import annotations
 
 import io
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +24,9 @@ import numpy as np
 
 from .errors import GeometryError, ImageFormatError
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# Whitespace and comments (`#` to the end of the line), then one token; the
+# token ends at whitespace or at a comment, and is empty only at the end.
+_TOKEN = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)")
 _ENCODE_SLICE_BYTES = 1 << 16  # at most this, or one row, is interleaved at a time
 
 
@@ -79,32 +83,15 @@ class Image:
         )
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ImageFormatError("unexpected end of header", offset=pos)
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    return data[start:pos], pos
-
-
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    tok, end = _next_token(data, pos)
+    m = _TOKEN.match(data, pos)
+    tok = m[1]
+    if not tok:
+        raise ImageFormatError("unexpected end of header", offset=m.end())
     try:
-        value = int(tok)
+        return int(tok), m.end()
     except ValueError:
-        raise ImageFormatError(f"invalid {what} token {tok!r}", offset=end - len(tok)) from None
-    return value, end
+        raise ImageFormatError(f"invalid {what} token {tok!r}", offset=m.start(1)) from None
 
 
 def decode_image(data: bytes) -> Image:
@@ -121,7 +108,7 @@ def decode_image(data: bytes) -> Image:
         raise ImageFormatError(f"invalid dimensions {width}x{height}", offset=pos)
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval}", offset=pos)
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise ImageFormatError("missing whitespace before pixel data", offset=pos)
     pos += 1
     need = width * height * n_planes
@@ -187,9 +174,15 @@ class BlockGrid:
 
 def split_blocks(plane: np.ndarray, block: int) -> BlockGrid:
     """Build the block grid for a plane; partial blocks are unsupported."""
+    try:
+        block = operator.index(block)
+    except TypeError:
+        raise GeometryError(f"block size must be an integer, got {block!r}") from None
     if block <= 0:
         raise GeometryError(f"block size must be positive, got {block}")
     h, w = plane.shape
+    if not h or not w:
+        raise GeometryError(f"plane {w}x{h} holds no blocks")
     if w % block or h % block:
         raise GeometryError(f"plane {w}x{h} is not divisible into {block}x{block} blocks")
     return BlockGrid(block=block, cols=w // block, rows=h // block)

@@ -71,14 +71,15 @@ from .ordering import OrderPlan, build_order_plan
 
 SIDEINFO_MAGIC = b"ETRD"
 SIDEINFO_VERSION = 1
-_N_PAIRS_AT = 11  # offset of the pair count: after magic, version, mode, flag, block twice
+_PREFIX = ">4sBBBHH"  # magic, version, mode, per-plane key flag, block side twice
+_N_PAIRS_AT = struct.calcsize(_PREFIX)  # offset of the pair count
 
 
 def _layout(n_pairs: int, n_lengths: int) -> struct.Struct:
     """The v1 side-info bytes before the CRC-32, in order: magic, version,
     mode, per-plane key flag, block side twice, pair count, (pp, zp) per
     pair, length count, and one 64-bit bit length each."""
-    return struct.Struct(f">4sBBBHHB{2 * n_pairs}BB{n_lengths}Q")
+    return struct.Struct(f"{_PREFIX}B{2 * n_pairs}BB{n_lengths}Q")
 
 
 class Mode(enum.IntEnum):

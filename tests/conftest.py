@@ -40,6 +40,9 @@ from blockmark.image_io import stack_to_plane
 from blockmark.ordering import N_ORIENTATIONS, OrderPlan, apply_orientation
 from blockmark.pipeline import region_labels
 
+# The generator of `scripts/make_test_images.py` (on pytest's pythonpath).
+from make_test_images import natural_plane
+
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
 
@@ -53,36 +56,6 @@ def synth_plane(h: int, w: int, rng: np.random.Generator) -> np.ndarray:
 def synth_image(h: int, w: int, rng: np.random.Generator, color: bool) -> Image:
     n = 3 if color else 1
     return Image(tuple(synth_plane(h, w, rng) for _ in range(n)))
-
-
-def _box_blur(field: np.ndarray, radius: int) -> np.ndarray:
-    """Separable box blur via cumulative sums (zero-padded edges)."""
-    out = field
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius + 1, radius)
-        padded = np.pad(out, pad, mode="edge")
-        csum = np.cumsum(padded, axis=axis)
-        width = 2 * radius + 1
-        if axis == 0:
-            out = (csum[width:, :] - csum[:-width, :]) / width
-        else:
-            out = (csum[:, width:] - csum[:, :-width]) / width
-    return out
-
-
-def natural_plane(h: int, w: int, seed: int) -> np.ndarray:
-    """Smooth, natural-looking plane: strongly correlated across blocks."""
-    rng = np.random.default_rng(seed)
-    field = rng.normal(size=(h, w))
-    field = _box_blur(_box_blur(field, 24), 24)
-    field -= field.min()
-    field /= field.max()
-    gradient = np.linspace(0.0, 1.0, w)[None, :] * 0.3
-    field = field * 0.7 + gradient
-    field -= field.min()
-    field /= field.max()
-    return (30 + field * 195).astype(np.uint8)
 
 
 def natural_image(h: int, w: int, seed: int, color: bool = False) -> Image:

@@ -68,9 +68,33 @@ class TestDecode:
         assert all(np.array_equal(a, b) for a, b in zip(decode_image(data).planes, want))
 
     def test_comments_tolerated(self):
-        data = b"P5 # width next\n2 # height\n2\n# maxval\n255\n" + bytes([9, 8, 7, 6])
-        img = decode_image(data)
-        assert np.array_equal(img.planes[0], [[9, 8], [7, 6]])
+        for header in [
+            b"P5 # width next\n2 # height\n2\n# maxval\n255\n",
+            b"P5 \t\r\n\x0b\x0c2\x0c\x0b\n\r\t 2  \t\t\r\r\n\n\x0b\x0b\x0c\x0c255\x0b",
+            b"P5##\n## ##\n2 ###2\n2 255\x0c",  # `##` runs; `###2` is all comment
+            b"P5#a\r2#b\r2\r#c\r255\r",  # comments that end at `\r`
+            b"P5 2#c\n2 255\n",  # a comment right after a token ends it
+            b"P5 2 2#c\n#d\r255\n",  # comments just before maxval and its one whitespace byte
+            b"P5 #" + b"x" * (1 << 20) + b"\n2 2 255\n",  # a 1 MB comment
+        ]:
+            img = decode_image(header + bytes([9, 8, 7, 6]))
+            assert np.array_equal(img.planes[0], [[9, 8], [7, 6]]), header[:40]
+
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P5 2 #c\n", "unexpected end of header", 8),
+            (b"P5 2 2", "unexpected end of header", 6),
+            (b"P5 2 x2#c\n", "invalid height token b'x2'", 5),
+            (b"P6#c\n\t4_ 2 25a5\n", "invalid width token b'4_'", 6),
+            (b"P5 2 2 255#c\n" + bytes(4), "missing whitespace before pixel data", 10),
+            (b"P5 2 0 255\n", "invalid dimensions 2x0", 10),
+        ],
+    )
+    def test_header_errors_name_offset(self, data, message, offset):
+        with pytest.raises(ImageFormatError) as info:
+            decode_image(data)
+        assert str(info.value) == f"{message} (byte {offset})" and info.value.offset == offset
 
     def test_non_numeric_header(self):
         with pytest.raises(ImageFormatError):
@@ -210,6 +234,21 @@ class TestBlockGrid:
     def test_indivisible(self):
         with pytest.raises(GeometryError):
             split_blocks(np.zeros((10, 10), np.uint8), 16)
+
+    @pytest.mark.parametrize("block", [4.0, "4", None])
+    def test_non_integer_block(self, block):
+        with pytest.raises(GeometryError, match="integer"):
+            split_blocks(np.zeros((16, 16), np.uint8), block)
+
+    def test_numpy_integer_block(self):
+        grid = split_blocks(np.zeros((16, 16), np.uint8), np.int64(4))
+        assert (grid.block, grid.rows, grid.cols) == (4, 4, 4)
+        assert type(grid.block) is int
+
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (0, 0)])
+    def test_plane_with_no_blocks(self, shape):
+        with pytest.raises(GeometryError, match="no blocks"):
+            split_blocks(np.zeros(shape, np.uint8), 4)
 
     def test_index_mapping_is_bijective(self):
         # Block a's top-left cell in the stack is its origin pixel.

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from blockmark import (
     CapacityExceededError,
+    GeometryError,
     HistPair,
     Image,
     KeySet,
@@ -61,6 +62,19 @@ class TestSingleDomain:
         bits, etc_img = extract_payload(out, side)
         assert bits.size == 0
         assert decrypt(etc_img, side, keys) == img
+
+    def test_bad_geometry_raises_geometry_error(self, rng):
+        keys = generate_keys(seed=1)
+        img = synth_image(16, 16, rng, color=False)
+        for block in (4.0, "4"):
+            with pytest.raises(GeometryError):
+                embed_plain_then_encrypt(img, [], keys, block)
+        empty = Image((np.zeros((0, 8), np.uint8),))
+        with pytest.raises(GeometryError):
+            embed_plain_then_encrypt(empty, [], keys, 4)
+        side = SideInfo(Mode.PLAIN_FIRST, 4, (HistPair(1, 2),), (0,))
+        with pytest.raises(GeometryError):
+            decrypt(empty, side, keys)
 
     def test_full_capacity_round_trip(self, rng, keys):
         img = synth_image(64, 64, rng, color=True)
