@@ -97,50 +97,38 @@ def find_pp_zp(plane: np.ndarray) -> HistPair:
     return HistPair(pp=pp, zp=int(nearest.max()))
 
 
-def _step_band(
-    plane: np.ndarray, lo: int, hi: int, step: int, out: np.ndarray | None
-) -> np.ndarray:
-    """`plane` with `step` (+1 or -1) added to every value in [lo, hi] (none
-    when lo = hi + 1), written into `out` or a new C-order array."""
-    if out is None:
-        out = np.empty(plane.shape, plane.dtype)
-    elif out.shape != plane.shape or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array of the plane's shape")
-    np.copyto(out, plane)  # a no-op when `out` is the plane
+def _step_band(plane: np.ndarray, lo: int, hi: int, step: int) -> None:
+    """Add `step` (+1 or -1) in place to every value of `plane` in [lo, hi]
+    (none when lo = hi + 1). A plane that is not C-contiguous raises
+    ValueError before any write: its flat view would be a copy."""
+    if not plane.flags.c_contiguous:
+        raise ValueError("plane must be C-contiguous to be written in place")
     # Unsigned wrap-around maps [lo, hi] onto [0, hi - lo] (an empty band
     # onto -1), so one compare finds the band. Its 0/1 flags go into one
     # reused slice buffer, and each slice becomes itself +/- flag: no
     # whole-plane temporary.
-    flat = out.reshape(-1)
-    flag = np.empty(min(flat.size, _SLICE), out.dtype)
+    flat = plane.reshape(-1)
+    flag = np.empty(min(flat.size, _SLICE), plane.dtype)
     for i in range(0, flat.size, _SLICE):
         part = flat[i : i + _SLICE]
         f = flag[: part.size]
         np.subtract(part, np.uint8(lo & 0xFF), out=f)
         np.less_equal(f, hi - lo, out=f.view(np.bool_))
         (np.add if step > 0 else np.subtract)(part, f, out=part)
-    return out
 
 
-def shift_histogram(
-    plane: np.ndarray, pair: HistPair, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Move every value strictly between pp and zp one step toward zp.
-
-    As in numpy, `out` receives the result: a C-contiguous array of the
-    plane's shape, the plane itself included (any other raises ValueError).
-    Without it the result is a new C-order array."""
+def shift_histogram(plane: np.ndarray, pair: HistPair) -> None:
+    """Move every value strictly between pp and zp one step toward zp, in
+    place on a C-contiguous plane (any other raises ValueError)."""
     lo, hi = pair.moved
-    return _step_band(plane, lo, hi, +1 if pair.up else -1, out)
+    _step_band(plane, lo, hi, +1 if pair.up else -1)
 
 
-def unshift_histogram(
-    plane: np.ndarray, pair: HistPair, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact inverse of shift_histogram on a plane without 1-bit pixels;
-    `out` as there."""
+def unshift_histogram(plane: np.ndarray, pair: HistPair) -> None:
+    """Exact inverse of shift_histogram on a plane without 1-bit pixels,
+    in place as there."""
     lo, hi = pair.band
-    return _step_band(plane, lo, hi, -1 if pair.up else +1, out)
+    _step_band(plane, lo, hi, -1 if pair.up else +1)
 
 
 def is_shifted(plane: np.ndarray, pair: HistPair) -> bool:
@@ -178,11 +166,8 @@ def capacity(plane: np.ndarray, pair: HistPair) -> int:
     return int(np.count_nonzero(plane == pair.pp))
 
 
-def embed_bits(
-    plane: np.ndarray, pair: HistPair, slots: np.ndarray, bits: np.ndarray
-) -> np.ndarray:
-    """Write bits into slot pixels (flat indices, caller's order) in place,
-    and return `plane` itself.
+def embed_bits(plane: np.ndarray, pair: HistPair, slots: np.ndarray, bits: np.ndarray) -> None:
+    """Write bits into slot pixels (flat indices, caller's order) in place.
 
     Slot k moves to the marked value for a 1-bit and stays at pp for a
     0-bit; slots beyond len(bits) are untouched. `bits` is read in its
@@ -203,15 +188,12 @@ def embed_bits(
     if np.any(np.take(plane, used) != pair.pp):
         raise ValueError("slots must address pp-valued pixels")
     np.put(plane, used[bits == 1], pair.marked_value)
-    return plane
 
 
-def extract_bits(
-    plane: np.ndarray, pair: HistPair, slots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def extract_bits(plane: np.ndarray, pair: HistPair, slots: np.ndarray) -> np.ndarray:
     """Read bits back from slot pixels and restore them to pp in place;
-    returns the bits and `plane` itself."""
+    returns the bits."""
     slots = np.asarray(slots, dtype=np.intp)
     bits = (np.take(plane, slots) == pair.marked_value).astype(np.uint8)
     np.put(plane, slots, pair.pp)
-    return bits, plane
+    return bits

@@ -89,9 +89,11 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     if not tok:
         raise ImageFormatError("unexpected end of header", offset=m.end())
     try:
-        return int(tok), m.end()
-    except ValueError:
-        raise ImageFormatError(f"invalid {what} token {tok!r}", offset=m.start(1)) from None
+        if tok.isdigit():  # ASCII decimal only: no sign, "_" or non-ASCII digit
+            return int(tok), m.end()
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ImageFormatError(f"invalid {what} token {tok!r}", offset=m.start(1))
 
 
 def decode_image(data: bytes) -> Image:

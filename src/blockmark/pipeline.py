@@ -153,16 +153,17 @@ class SideInfo:
         crc_stored = struct.unpack(">I", data[-4:])[0]
         if zlib.crc32(data[:-4]) != crc_stored:
             raise SideInfoError("side info CRC mismatch")
+        if data[4] != SIDEINFO_VERSION:  # the byte after the magic
+            raise SideInfoError(f"unsupported side-info version {data[4]}")
         try:
             n_pairs = data[_N_PAIRS_AT]
             layout = _layout(n_pairs, data[_N_PAIRS_AT + 1 + 2 * n_pairs])
-            _, version, mode_v, per_plane, bw, bh, _, *rest = layout.unpack_from(data)
+            _, _, mode_v, per_plane, bw, bh, _, *rest = layout.unpack_from(data)
             pp_zp = rest[: 2 * n_pairs]
             pairs = tuple(HistPair(pp=pp, zp=zp) for pp, zp in zip(pp_zp[::2], pp_zp[1::2]))
+            mode = Mode(mode_v)
         except (IndexError, struct.error, ValueError) as exc:
             raise SideInfoError(f"malformed side info: {exc}") from None
-        if version != SIDEINFO_VERSION:
-            raise SideInfoError(f"unsupported side-info version {version}")
         if layout.size > len(data) - 4:
             raise SideInfoError("side info truncated")
         if layout.size < len(data) - 4:
@@ -172,7 +173,7 @@ class SideInfo:
         if bw != bh:
             raise SideInfoError("side info must describe square blocks")
         return cls(
-            mode=mode_v,
+            mode=mode,
             block=bw,
             pairs=pairs,
             bit_lengths=rest[2 * n_pairs + 1 :],
@@ -289,7 +290,7 @@ def _embed(
     pairs = [find_pp_zp(plane) for plane in image.planes]
     work = [block_stack(plane, grid) for plane in image.planes]
     for stack, pair in zip(work, pairs):
-        shift_histogram(stack, pair, out=stack)
+        shift_histogram(stack, pair)
     plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]
     slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
     entries = _cipher_masks(keys, plans, labels, suffixes)
@@ -306,7 +307,7 @@ def _embed(
 
     for i, pair in enumerate(pairs):
         for j in range(len(suffixes)):
-            work[i] = embed_bits(work[i], pair, slots[j][i], chunks[j][i])
+            embed_bits(work[i], pair, slots[j][i], chunks[j][i])
     _encrypt(work, entries)
     for i, stack in enumerate(work):
         work[i] = stack_to_plane(stack, grid)
@@ -389,8 +390,8 @@ def _receive(
                     raise SideInfoError(
                         f"side info declares {length} bits but only {slots.size} slots exist"
                     )
-                scope_bits.append(extract_bits(stack, pair, slots[:length])[0])
-            unshift_histogram(stack, pair, out=stack)
+                scope_bits.append(extract_bits(stack, pair, slots[:length]))
+            unshift_histogram(stack, pair)
         if keys is not None:
             plans.append(plan)
         del plan

@@ -27,6 +27,7 @@ from blockmark import (
     find_pp_zp,
     shift_histogram,
     split_blocks,
+    unshift_histogram,
 )
 from blockmark.cipher import (
     TAG_ORIENT,
@@ -89,6 +90,31 @@ def ref_shift(plane: np.ndarray, pp: int, zp: int) -> np.ndarray:
         elif pp > zp and zp < v < pp:
             out[idx] = v - 1
     return out.astype(np.uint8)
+
+
+def ref_unshift(plane: np.ndarray, pp: int, zp: int) -> np.ndarray:
+    out = plane.astype(int).copy()
+    for idx, v in np.ndenumerate(out):
+        if pp < zp and pp + 2 <= v <= zp:
+            out[idx] = v - 1
+        elif pp > zp and zp <= v <= pp - 2:
+            out[idx] = v + 1
+    return out.astype(np.uint8)
+
+
+def shifted_copy(plane: np.ndarray, pair: HistPair) -> np.ndarray:
+    """`plane` shifted under `pair` into a new array; `shift_histogram`
+    itself writes in place."""
+    out = plane.copy()
+    shift_histogram(out, pair)
+    return out
+
+
+def unshifted_copy(plane: np.ndarray, pair: HistPair) -> np.ndarray:
+    """`plane` un-shifted under `pair` into a new array."""
+    out = plane.copy()
+    unshift_histogram(out, pair)
+    return out
 
 
 def ref_rot90_cw(mat: list[list]) -> list[list]:
@@ -339,7 +365,7 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
         labels = np.zeros(grid.n_blocks, dtype=np.intp)
         scopes = [(b"", mode == Mode.PLAIN_FIRST)]
     pairs = [find_pp_zp(p) for p in image.planes]
-    planes = [shift_histogram(p, pair) for p, pair in zip(image.planes, pairs)]
+    planes = [shifted_copy(p, pair) for p, pair in zip(image.planes, pairs)]
 
     def plan(planes):
         return [
@@ -350,7 +376,8 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
         bits, out = list(payloads[j]), []
         for plane, pair, p in zip(planes, pairs, plans):
             slots = p.slots[p.slot_labels == j]
-            stack = embed_bits(block_stack(plane, grid), pair, slots, bits[: slots.size])
+            stack = block_stack(plane, grid)
+            embed_bits(stack, pair, slots, bits[: slots.size])
             out.append(stack_to_plane(stack, grid))
             bits = bits[slots.size :]
         assert not bits, "payload exceeds the scope's capacity"
@@ -427,7 +454,7 @@ def region_capacities(image: Image, k_region: bytes, block: int) -> dict[str, in
     caps = {"A": 0, "B": 0}
     for plane in image.planes:
         pair = find_pp_zp(plane)
-        slots = shift_histogram(plane, pair) == pair.pp
+        slots = shifted_copy(plane, pair) == pair.pp
         caps["A"] += int((slots & ~in_b).sum())
         caps["B"] += int((slots & in_b).sum())
     return caps

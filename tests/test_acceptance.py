@@ -102,14 +102,15 @@ def _marked_plain_reference(image, payload, keys, block, mode):
     offsets = [0] * len(payloads)
     for plane in image.planes:
         pair = find_pp_zp(plane)
-        work = block_stack(shift_histogram(plane, pair), grid)
+        work = block_stack(plane, grid)
+        shift_histogram(work, pair)
         plan = build_order_plan(work, pair, labels)
         for s, bits in enumerate(payloads):
             slots = plan.slots[plan.slot_labels == s]
             take = min(slots.size, bits.size - offsets[s])
             chunk = bits[offsets[s] : offsets[s] + take]
             offsets[s] += take
-            work = embed_bits(work, pair, slots, chunk)
+            embed_bits(work, pair, slots, chunk)
         planes.append(stack_to_plane(work, grid))
     return Image(tuple(planes))
 
@@ -297,8 +298,9 @@ def test_c5_capacity_block_size_independence():
         total = 0
         for plane in image.planes:
             pair = find_pp_zp(plane)
-            inter = shift_histogram(plane, pair)
-            total += build_order_plan(block_stack(inter, grid), pair).slots.size
+            stack = block_stack(plane, grid)
+            shift_histogram(stack, pair)
+            total += build_order_plan(stack, pair).slots.size
         slot_totals[block] = total
     ok = all(t == report_total for t in slot_totals.values())
     _report("C5 capacity block-size independence", ok, f"{slot_totals}")

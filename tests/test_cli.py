@@ -274,9 +274,9 @@ class TestAnalyze:
     def test_capacity_regions(self, workdir, monkeypatch, capsys):
         shifts, searches = [], []
 
-        def counting_shift(plane, pair, **kwargs):
+        def counting_shift(plane, pair):
             shifts.append(pair)
-            return shift_histogram(plane, pair, **kwargs)
+            shift_histogram(plane, pair)
 
         def counting_search(plane):
             searches.append(plane)

@@ -20,7 +20,15 @@ from blockmark import (
     unshift_histogram,
 )
 from blockmark.histshift import marked_mask
-from conftest import random_bits, ref_find_pp_zp, ref_shift, valid_pair_plane
+from conftest import (
+    random_bits,
+    ref_find_pp_zp,
+    ref_shift,
+    ref_unshift,
+    shifted_copy,
+    unshifted_copy,
+    valid_pair_plane,
+)
 
 EXAMPLE = np.array(
     [[1, 2, 2, 3], [2, 5, 2, 0], [2, 7, 2, 2], [9, 2, 2, 4]], dtype=np.uint8
@@ -89,7 +97,7 @@ class TestFindPair:
 class TestShift:
     def test_example_shift(self):
         pair = HistPair(pp=2, zp=6)
-        shifted = shift_histogram(EXAMPLE, pair)
+        shifted = shifted_copy(EXAMPLE, pair)
         expected = EXAMPLE.copy()
         expected[0, 3] = 4  # 3 -> 4
         expected[1, 1] = 6  # 5 -> 6
@@ -100,14 +108,14 @@ class TestShift:
     def test_adjacent_pair_is_identity(self, rng):
         plane = valid_pair_plane(rng)
         pair = HistPair(pp=10, zp=11)
-        assert np.array_equal(shift_histogram(plane, pair), plane)
+        assert np.array_equal(shifted_copy(plane, pair), plane)
 
     def test_down_direction(self):
         # zp = 5 must be an empty bin of the source plane.
         plane = np.array([[9, 6, 7, 8, 4, 9]], dtype=np.uint8)
         pair = HistPair(pp=9, zp=5)
         assert not pair.up
-        shifted = shift_histogram(plane, pair)
+        shifted = shifted_copy(plane, pair)
         assert shifted.tolist() == [[9, 5, 6, 7, 4, 9]]
         assert np.array_equal(shifted, ref_shift(plane, 9, 5))
 
@@ -115,13 +123,13 @@ class TestShift:
         for _ in range(20):
             plane = valid_pair_plane(rng)
             pair = find_pp_zp(plane)
-            inter = shift_histogram(plane, pair)
+            inter = shifted_copy(plane, pair)
             assert histogram(inter)[pair.marked_value] == 0
 
     def test_per_pixel_change_at_most_one(self, rng):
         plane = valid_pair_plane(rng)
         pair = find_pp_zp(plane)
-        diff = np.abs(shift_histogram(plane, pair).astype(int) - plane.astype(int))
+        diff = np.abs(shifted_copy(plane, pair).astype(int) - plane.astype(int))
         assert diff.max() <= 1
 
     @settings(max_examples=100)
@@ -129,7 +137,7 @@ class TestShift:
     def test_matches_reference(self, plane):
         pair = find_pp_zp(plane)
         assert np.array_equal(
-            shift_histogram(plane, pair), ref_shift(plane, pair.pp, pair.zp)
+            shifted_copy(plane, pair), ref_shift(plane, pair.pp, pair.zp)
         )
 
 
@@ -151,8 +159,8 @@ class TestEveryPair:
                 between = (v > min(pp, zp)) & (v < max(pp, zp))
                 assert np.array_equal(between, (v >= pair.moved[0]) & (v <= pair.moved[1]))
                 in_band = (v >= lo) & (v <= hi)
-                shifted = shift_histogram(values, pair)
-                unshifted = unshift_histogram(values, pair)
+                shifted = shifted_copy(values, pair)
+                unshifted = unshifted_copy(values, pair)
                 assert shifted.dtype == unshifted.dtype == np.uint8
                 assert np.array_equal(shifted, v + step * between), (pp, zp)
                 assert np.array_equal(unshifted, v - step * in_band), (pp, zp)
@@ -179,50 +187,30 @@ _PAIRS = {
 
 
 class TestShiftOut:
-    """`out=` writes the result into a given C-contiguous array of the
-    plane's shape, the plane itself included; without it the result is a
-    new C-order array and the plane is left as it was."""
+    """Shift and un-shift write in place into a C-contiguous plane and
+    return None; any other plane raises ValueError and is left as it was."""
 
     @pytest.mark.parametrize("fn", [shift_histogram, unshift_histogram])
     @pytest.mark.parametrize("pair", _PAIRS.values(), ids=_PAIRS.keys())
     def test_in_place_equals_copy(self, rng, fn, pair):
-        # Three 2**18-sample slices, the last one partial.
+        # Three 2**18-sample slices, the last one partial. Each value maps on
+        # its own, so the reference of all 256 values is a lookup table.
         plane = rng.integers(0, 16, size=(5, 2**17 + 3), dtype=np.uint8)
-        before = plane.copy()
-        want = fn(plane, pair)
-        assert np.array_equal(plane, before)
-        assert want.flags.c_contiguous and want is not plane
-        other = np.empty_like(plane)
-        assert fn(plane, pair, out=other) is other
-        assert np.array_equal(other, want)
-        assert fn(plane, pair, out=plane) is plane
+        ref = ref_shift if fn is shift_histogram else ref_unshift
+        want = ref(np.arange(256, dtype=np.uint8), pair.pp, pair.zp)[plane]
+        assert fn(plane, pair) is None
         assert np.array_equal(plane, want)
 
     @pytest.mark.parametrize("fn", [shift_histogram, unshift_histogram])
     @pytest.mark.parametrize("pair", _PAIRS.values(), ids=_PAIRS.keys())
     def test_strided_plane(self, rng, fn, pair):
+        # A flat view of these would be a copy, so the write would be lost.
         base = rng.integers(0, 16, size=(40, 60), dtype=np.uint8)
-        want = fn(base, pair)
-        for view, expect in [(base.T, want.T), (base[::2], want[::2])]:
-            before = view.copy()
-            got = fn(view, pair)
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, expect)
-            assert np.array_equal(view, before)
-            out = np.empty(view.shape, np.uint8)
-            assert np.array_equal(fn(view, pair, out=out), expect)
-
-    @pytest.mark.parametrize("fn", [shift_histogram, unshift_histogram])
-    def test_out_must_be_c_contiguous_of_the_plane_shape(self, fn):
-        plane = np.zeros((4, 6), np.uint8)
-        for out in [
-            np.zeros((6, 4), np.uint8).T,
-            np.zeros((4, 12), np.uint8)[:, ::2],
-            np.zeros((6, 4), np.uint8),
-            np.zeros(24, np.uint8),
-        ]:
+        before = base.copy()
+        for view in (base.T, base[::2]):
             with pytest.raises(ValueError, match="C-contiguous"):
-                fn(plane, HistPair(pp=2, zp=6), out=out)
+                fn(view, pair)
+        assert np.array_equal(base, before)
 
 
 class TestUnshift:
@@ -232,25 +220,25 @@ class TestUnshift:
             plane = valid_pair_plane(rng)
             pair = find_pp_zp(plane)
             assert np.array_equal(
-                unshift_histogram(shift_histogram(plane, pair), pair), plane
+                unshifted_copy(shifted_copy(plane, pair), pair), plane
             )
 
     def test_restores_example(self):
         pair = HistPair(pp=2, zp=6)
         assert np.array_equal(
-            unshift_histogram(shift_histogram(EXAMPLE, pair), pair), EXAMPLE
+            unshifted_copy(shifted_copy(EXAMPLE, pair), pair), EXAMPLE
         )
 
     def test_adjacent_pair_identity(self, rng):
         plane = valid_pair_plane(rng)
         pair = HistPair(pp=10, zp=11)
-        assert np.array_equal(unshift_histogram(plane, pair), plane)
+        assert np.array_equal(unshifted_copy(plane, pair), plane)
 
     def test_down_round_trip(self):
         plane = np.array([[9, 6, 7, 8, 4, 200]], dtype=np.uint8)
         pair = HistPair(pp=9, zp=5)
         assert np.array_equal(
-            unshift_histogram(shift_histogram(plane, pair), pair), plane
+            unshifted_copy(shifted_copy(plane, pair), pair), plane
         )
 
 
@@ -262,15 +250,17 @@ class TestEmbedExtract:
         plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
         pair = HistPair(pp=2, zp=6)
         slots = self._slots(plane, pair)
-        marked = embed_bits(plane, pair, slots, [1, 0, 1])
-        assert marked.tolist() == [[3, 0, 2, 3]]
+        assert embed_bits(plane, pair, slots, [1, 0, 1]) is None
+        assert plane.tolist() == [[3, 0, 2, 3]]
 
     def test_empty_payload(self, rng):
         plane = valid_pair_plane(rng)
         pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
+        inter = shifted_copy(plane, pair)
         slots = self._slots(inter, pair)
-        assert np.array_equal(embed_bits(inter.copy(), pair, slots, []), inter)
+        work = inter.copy()
+        embed_bits(work, pair, slots, [])
+        assert np.array_equal(work, inter)
 
     def test_capacity_exceeded(self):
         plane = np.array([[2, 2, 2, 0]], dtype=np.uint8)
@@ -286,30 +276,31 @@ class TestEmbedExtract:
             embed_bits(plane, pair, self._slots(plane, pair), bits)
 
     def test_nested_bits_read_flat(self):
-        marked = embed_bits(np.zeros(4, np.uint8), HistPair(0, 1), np.arange(4), [[1, 0], [1, 1]])
-        assert marked.tolist() == [1, 0, 1, 1]
+        plane = np.zeros(4, np.uint8)
+        embed_bits(plane, HistPair(0, 1), np.arange(4), [[1, 0], [1, 1]])
+        assert plane.tolist() == [1, 0, 1, 1]
 
     def test_extract_inverse_replay(self):
         plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
         pair = HistPair(pp=2, zp=6)
         slots = self._slots(plane, pair)
-        marked = embed_bits(plane.copy(), pair, slots, [1, 0, 1])
-        assert marked.tolist() == [[3, 0, 2, 3]]
-        bits, restored = extract_bits(marked.copy(), pair, slots)
-        assert bits.tolist() == [1, 0, 1]
-        assert np.array_equal(restored, plane)
+        work = plane.copy()
+        embed_bits(work, pair, slots, [1, 0, 1])
+        assert work.tolist() == [[3, 0, 2, 3]]
+        assert extract_bits(work, pair, slots).tolist() == [1, 0, 1]
+        assert np.array_equal(work, plane)
 
     def test_writes_in_place(self):
-        # Both calls write into the array they are given and return it.
+        # Both calls write into the array they are given; embedding returns
+        # None and extraction only the bits.
         plane = np.array([[2, 0, 2, 2]], dtype=np.uint8)
         pair = HistPair(pp=2, zp=6)
         slots = self._slots(plane, pair)
         work = plane.copy()
-        assert embed_bits(work, pair, slots, [1, 0, 1]) is work
+        assert embed_bits(work, pair, slots, [1, 0, 1]) is None
         assert work.tolist() == [[3, 0, 2, 3]]
-        bits, restored = extract_bits(work, pair, slots)
-        assert restored is work
-        assert bits.tolist() == [1, 0, 1]
+        bits = extract_bits(work, pair, slots)
+        assert bits.dtype == np.uint8 and bits.tolist() == [1, 0, 1]
         assert np.array_equal(work, plane)
 
     def test_strided_plane_written_in_place(self):
@@ -319,11 +310,10 @@ class TestEmbedExtract:
         view[:] = [[2, 0, 2, 2], [2, 2, 0, 0]]
         pair = HistPair(pp=2, zp=6)
         slots = self._slots(view, pair)
-        assert embed_bits(view, pair, slots, [1, 1, 0, 1, 1]) is view
+        assert embed_bits(view, pair, slots, [1, 1, 0, 1, 1]) is None
         assert base[:, ::2].tolist() == [[3, 0, 3, 2], [3, 3, 0, 0]]
         assert not base[:, 1::2].any()
-        bits, _ = extract_bits(view, pair, slots)
-        assert bits.tolist() == [1, 1, 0, 1, 1]
+        assert extract_bits(view, pair, slots).tolist() == [1, 1, 0, 1, 1]
         assert base[:, ::2].tolist() == [[2, 0, 2, 2], [2, 2, 0, 0]]
 
     @pytest.mark.parametrize(
@@ -345,26 +335,27 @@ class TestEmbedExtract:
     def test_no_marked_pixels(self, rng):
         plane = valid_pair_plane(rng)
         pair = find_pp_zp(plane)
-        bits, restored = extract_bits(plane.copy(), pair, np.empty(0, dtype=np.intp))
-        assert bits.size == 0
-        assert np.array_equal(restored, plane)
+        work = plane.copy()
+        assert extract_bits(work, pair, np.empty(0, dtype=np.intp)).size == 0
+        assert np.array_equal(work, plane)
 
     def test_all_ones_full_capacity(self, rng):
         for _ in range(25):
             plane = valid_pair_plane(rng)
             pair = find_pp_zp(plane)
-            inter = shift_histogram(plane, pair)
+            inter = shifted_copy(plane, pair)
             slots = self._slots(inter, pair)
-            marked = embed_bits(inter.copy(), pair, slots, np.ones(slots.size, np.uint8))
-            bits, restored = extract_bits(marked.copy(), pair, slots)
+            work = inter.copy()
+            embed_bits(work, pair, slots, np.ones(slots.size, np.uint8))
+            bits = extract_bits(work, pair, slots)
             assert bits.all() and bits.size == slots.size
-            assert np.array_equal(restored, inter)
+            assert np.array_equal(work, inter)
 
     def test_down_direction_marks(self):
         plane = np.array([[9, 9, 4]], dtype=np.uint8)
         pair = HistPair(pp=9, zp=5)
-        marked = embed_bits(plane, pair, np.array([0, 1]), [1, 1])
-        assert marked.tolist() == [[8, 8, 4]]
+        embed_bits(plane, pair, np.array([0, 1]), [1, 1])
+        assert plane.tolist() == [[8, 8, 4]]
 
     def test_slots_must_hold_pp(self):
         plane = np.array([[3, 2]], dtype=np.uint8)
@@ -375,24 +366,25 @@ class TestEmbedExtract:
     @given(plane_strategy, st.data())
     def test_round_trip_any_payload(self, plane, data):
         pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
+        inter = shifted_copy(plane, pair)
         slots = np.flatnonzero(inter.ravel() == pair.pp)
         n = data.draw(st.integers(0, int(slots.size)))
         bits = np.array(
             data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
             dtype=np.uint8,
         )
-        marked = embed_bits(inter.copy(), pair, slots, bits)
-        got, restored = extract_bits(marked.copy(), pair, slots[:n])
-        assert np.array_equal(got, bits)
-        assert np.array_equal(restored, inter)
+        work = inter.copy()
+        embed_bits(work, pair, slots, bits)
+        assert np.array_equal(extract_bits(work, pair, slots[:n]), bits)
+        assert np.array_equal(work, inter)
 
     def test_mask_positions_invariant_under_embedding(self, rng):
         plane = valid_pair_plane(rng)
         pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
+        inter = shifted_copy(plane, pair)
         slots = self._slots(inter, pair)
-        marked = embed_bits(inter.copy(), pair, slots, random_bits(rng, slots.size))
+        marked = inter.copy()
+        embed_bits(marked, pair, slots, random_bits(rng, slots.size))
         assert np.array_equal(marked_mask(inter, pair), marked_mask(marked, pair))
 
 
@@ -407,4 +399,4 @@ class TestCapacity:
     def test_same_on_intermediate(self, rng):
         plane = valid_pair_plane(rng)
         pair = find_pp_zp(plane)
-        assert capacity(plane, pair) == capacity(shift_histogram(plane, pair), pair)
+        assert capacity(plane, pair) == capacity(shifted_copy(plane, pair), pair)

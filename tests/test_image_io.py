@@ -76,6 +76,7 @@ class TestDecode:
             b"P5 2#c\n2 255\n",  # a comment right after a token ends it
             b"P5 2 2#c\n#d\r255\n",  # comments just before maxval and its one whitespace byte
             b"P5 #" + b"x" * (1 << 20) + b"\n2 2 255\n",  # a 1 MB comment
+            b"P5 002 02 0255\n",  # leading zeros
         ]:
             img = decode_image(header + bytes([9, 8, 7, 6]))
             assert np.array_equal(img.planes[0], [[9, 8], [7, 6]]), header[:40]
@@ -89,6 +90,11 @@ class TestDecode:
             (b"P6#c\n\t4_ 2 25a5\n", "invalid width token b'4_'", 6),
             (b"P5 2 2 255#c\n" + bytes(4), "missing whitespace before pixel data", 10),
             (b"P5 2 0 255\n", "invalid dimensions 2x0", 10),
+            # Header numbers are ASCII decimal digits: no sign, no "_".
+            (b"P5 +2 2 255\n", "invalid width token b'+2'", 3),
+            (b"P5 -2 2 255\n", "invalid width token b'-2'", 3),
+            (b"P5 2 0_2 255\n", "invalid height token b'0_2'", 5),
+            (b"P5 2 2 2_55\n", "invalid maxval token b'2_55'", 7),
         ],
     )
     def test_header_errors_name_offset(self, data, message, offset):
@@ -96,9 +102,13 @@ class TestDecode:
             decode_image(data)
         assert str(info.value) == f"{message} (byte {offset})" and info.value.offset == offset
 
-    def test_non_numeric_header(self):
-        with pytest.raises(ImageFormatError):
-            decode_image(b"P5 two 2 255 " + bytes(4))
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5 two 2 255 ", b"P5 " + b"2" * 5000 + b" 2 255 "],  # the second is past int()'s limit
+    )
+    def test_non_numeric_header(self, header):
+        with pytest.raises(ImageFormatError, match="invalid width token"):
+            decode_image(header + bytes(4))
 
 
 class TestEncode:

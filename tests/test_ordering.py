@@ -15,7 +15,6 @@ from blockmark import (
     build_order_plan,
     find_pp_zp,
     generate_keys,
-    shift_histogram,
     split_blocks,
 )
 from blockmark import ordering
@@ -34,6 +33,7 @@ from conftest import (
     ref_orientation_permutations,
     ref_rotate_flip,
     ref_scramble,
+    shifted_copy,
     valid_pair_plane,
 )
 
@@ -574,7 +574,7 @@ class TestOrderPlan:
         for _ in range(3):
             plane = valid_pair_plane(rng, 32, 32)
             pair = find_pp_zp(plane)
-            inter = shift_histogram(plane, pair)
+            inter = shifted_copy(plane, pair)
             plans.append(build_order_plan(block_stack(inter, split_blocks(inter, 4)), pair))
         at = 1 if field == "rot_eligible" else 2  # the entries' mask of this kind
         labels = np.arange(64) % 2
@@ -634,13 +634,14 @@ class TestPlanStability:
         rng = np.random.default_rng(seed)
         plane = valid_pair_plane(rng, 32, 32)
         pair = find_pp_zp(plane)
-        inter = shift_histogram(plane, pair)
+        inter = shifted_copy(plane, pair)
         grid = split_blocks(inter, 8)
         inter = block_stack(inter, grid)
 
         plan1 = build_order_plan(inter, pair)
         bits = rng.integers(0, 2, size=plan1.slots.size, dtype=np.uint8)
-        marked = embed_bits(inter.copy(), pair, plan1.slots, bits)
+        marked = inter.copy()
+        embed_bits(marked, pair, plan1.slots, bits)
         plan2 = build_order_plan(marked, pair)
 
         assert plan_blocks(plan1, 64).tolist() == plan_blocks(plan2, 64).tolist()
@@ -700,6 +701,6 @@ class TestUnshiftedState:
         )
         pair = HistPair(pp=pp, zp=zp)
         got = build_order_plan(stack, pair, labels, shifted_state=False)
-        want = build_order_plan(shift_histogram(stack, pair), pair, labels)
+        want = build_order_plan(shifted_copy(stack, pair), pair, labels)
         for field in fields(OrderPlan):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name

@@ -621,7 +621,7 @@ class TestSideInfo:
                 raw[5] = value
                 raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
                 if value >= len(Mode):
-                    with pytest.raises(SideInfoError, match="unwritable side info field"):
+                    with pytest.raises(SideInfoError, match="malformed side info: .*Mode"):
                         SideInfo.from_bytes(bytes(raw))
                 elif (value == Mode.TWO_DOMAIN) == (side.mode == Mode.TWO_DOMAIN):
                     got = SideInfo.from_bytes(bytes(raw))
@@ -630,6 +630,19 @@ class TestSideInfo:
                 else:
                     with pytest.raises(SideInfoError, match="bit lengths"):
                         SideInfo.from_bytes(bytes(raw))
+
+    def test_version_byte_is_read_first(self):
+        # The version sits at byte 4. Any other version is refused as such,
+        # before fields whose meaning it could change: here a mode byte that
+        # version 1 does not define.
+        raw = bytearray(self._sample().to_bytes())
+        raw[5] = 7
+        for value in range(256):
+            raw[4] = value
+            raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "big")
+            want = "malformed side info" if value == 1 else f"unsupported side-info version {value}"
+            with pytest.raises(SideInfoError, match=want):
+                SideInfo.from_bytes(bytes(raw))
 
     def test_length_count_must_match_mode(self):
         with pytest.raises(SideInfoError):
