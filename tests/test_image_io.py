@@ -102,13 +102,13 @@ class TestDecode:
             decode_image(data)
         assert str(info.value) == f"{message} (byte {offset})" and info.value.offset == offset
 
-    @pytest.mark.parametrize(
-        "header",
-        [b"P5 two 2 255 ", b"P5 " + b"2" * 5000 + b" 2 255 "],  # the second is past int()'s limit
-    )
-    def test_non_numeric_header(self, header):
+    def test_non_numeric_header(self):
         with pytest.raises(ImageFormatError, match="invalid width token"):
-            decode_image(header + bytes(4))
+            decode_image(b"P5 two 2 255 " + bytes(4))
+
+    def test_header_number_past_int_digit_limit(self):
+        with pytest.raises(ImageFormatError, match="invalid width token"):
+            decode_image(b"P5 " + b"2" * 5000 + b" 2 255 " + bytes(4))
 
 
 class TestEncode:
