@@ -152,6 +152,8 @@ def load_key_file(path, per_plane: bool = True) -> KeySet:
         raise KeyFormatError(f"key file must hold 2 or 3 keys, found {len(lines)}")
     material = []
     for i, line in enumerate(lines):
+        if len(line.split()) > 1:  # bytes.fromhex skips whitespace between digit pairs
+            raise KeyFormatError(f"key line {i + 1} has whitespace between its hex digits")
         try:
             raw = bytes.fromhex(line)
         except ValueError:

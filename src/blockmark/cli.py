@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pipeline
-from .cipher import KeySet, generate_keys, load_key_file, save_key_file
+from .cipher import generate_keys, load_key_file, save_key_file
 from .errors import BlockmarkError, CodecError
 from .image_io import block_stack, load_image, save_image, split_blocks
 
-_MODES = {
-    "plain-first": pipeline.Mode.PLAIN_FIRST,
-    "encrypted-first": pipeline.Mode.ENCRYPT_FIRST,
-    "two-domain": pipeline.Mode.TWO_DOMAIN,
+_EMBED = {
+    "plain-first": pipeline.embed_plain_then_encrypt,
+    "encrypted-first": pipeline.encrypt_then_embed,
+    "two-domain": pipeline.embed_two_domain,
 }
 
 
@@ -40,11 +40,15 @@ def _write_payload_bits(bits: np.ndarray, path: str) -> None:
     Path(path).write_bytes(np.packbits(bits).tobytes())
 
 
-def _load_keys(ns, need_region: bool = False) -> KeySet:
-    keys = load_key_file(ns.key, per_plane=not getattr(ns, "joint_keys", False))
-    if need_region and keys.k_region is None:
-        raise BlockmarkError("key file lacks the region key required here")
-    return keys
+def _two_domain_only(two_domain: bool, what: str, **options) -> None:
+    """Refuse a two-domain option that two-domain `what` lacks, or that
+    anything else is given; each option is named by its argparse dest."""
+    for dest, value in options.items():
+        flag = "--" + dest.replace("_", "-")
+        if two_domain and value is None:
+            raise BlockmarkError(f"two-domain {what} requires {flag}")
+        if not two_domain and value is not None:
+            raise BlockmarkError(f"{flag} is only valid for two-domain {what}")
 
 
 def _emit(lines: dict, json_path: str | None) -> None:
@@ -61,25 +65,11 @@ def _cmd_keygen(ns) -> int:
 
 
 def _cmd_embed(ns) -> int:
+    _two_domain_only(ns.mode == "two-domain", "mode", payload_b=ns.payload_b)
     image = load_image(ns.input)
-    mode = _MODES[ns.mode]
-    payload = _read_payload_bits(ns.payload)
-    if mode == pipeline.Mode.TWO_DOMAIN:
-        if ns.payload_b is None:
-            raise BlockmarkError("two-domain mode requires --payload-b")
-        keys = _load_keys(ns, need_region=True)
-        payload_b = _read_payload_bits(ns.payload_b)
-        out, side = pipeline.embed_two_domain(image, payload, payload_b, keys, ns.block)
-    else:
-        if ns.payload_b is not None:
-            raise BlockmarkError("--payload-b is only valid in two-domain mode")
-        keys = _load_keys(ns)
-        embed = (
-            pipeline.embed_plain_then_encrypt
-            if mode == pipeline.Mode.PLAIN_FIRST
-            else pipeline.encrypt_then_embed
-        )
-        out, side = embed(image, payload, keys, ns.block)
+    keys = load_key_file(ns.key, per_plane=not ns.joint_keys)
+    payloads = [_read_payload_bits(p) for p in (ns.payload, ns.payload_b) if p is not None]
+    out, side = _EMBED[ns.mode](image, *payloads, keys, ns.block)
     save_image(out, ns.output)
     side.save(ns.sideinfo)
     return 0
@@ -88,24 +78,15 @@ def _cmd_embed(ns) -> int:
 def _cmd_extract(ns) -> int:
     image = load_image(ns.input)
     side = pipeline.SideInfo.load(ns.sideinfo)
-    if side.mode == pipeline.Mode.TWO_DOMAIN:
-        if ns.key is None or ns.payload_b_out is None:
-            raise BlockmarkError(
-                "two-domain extraction requires --key and --payload-b-out"
-            )
-        keys = _load_keys(ns, need_region=True)
-        bits_a, bits_b, etc_image = pipeline.extract_two_domain(
-            image, side, keys.k_region
-        )
-        _write_payload_bits(bits_a, ns.payload_out)
-        _write_payload_bits(bits_b, ns.payload_b_out)
+    two_domain = side.mode == pipeline.Mode.TWO_DOMAIN
+    _two_domain_only(two_domain, "side info", key=ns.key, payload_b_out=ns.payload_b_out)
+    if two_domain:
+        k_region = load_key_file(ns.key).k_region
+        *payloads, etc_image = pipeline.extract_two_domain(image, side, k_region)
     else:
-        if ns.payload_b_out is not None:
-            raise BlockmarkError("--payload-b-out is only valid for two-domain side info")
-        if ns.key is not None:
-            raise BlockmarkError("--key is only valid for two-domain side info")
-        bits, etc_image = pipeline.extract_payload(image, side)
-        _write_payload_bits(bits, ns.payload_out)
+        *payloads, etc_image = pipeline.extract_payload(image, side)
+    for bits, path in zip(payloads, (ns.payload_out, ns.payload_b_out)):
+        _write_payload_bits(bits, path)
     if ns.image_out:
         save_image(etc_image, ns.image_out)
     return 0
@@ -131,11 +112,8 @@ def _cmd_analyze_capacity(ns) -> int:
     lines = {f"plane{i}": c for i, c in enumerate(report["per_plane"])}
     lines["total"] = report["total"]
     if ns.key:
-        keys = load_key_file(ns.key)
-        if keys.k_region is None:
-            raise BlockmarkError("region capacities need a key file with a region key")
         grid = split_blocks(image.planes[0], ns.block or 16)
-        labels = pipeline.region_labels(keys.k_region, grid)
+        labels = pipeline.region_labels(load_key_file(ns.key).k_region, grid)
         # A region carries one bit per pp-valued pixel in its blocks: the
         # shift leaves the pp bin alone, so the unshifted plane counts them.
         caps = np.zeros(2)
@@ -188,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("embed", help="embed a payload and encrypt")
-    p.add_argument("--mode", choices=sorted(_MODES), required=True)
+    p.add_argument("--mode", choices=sorted(_EMBED), required=True)
     p.add_argument("--block", type=int, default=16)
     p.add_argument("--key", required=True)
     p.add_argument("--payload", required=True)

@@ -130,6 +130,8 @@ def encode_image(image: Image) -> bytes:
     """Serialize to canonical binary PGM/PPM (no comments, maxval 255),
     interleaving a slice of rows at a time straight into the result."""
     height, width, n_planes = image.height, image.width, len(image.planes)
+    if not height * width:  # `decode_image` refuses such a header
+        raise ImageFormatError(f"invalid dimensions {width}x{height}")
     header = b"P%d\n%d %d\n255\n" % (6 if image.is_color else 5, width, height)
     out = io.BytesIO()
     # One write at the last offset sizes the buffer to header plus samples.

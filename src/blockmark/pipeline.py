@@ -188,9 +188,12 @@ class SideInfo:
         return cls.from_bytes(Path(path).read_bytes())
 
 
-def region_labels(k_region: bytes, grid: BlockGrid) -> np.ndarray:
+def region_labels(k_region: bytes | None, grid: BlockGrid) -> np.ndarray:
     """Per-block region labels, one key bit per block in raster order:
-    False is region A, True region B."""
+    False is region A, True region B. Every two-domain path reads its key
+    here, so a missing one raises the same error everywhere."""
+    if k_region is None:
+        raise SideInfoError("two-domain mode requires a region key")
     return stream_bits(k_region, TAG_REGION, grid.n_blocks).astype(bool)
 
 
@@ -200,8 +203,6 @@ def _scopes(mode: Mode, k_region: bytes | None, grid: BlockGrid) -> tuple[np.nda
     region B for two-domain hiding. Scope `j` owns the blocks labelled `j`."""
     if mode != Mode.TWO_DOMAIN:
         return np.zeros(grid.n_blocks, dtype=bool), [b""]
-    if k_region is None:
-        raise SideInfoError("two-domain mode requires a region key")
     return region_labels(k_region, grid), [b"/A", b"/B"]
 
 

@@ -359,7 +359,14 @@ class TestKeySet:
         assert load_key_file(path).k_region is None
 
     @pytest.mark.parametrize(
-        "content", ["deadbeef\n" * 2, "xx" * 16 + "\n" + "ab" * 16, "ab" * 16]
+        "content",
+        [
+            "deadbeef\n" * 2,
+            "xx" * 16 + "\n" + "ab" * 16,
+            "ab" * 16,
+            # bytes.fromhex reads 16 bytes from this line, but it is not 32 digits.
+            "ab" * 16 + "\n" + bytes(range(0, 256, 17)).hex(" "),
+        ],
     )
     def test_malformed_key_file(self, tmp_path, content):
         path = tmp_path / "keys.txt"

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +224,50 @@ class TestExitCodes:
         assert rc == 2
         assert "--key is only valid for two-domain side info" in capsys.readouterr().err
         assert not (workdir / "a.bin").exists()
+
+    _NO_REGION_KEY = "SideInfoError: two-domain mode requires a region key"
+
+    @pytest.mark.parametrize(
+        "argv, names, outputs",
+        [
+            ("embed --mode two-domain --key keys.txt --payload pa.bin"
+             " --sideinfo s.etrd in.ppm out.ppm", "--payload-b", ["out.ppm", "s.etrd"]),
+            ("extract --sideinfo td.etrd --payload-b-out b.bin td.ppm a.bin",
+             "--key", ["a.bin", "b.bin"]),
+            ("extract --sideinfo td.etrd --key keys.txt td.ppm a.bin",
+             "--payload-b-out", ["a.bin"]),
+            ("embed --mode two-domain --key two.txt --payload pa.bin --payload-b pb.bin"
+             " --sideinfo s.etrd in.ppm out.ppm", _NO_REGION_KEY, ["out.ppm", "s.etrd"]),
+            ("extract --sideinfo td.etrd --key two.txt --payload-b-out b.bin td.ppm a.bin",
+             _NO_REGION_KEY, ["a.bin", "b.bin"]),
+            ("analyze capacity --key two.txt --json cap.json in.ppm",
+             _NO_REGION_KEY, ["cap.json"]),
+        ],
+        ids=[
+            "embed-without-payload-b",
+            "extract-without-key",
+            "extract-without-payload-b-out",
+            "embed-two-key-file",
+            "extract-two-key-file",
+            "capacity-two-key-file",
+        ],
+    )
+    def test_two_domain_refusal_is_2(self, workdir, monkeypatch, capsys, argv, names, outputs):
+        # One rule for every two-domain option and one for the region key.
+        monkeypatch.chdir(workdir)
+        Path("pa.bin").write_bytes(b"\xa5\x0f")
+        Path("pb.bin").write_bytes(b"\x3c")
+        assert _run("keygen", "--out", "two.txt", "--seed", "11") == 0
+        assert _run(
+            "embed", "--mode", "two-domain", "--key", "keys.txt", "--payload", "pa.bin",
+            "--payload-b", "pb.bin", "--sideinfo", "td.etrd", "in.ppm", "td.ppm",
+        ) == 0
+        capsys.readouterr()
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert names in captured.err
+        assert not captured.out
+        assert not any(Path(name).exists() for name in outputs)
 
     def test_geometry_error_is_2(self, workdir, rng, capsys):
         save_image(synth_image(30, 30, rng, color=False), workdir / "odd.pgm")

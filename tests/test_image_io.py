@@ -121,6 +121,13 @@ class TestEncode:
         data = b"P5\n4 2\n255\n" + bytes(range(8))
         assert encode_image(decode_image(data)) == data
 
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (0, 0)], ids=["no-rows", "no-cols", "empty"])
+    def test_empty_image_is_refused(self, shape):
+        # `Image` allows an empty plane; a PGM header cannot describe one.
+        height, width = shape
+        with pytest.raises(ImageFormatError, match=f"invalid dimensions {width}x{height}"):
+            encode_image(Image((np.zeros(shape, np.uint8),)))
+
     @settings(max_examples=40)
     @given(
         arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8))),

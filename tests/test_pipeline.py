@@ -273,6 +273,9 @@ class TestTwoDomain:
             extract_two_domain(out, side, None)
         with pytest.raises(SideInfoError, match="region key"):
             decrypt(out, side, no_region)
+        # Every path above reads its region key through `region_labels`.
+        with pytest.raises(SideInfoError, match="^two-domain mode requires a region key$"):
+            region_labels(None, split_blocks(img.planes[0], 16))
 
     def test_region_with_no_marked_blocks(self, keys):
         # All slot pixels sit in region A's blocks; region B still encrypts
