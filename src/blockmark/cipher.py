@@ -33,7 +33,7 @@ place on a plane's C-contiguous ``(n_blocks, b, b)`` block stack
 `orient_blocks` transforms block ``blocks[k]`` by orientation ``ids[k]``.
 With ``e`` the ascending eligible block indices, scrambling moves
 ``e[perm]`` to ``e`` and unscrambling moves ``e`` to ``e[perm]``;
-unrotating applies ``INVERSE_ORIENTATION[ids]``.
+unrotating applies ``ordering.INVERSE_ORIENTATION[ids]``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import itertools
 import math
 import operator
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ from .image_io import block_items
 from .ordering import N_ORIENTATIONS, apply_orientation
 
 KEY_BYTES = 16
+_KEY_LINE = re.compile("[0-9a-fA-F]{32}")  # a stripped key file line
 
 TAG_SCRAMBLE = b"scramble"
 TAG_ORIENT = b"orient"
@@ -109,8 +111,6 @@ def plane_key(key: bytes, plane: int | None) -> bytes:
     """Per-plane subkey: append the plane tag byte; None means shared key."""
     if plane is None:
         return key
-    if not 0 <= plane < 256:
-        raise ValueError("plane index must fit one byte")
     return key + bytes([plane])
 
 
@@ -150,19 +150,10 @@ def load_key_file(path, per_plane: bool = True) -> KeySet:
         raise KeyFormatError("key file is not UTF-8 text") from None
     if len(lines) not in (2, 3):
         raise KeyFormatError(f"key file must hold 2 or 3 keys, found {len(lines)}")
-    material = []
     for i, line in enumerate(lines):
-        if len(line.split()) > 1:  # bytes.fromhex skips whitespace between digit pairs
-            raise KeyFormatError(f"key line {i + 1} has whitespace between its hex digits")
-        try:
-            raw = bytes.fromhex(line)
-        except ValueError:
-            raise KeyFormatError(f"key line {i + 1} is not valid hex") from None
-        if len(raw) != KEY_BYTES:
-            raise KeyFormatError(
-                f"key line {i + 1} must encode {KEY_BYTES} bytes, got {len(raw)}"
-            )
-        material.append(raw)
+        if not _KEY_LINE.fullmatch(line):
+            raise KeyFormatError(f"key line {i + 1} is not 32 hex digits")
+    material = [bytes.fromhex(line) for line in lines]
     return KeySet(
         k_scramble=material[0],
         k_orient=material[1],
@@ -356,10 +347,3 @@ def orient_blocks(stack: np.ndarray, blocks, ids) -> None:
             group = np.take(items, at).view(stack.dtype).reshape(-1, *stack.shape[1:])
             turned = np.ascontiguousarray(apply_orientation(group, o))
             np.put(items, at, block_items(turned))
-
-
-# Orientation id -> id of its inverse: mirrored ids are involutions, and
-# `o` quarter turns are undone by `-o mod 4` of them.
-INVERSE_ORIENTATION = np.array(
-    [o if o & 4 else -o % 4 for o in range(N_ORIENTATIONS)], dtype=np.uint8
-)

@@ -16,6 +16,7 @@ import numpy as np
 from . import analysis, pipeline
 from .cipher import generate_keys, load_key_file, save_key_file
 from .errors import BlockmarkError, CodecError
+from .histshift import capacity
 from .image_io import block_stack, load_image, save_image, split_blocks
 
 _EMBED = {
@@ -114,13 +115,11 @@ def _cmd_analyze_capacity(ns) -> int:
     if ns.key:
         grid = split_blocks(image.planes[0], ns.block or 16)
         labels = pipeline.region_labels(load_key_file(ns.key).k_region, grid)
-        # A region carries one bit per pp-valued pixel in its blocks: the
-        # shift leaves the pp bin alone, so the unshifted plane counts them.
-        caps = np.zeros(2)
+        caps = [0, 0]
         for plane, pair in zip(image.planes, report["pairs"]):
-            per_block = block_stack(plane == pair.pp, grid).sum(axis=(1, 2))
-            caps += np.bincount(labels, weights=per_block, minlength=2)
-        lines["region_a"], lines["region_b"] = caps.astype(int).tolist()
+            stack = block_stack(plane, grid)
+            caps = [c + capacity(stack[labels == j], pair) for j, c in enumerate(caps)]
+        lines["region_a"], lines["region_b"] = caps
     _emit(lines, ns.json)
     return 0
 

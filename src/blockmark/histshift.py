@@ -97,23 +97,28 @@ def find_pp_zp(plane: np.ndarray) -> HistPair:
     return HistPair(pp=pp, zp=int(nearest.max()))
 
 
+def in_range(values: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Boolean mask of the `uint8` values in [lo, hi], empty when lo = hi + 1
+    (as at lo = 256 or hi = -1). Unsigned wrap-around maps [lo, hi] onto
+    [0, hi - lo], so one compare finds it. The mask views `out` (which may
+    be `values`) or, without it, one new array."""
+    out = np.subtract(values, np.uint8(lo & 0xFF), out=out)
+    return np.less_equal(out, hi - lo, out=out.view(np.bool_))
+
+
 def _step_band(plane: np.ndarray, lo: int, hi: int, step: int) -> None:
     """Add `step` (+1 or -1) in place to every value of `plane` in [lo, hi]
     (none when lo = hi + 1). A plane that is not C-contiguous raises
     ValueError before any write: its flat view would be a copy."""
     if not plane.flags.c_contiguous:
         raise ValueError("plane must be C-contiguous to be written in place")
-    # Unsigned wrap-around maps [lo, hi] onto [0, hi - lo] (an empty band
-    # onto -1), so one compare finds the band. Its 0/1 flags go into one
-    # reused slice buffer, and each slice becomes itself +/- flag: no
-    # whole-plane temporary.
+    # Each slice becomes itself +/- its 0/1 flags, in one reused buffer.
     flat = plane.reshape(-1)
     flag = np.empty(min(flat.size, _SLICE), plane.dtype)
     for i in range(0, flat.size, _SLICE):
         part = flat[i : i + _SLICE]
         f = flag[: part.size]
-        np.subtract(part, np.uint8(lo & 0xFF), out=f)
-        np.less_equal(f, hi - lo, out=f.view(np.bool_))
+        in_range(part, lo, hi, out=f)
         (np.add if step > 0 else np.subtract)(part, f, out=part)
 
 
@@ -150,11 +155,10 @@ def marked_mask(plane: np.ndarray, pair: HistPair) -> np.ndarray:
 
     The same positions are selected on the intermediate plane (where the
     adjacent bin is empty) and on a marked plane, so ordering decisions made
-    before embedding can be reproduced afterwards. One unsigned compare, as
-    in `_step_band`, finds both values.
+    before embedding can be reproduced afterwards.
     """
-    out = plane - np.uint8(min(pair.pp, pair.marked_value))
-    return np.less_equal(out, 1, out=out.view(np.bool_))
+    lo = min(pair.pp, pair.marked_value)
+    return in_range(plane, lo, lo + 1)
 
 
 def capacity(plane: np.ndarray, pair: HistPair) -> int:
@@ -166,6 +170,15 @@ def capacity(plane: np.ndarray, pair: HistPair) -> int:
     return int(np.count_nonzero(plane == pair.pp))
 
 
+def payload_bits(bits) -> np.ndarray:
+    """A payload as a flat array of its items in flat order; a ragged
+    nesting, which has no array form, raises PayloadError."""
+    try:
+        return np.asarray(bits).ravel()
+    except ValueError as exc:
+        raise PayloadError(f"payload is not an array of bits: {exc}") from None
+
+
 def embed_bits(plane: np.ndarray, pair: HistPair, slots: np.ndarray, bits: np.ndarray) -> None:
     """Write bits into slot pixels (flat indices, caller's order) in place.
 
@@ -174,10 +187,7 @@ def embed_bits(plane: np.ndarray, pair: HistPair, slots: np.ndarray, bits: np.nd
     flat order. Every check runs before the first write.
     """
     slots = np.asarray(slots, dtype=np.intp)
-    try:
-        bits = np.asarray(bits).ravel()
-    except ValueError as exc:  # a ragged nesting has no array form
-        raise PayloadError(f"payload is not an array of bits: {exc}") from None
+    bits = payload_bits(bits)
     if bits.size > slots.size:
         raise CapacityExceededError(
             f"payload of {bits.size} bits exceeds {slots.size} available slots"

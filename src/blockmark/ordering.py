@@ -29,8 +29,7 @@ rotated or flipped. Both come from the slots' (block, cell) coordinates:
 Blocks without slots carry no ordering constraints and are always eligible
 for both encryption steps. The plan (`OrderPlan`) is the slots in visiting
 order, their labels and the two eligibility masks; the block order is the
-order of the slots' blocks. The inverse of each orientation id is
-`cipher.INVERSE_ORIENTATION`.
+order of the slots' blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GeometryError
-from .histshift import HistPair, marked_mask
+from .histshift import HistPair, in_range, marked_mask
 
 N_ORIENTATIONS = 8
 
@@ -55,6 +54,13 @@ def apply_orientation(mat: np.ndarray, orientation: int) -> np.ndarray:
         raise ValueError(f"orientation id must be in [0, 8), got {orientation}")
     out = np.rot90(mat, orientation & 3, axes=(-2, -1))
     return out[..., ::-1] if orientation & 4 else out
+
+
+# Orientation id -> id of its inverse: mirrored ids are involutions, and
+# `o` quarter turns are undone by `-o mod 4` of them.
+INVERSE_ORIENTATION = np.array(
+    [o if o & 4 else -o % 4 for o in range(N_ORIENTATIONS)], dtype=np.uint8
+)
 
 
 # Index of the lowest set bit of a nonzero byte: an orientation bit's id.
@@ -232,11 +238,10 @@ def build_order_plan(
     n_slots = counts[marked]
     # Slots come in block order: `row` becomes each slot's marked-block row.
     row = np.repeat(np.arange(marked.size, dtype=coord), n_slots)
-    # Unsigned wrap-around maps the band [lo, hi] onto [0, hi - lo] (an empty
-    # one, lo = hi + 1, onto -1), so one compare in one temporary finds it.
+    # The band is found in the gathered rows themselves: one temporary.
     lo, hi = pair.band if shifted_state else pair.moved
-    in_band = flat[marked] - np.uint8(lo & 0xFF)
-    shifted = np.less_equal(in_band, hi - lo, out=in_band.view(np.bool_)).sum(axis=1)
+    in_band = flat[marked]
+    shifted = in_range(in_band, lo, hi, out=in_band).sum(axis=1)
     del in_band
 
     orientation, ambiguous, key = canonical_keys(row, cell, n_slots, cells)

@@ -44,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from .cipher import (
-    INVERSE_ORIENTATION,
     TAG_ORIENT,
     TAG_REGION,
     TAG_SCRAMBLE,
@@ -56,18 +55,19 @@ from .cipher import (
     plane_key,
     stream_bits,
 )
-from .errors import CapacityExceededError, PayloadError, SideInfoError
+from .errors import CapacityExceededError, SideInfoError
 from .histshift import (
     HistPair,
     embed_bits,
     extract_bits,
     find_pp_zp,
     is_shifted,
+    payload_bits,
     shift_histogram,
     unshift_histogram,
 )
 from .image_io import BlockGrid, Image, block_stack, split_blocks, stack_to_plane
-from .ordering import OrderPlan, build_order_plan
+from .ordering import INVERSE_ORIENTATION, OrderPlan, build_order_plan
 
 SIDEINFO_MAGIC = b"ETRD"
 SIDEINFO_VERSION = 1
@@ -284,10 +284,7 @@ def _embed(
     """
     grid = split_blocks(image.planes[0], block_size)
     labels, suffixes = _scopes(mode, keys.k_region, grid)
-    try:
-        payloads = [np.asarray(p).ravel() for p in payloads]
-    except ValueError as exc:  # a ragged nesting has no array form
-        raise PayloadError(f"payload is not an array of bits: {exc}") from None
+    payloads = [payload_bits(p) for p in payloads]
     pairs = [find_pp_zp(plane) for plane in image.planes]
     work = [block_stack(plane, grid) for plane in image.planes]
     for stack, pair in zip(work, pairs):

@@ -46,6 +46,9 @@ TRUNCATING_DECODE = (
     "{in} {out}"
 )
 
+NO_OUTPUT = f"{sys.executable} -c pass"
+EMPTY_OUTPUT = f"{sys.executable} -c \"import sys; open(sys.argv[1], 'wb')\" {{out}}"
+
 
 class TestPsnr:
     def test_identical_images_give_inf(self, rng):
@@ -133,6 +136,11 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation(np.zeros((4, 4), np.uint8), "horizontal", pairs=100)
 
+    @pytest.mark.parametrize("pairs", [0, -5])
+    def test_non_positive_pairs(self, pairs):
+        with pytest.raises(ValueError, match="positive"):
+            correlation(np.zeros((4, 4), np.uint8), "horizontal", pairs=pairs)
+
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             correlation(np.zeros((8, 8), np.uint8), "sideways", pairs=4)
@@ -200,6 +208,20 @@ class TestCompressionHarness:
     def test_failing_codec(self, image_file):
         spec = CodecSpec(name="boom", encode=f"{sys.executable} -c \"raise SystemExit(9)\"")
         with pytest.raises(CodecError, match="exited 9"):
+            compression_eval(image_file, spec)
+
+    @pytest.mark.parametrize(
+        "encode, decode, message",
+        [
+            (NO_OUTPUT, None, "bad produced no output file"),
+            (ZLIB_ENCODE, NO_OUTPUT, "bad decoder produced no output file"),
+            (EMPTY_OUTPUT, None, "bad produced an empty file"),
+        ],
+        ids=["encoder", "decoder", "empty"],
+    )
+    def test_missing_or_empty_output(self, image_file, encode, decode, message):
+        spec = CodecSpec(name="bad", encode=encode, decode=decode)
+        with pytest.raises(CodecError, match=message):
             compression_eval(image_file, spec)
 
     def test_missing_binary(self, image_file):

@@ -26,7 +26,6 @@ from blockmark import (
     split_blocks,
 )
 from blockmark.cipher import (
-    INVERSE_ORIENTATION,
     TAG_ORIENT,
     TAG_SCRAMBLE,
     _compose_swaps,
@@ -40,7 +39,7 @@ from blockmark.cipher import (
     stream_bits,
 )
 from blockmark.image_io import BlockGrid, stack_to_plane
-from blockmark.ordering import apply_orientation
+from blockmark.ordering import INVERSE_ORIENTATION, apply_orientation
 from blockmark.pipeline import region_labels
 from conftest import block_slice, ref_orientation, ref_unorientation
 
@@ -324,6 +323,9 @@ class TestKeySet:
     def test_plane_key_appends_tag_byte(self):
         assert plane_key(KEY, 2) == KEY + b"\x02"
         assert plane_key(KEY, None) == KEY
+        for plane in (-1, 256):  # the tag is one byte
+            with pytest.raises(ValueError):
+                plane_key(KEY, plane)
 
     def test_generate_seeded_is_reproducible(self):
         a = generate_keys(two_domain=True, seed=5)
@@ -366,13 +368,24 @@ class TestKeySet:
             "ab" * 16,
             # bytes.fromhex reads 16 bytes from this line, but it is not 32 digits.
             "ab" * 16 + "\n" + bytes(range(0, 256, 17)).hex(" "),
+            "ab" * 16 + "\n" + "a" * 31,
+            "ab" * 16 + "\n" + "a" * 33,
+            "ab" * 16 + "\n" + "ab" * 8 + "\t" + "ab" * 8,
         ],
     )
     def test_malformed_key_file(self, tmp_path, content):
         path = tmp_path / "keys.txt"
         path.write_text(content)
-        with pytest.raises(KeyFormatError):
+        message = r"^(key line \d is not 32 hex digits|key file must hold)"
+        with pytest.raises(KeyFormatError, match=message):
             load_key_file(path)
+
+    def test_upper_case_key_file(self, tmp_path):
+        keys = generate_keys(two_domain=True, seed=1)
+        path = tmp_path / "keys.txt"
+        save_key_file(keys, path)
+        path.write_text(path.read_text().upper())
+        assert load_key_file(path) == keys
 
     @settings(max_examples=200)
     @given(

@@ -19,7 +19,7 @@ from blockmark import (
     shift_histogram,
     unshift_histogram,
 )
-from blockmark.histshift import marked_mask
+from blockmark.histshift import in_range, marked_mask
 from conftest import (
     random_bits,
     ref_find_pp_zp,
@@ -76,6 +76,10 @@ class TestFindPair:
     def test_full_histogram(self):
         with pytest.raises(NoZeroPointError):
             find_pp_zp(np.arange(256, dtype=np.uint8).reshape(16, 16))
+
+    def test_empty_plane(self):
+        with pytest.raises(ValueError, match="empty"):
+            find_pp_zp(np.zeros((0, 4), dtype=np.uint8))
 
     def test_peak_tie_takes_smallest(self):
         plane = np.array([[5, 5, 9, 9, 0]], dtype=np.uint8)
@@ -176,6 +180,26 @@ class TestEveryPair:
                 pair = HistPair(pp=pp, zp=zp)
                 want = (values == pair.pp) | (values == pair.marked_value)
                 assert np.array_equal(marked_mask(values, pair), want), (pp, zp)
+
+
+class TestInRange:
+    @pytest.mark.parametrize("out", ["new", "buffer", "values"])
+    def test_every_band(self, out):
+        # Every lo in [0, 256] and hi in [lo - 1, 255]: the empty ends lo = 256
+        # and hi = -1 are those of `HistPair.band` and `moved`.
+        values = np.arange(256, dtype=np.uint8)
+        v = values.astype(int)
+        for lo in range(257):
+            for hi in range(lo - 1, 256):
+                data = values.copy()
+                buf = {"new": None, "buffer": np.empty_like(values), "values": data}[out]
+                mask = in_range(data, lo, hi, out=buf)
+                assert mask.dtype == np.bool_
+                assert np.array_equal(mask, (v >= lo) & (v <= hi)), (lo, hi)
+                if buf is not None:
+                    assert np.shares_memory(mask, buf)
+                if out != "values":
+                    assert np.array_equal(data, values)
 
 
 _PAIRS = {

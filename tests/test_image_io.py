@@ -237,6 +237,16 @@ class TestImage:
         with pytest.raises(ValueError, match="whole numbers"):
             Image((plane,))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_plane_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            Image((np.zeros(shape, np.uint8),))
+
+    def test_never_equals_other_types(self):
+        img = Image((np.zeros((2, 2), np.uint8),))
+        assert (img == 5) is False
+        assert (img == img.planes) is False
+
 
 class TestBlockGrid:
     def test_even_split(self):

@@ -18,10 +18,10 @@ from blockmark import (
     split_blocks,
 )
 from blockmark import ordering
-from blockmark.cipher import INVERSE_ORIENTATION, TAG_ORIENT, TAG_SCRAMBLE
+from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 from blockmark.histshift import marked_mask
 from blockmark.image_io import stack_to_plane
-from blockmark.ordering import OrderPlan, apply_orientation, canonical_keys
+from blockmark.ordering import INVERSE_ORIENTATION, OrderPlan, apply_orientation, canonical_keys
 from conftest import (
     key_signature,
     plan_blocks,

@@ -16,6 +16,7 @@ from blockmark import (
     Image,
     KeySet,
     Mode,
+    PayloadError,
     SideInfo,
     SideInfoError,
     block_stack,
@@ -184,6 +185,25 @@ class TestSingleDomain:
         with pytest.raises(SideInfoError, match="shifted state"):
             extract_payload(etc_img, side)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="needs ROADMAP item 2's payload checksum: under the adjacent pair the "
+        "shift is the identity, so an extracted image still reads as shifted",
+    )
+    def test_extract_twice_detected_under_adjacent_pair(self, keys):
+        # pp = 100 is the tallest bin and 101 is empty: the pair is (100, 101).
+        others = np.repeat(np.r_[90:100, 102:110], 8)
+        plane = np.concatenate([others, np.full(256 - others.size, 100)]).reshape(16, 16)
+        img = Image((plane.astype(np.uint8),))
+        out, side = embed_plain_then_encrypt(img, np.ones(8, np.uint8), keys, 8)
+        assert side.pairs == (HistPair(pp=100, zp=101),)
+        bits, etc_img = extract_payload(out, side)
+        assert bits.tolist() == [1] * 8
+        assert decrypt(etc_img, side, keys) == img
+        with pytest.raises(SideInfoError):
+            extract_payload(etc_img, side)  # reads eight 0-bits today
+
     def test_joint_key_mode(self, rng):
         keys = KeySet(k_scramble=bytes(range(16)), k_orient=bytes(16), per_plane=False)
         img = synth_image(64, 64, rng, color=True)
@@ -261,6 +281,13 @@ class TestTwoDomain:
         img = synth_image(64, 64, rng, color=False)
         for payload_a, payload_b in ((bits, []), ([], bits)):
             with pytest.raises(ValueError, match="0 or 1"):
+                embed_two_domain(img, payload_a, payload_b, keys, 16)
+
+    def test_ragged_payload_rejected(self, rng, keys):
+        # Both payloads are read by `histshift.payload_bits`.
+        img = synth_image(64, 64, rng, color=False)
+        for payload_a, payload_b in (([[1, 0], [1]], []), ([], [[1, 0], [1]])):
+            with pytest.raises(PayloadError, match="^payload is not an array of bits"):
                 embed_two_domain(img, payload_a, payload_b, keys, 16)
 
     def test_requires_region_key(self, rng, keys):
@@ -575,6 +602,9 @@ class TestSideInfo:
         raw = self._sample().to_bytes()
         with pytest.raises(SideInfoError):
             SideInfo.from_bytes(raw[:9])
+        for size in range(4, 8):  # the magic, and less than a CRC after it
+            with pytest.raises(SideInfoError, match="side info truncated"):
+                SideInfo.from_bytes(raw[:size])
 
     def test_trailing_bytes_detected(self):
         raw = self._sample().to_bytes()
@@ -732,3 +762,6 @@ class TestSideInfo:
         out, side = embed_two_domain(img, [], [], keys, 16)
         with pytest.raises(SideInfoError):
             extract_payload(out, side)
+        out, side = embed_plain_then_encrypt(img, [], keys, 16)
+        with pytest.raises(SideInfoError, match="does not describe two-domain"):
+            extract_two_domain(out, side, keys.k_region)
