@@ -20,23 +20,25 @@ rotated or flipped. Both come from the slots' (block, cell) coordinates:
 
 * Among blocks, marked blocks are sorted by (scope label, slot count
   descending, shifted-band count ascending, canonical signature ascending):
-  for equal slot counts a smaller signature is a larger key, so one
-  `np.lexsort` orders them. Blocks whose key collides with another block's
-  of the same label fall back to block-index order and must never be
-  relocated; any other block's key, not its position, fixes its place.
-  Each label's slice of the plan is the plan of that label's blocks alone.
+  for equal slot counts a smaller signature is a larger key. One stable
+  argsort of a packed 64-bit head (label, counts, the key's top bits)
+  orders them, and one `np.lexsort` breaks only the ties between equal
+  heads. Blocks whose key collides with another block's of the same label
+  fall back to block-index order and must never be relocated; any other
+  block's key, not its position, fixes its place. Each label's slice of
+  the plan is the plan of that label's blocks alone.
 
 Blocks without slots carry no ordering constraints and are always eligible
-for both encryption steps. The plan (`OrderPlan`) is the slots in visiting
-order, their labels and the two eligibility masks; the block order is the
-order of the slots' blocks.
+for both encryption steps. The plan (`OrderPlan`) is the two eligibility
+masks, built at once, and the slots in visiting order with their labels,
+built on first read; the block order is the order of the slots' blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,20 +191,107 @@ def _canonical(row: np.ndarray, cell: np.ndarray, n: int, scan: np.ndarray):
 class OrderPlan:
     """Complete embedding order and encryption eligibility for one plane.
 
+    `rot_eligible` and `scr_eligible` are boolean masks with one entry per
+    block: entry `a` is True when block `a` may be rotated/flipped, or may
+    be scrambled (it may not when its sort key ties within its label).
+    Scope `j`'s are `mask & (labels == j)`.
+
     `slots` holds the slots of the marked (slot-carrying) blocks in
     embedding order, label by label and block by block: each block's slots
     form one run, so `slots // (b * b)` reads the block order. `slot_labels`
     holds each slot's scope label, so scope `j` embeds into
-    `slots[slot_labels == j]`. `rot_eligible` and `scr_eligible` are boolean
-    masks with one entry per block: entry `a` is True when block `a` may be
-    rotated/flipped, or may be scrambled (it may not when its sort key ties
-    within its label). Scope `j`'s are `mask & (labels == j)`.
+    `slots[slot_labels == j]`. Both are computed on first read from what
+    the plan keeps until then: its slots in block order and, per marked
+    block, its rank in the plan and its canonical orientation. A receiver
+    that only decrypts reads the masks alone and never builds them.
     """
 
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
-    slots: np.ndarray  # stack-flat indices block * b * b + cell, embedding order
-    slot_labels: np.ndarray  # scope label per slot
+    _block_slots: np.ndarray | None = field(repr=False)  # stack-flat, block order
+    _rank: np.ndarray | None = field(repr=False)  # plan position per marked block
+    _orientation: np.ndarray | None = field(repr=False)  # uint8 per marked block
+    _labels: np.ndarray = field(repr=False)  # scope label per block
+    _block: int = field(repr=False)  # block side b
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """Stack-flat indices `block * b * b + cell`, embedding order."""
+        slots = _visit_order(self._block_slots, self._rank, self._orientation, self._block)
+        # The visit order replaces its inputs.
+        for name in ("_block_slots", "_rank", "_orientation"):
+            object.__setattr__(self, name, None)
+        return slots
+
+    @cached_property
+    def slot_labels(self) -> np.ndarray:
+        """The scope label of each slot of `slots`."""
+        return self._labels[self.slots // self._block**2]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True at 0 and where `values` differs from the entry before."""
+    out = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=out[1:])
+    return out
+
+
+def _visit_order(slots: np.ndarray, rank: np.ndarray, orientation: np.ndarray, b: int):
+    """`slots`, given in block order, in visit order: blocks by `rank`, each
+    block's slots in its canonical scan order (raster order for ambiguous
+    blocks, whose orientation reads 0)."""
+    cells = b * b
+    row, cell = np.divmod(slots, cells)
+    # Each marked block's run of slots, in block order.
+    n_slots = np.diff(np.flatnonzero(_run_starts(row)), append=row.size)
+    del row
+    scan = _scan_tables(b)[0].astype(slots.dtype, copy=False)
+    visit = np.take(scan, np.repeat(orientation.astype(slots.dtype) * cells, n_slots) + cell)
+    visit += np.repeat(rank * cells, n_slots)
+    return slots[np.argsort(visit)]
+
+
+def _block_order(labels, n_slots, shifted, key, cells: int) -> np.ndarray:
+    """The order of `np.lexsort((*(~key[:, ::-1]).T, shifted, -n_slots,
+    labels))`: stable, by label, slot count descending, shifted-band count
+    ascending, then packed key words descending, for integer labels.
+
+    Stage 1 is one stable argsort of a uint64 head packed from the label
+    offset, `cells - n_slots`, the shifted count and the top bits of
+    `~key[:, 0]` that fit. A field cut by the head, and every field after
+    it, sorts only the rows whose heads tie, in one `np.lexsort` by run of
+    equal heads; both stages are stable, so ties keep their input order.
+    """
+    lo, hi = (int(labels.min()), int(labels.max())) if labels.size else (0, 0)
+    # (values, bit width) per field, most significant first; both counts
+    # are in [0, cells]. Word 0's bits past cell `cells` are padding, equal
+    # in every key.
+    fields = [
+        (labels.astype(np.uint64) - np.uint64(lo % 2**64), (hi - lo).bit_length()),
+        ((cells - n_slots).astype(np.uint64), cells.bit_length()),
+        (shifted.astype(np.uint64), cells.bit_length()),
+        (~key[:, 0] >> np.uint64(64 - min(cells, 64)), min(cells, 64)),
+    ]
+    head = np.zeros(labels.size, dtype=np.uint64)
+    room, rest = 64, []
+    for values, width in fields:
+        take = min(width, room)
+        if take:
+            head <<= np.uint64(take)
+            head |= values >> np.uint64(width - take)
+        room -= take
+        if take < width:
+            rest.append(values)
+    order = np.argsort(head, kind="stable")
+    if rest or key.shape[1] > 1:
+        new = _run_starts(head[order])
+        tied = ~new
+        tied[:-1] |= tied[1:]
+        at = np.flatnonzero(tied)
+        rows = order[at]
+        keys = [v[rows] for v in rest] + list(~key[rows, 1:].T)
+        order[at] = rows[np.lexsort((*keys[::-1], np.cumsum(new)[at]))]
+    return order
 
 
 def build_order_plan(
@@ -213,9 +302,9 @@ def build_order_plan(
 ) -> OrderPlan:
     """Derive the full plan from the `(n_blocks, b, b)` block stack of an
     intermediate or marked plane, from its slots' (block, cell) coordinates.
-    `labels` gives every block a scope label (all zero by default). Ordering
-    and sort-key ties never cross labels, so each label's slice of the plan
-    is the plan of that label's blocks alone.
+    `labels` gives every block an integer or boolean scope label (all zero
+    by default). Ordering and sort-key ties never cross labels, so each
+    label's slice of the plan is the plan of that label's blocks alone.
 
     With `shifted_state=False` the stack is a payload-free unshifted plane:
     its slots are the pp cells and its band is `pair.moved`, which the
@@ -226,6 +315,8 @@ def build_order_plan(
     labels = np.zeros(n_blocks, np.intp) if labels is None else np.asarray(labels)
     if labels.shape != (n_blocks,):
         raise ValueError(f"labels must hold one entry per block ({n_blocks})")
+    if labels.dtype.kind not in "biu":
+        raise ValueError(f"labels must be integers or booleans, got {labels.dtype}")
 
     # int32 coordinates, where they fit, halve the plan's largest arrays.
     coord = np.int32 if n_blocks * cells < 2**31 else np.intp
@@ -238,17 +329,18 @@ def build_order_plan(
     n_slots = counts[marked]
     # Slots come in block order: `row` becomes each slot's marked-block row.
     row = np.repeat(np.arange(marked.size, dtype=coord), n_slots)
-    # The band is found in the gathered rows themselves: one temporary.
+    # The band is found in the gathered rows themselves, and its 0/1 bytes
+    # are summed as they are: one temporary.
     lo, hi = pair.band if shifted_state else pair.moved
     in_band = flat[marked]
-    shifted = in_range(in_band, lo, hi, out=in_band).sum(axis=1)
+    in_range(in_band, lo, hi, out=in_band)
+    shifted = in_band.sum(axis=1, dtype=np.int32)
     del in_band
 
     orientation, ambiguous, key = canonical_keys(row, cell, n_slots, cells)
-    # Sort by (label, slot count desc, shifted asc, signature asc); the sort
-    # is stable and `marked` ascends, so ties keep block-index order. With
-    # equal slot counts the smaller signature is the larger packed key.
-    order = np.lexsort((*(~key[:, ::-1]).T, shifted, -n_slots, labels[marked]))
+    del row, cell
+    # With equal slot counts the smaller signature is the larger packed key.
+    order = _block_order(labels[marked], n_slots, shifted, key, cells)
     blocks = marked[order]
     key, shifted, block_labels = key[order], shifted[order], labels[blocks]
 
@@ -261,13 +353,7 @@ def build_order_plan(
     rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 
-    # Visit blocks in plan order, each block's slots in its canonical scan
-    # order (raster order for ambiguous blocks, whose orientation reads 0).
-    scan = _scan_tables(b)[0].astype(coord, copy=False)
     rank = np.empty(marked.size, dtype=coord)
     rank[order] = np.arange(marked.size, dtype=coord)
-    visit = np.take(scan, np.repeat(orientation.astype(coord) * cells, n_slots) + cell)
-    visit += np.repeat(rank * cells, n_slots)
-    slots = slots[np.argsort(visit)]
-
-    return OrderPlan(rot_eligible, scr_eligible, slots, labels[slots // cells])
+    orientation = orientation.astype(np.uint8)
+    return OrderPlan(rot_eligible, scr_eligible, slots, rank, orientation, labels, b)

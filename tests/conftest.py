@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,6 +270,10 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
     }
 
 
+# The arrays an `OrderPlan` exposes, which plan comparisons check by name.
+PLAN_ARRAYS = ("rot_eligible", "scr_eligible", "slots", "slot_labels")
+
+
 def plan_blocks(plan: OrderPlan, cells: int) -> np.ndarray:
     """The marked block indices of a plan in embedding order, read off its
     slots: the block of the first slot of each run of one block's slots.
@@ -303,10 +308,11 @@ def ref_mask_stack_canonicalize(mask_blocks: np.ndarray):
     return np.where(ambiguous, 0, cand.argmax(axis=1)), ambiguous, key
 
 
-def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> OrderPlan:
+def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> SimpleNamespace:
     """`build_order_plan` from the marked blocks' `(n, cells)` slot-mask
     stack: canonicalize the stack, sort the blocks, then read each sorted
-    mask's slots with `np.nonzero` and order them by scan position."""
+    mask's slots with `np.nonzero` and order them by scan position. Returns
+    the `PLAN_ARRAYS` of the plan."""
     n_blocks, b, _ = stack.shape
     cells = b * b
     labels = np.zeros(n_blocks, np.intp) if labels is None else np.asarray(labels)
@@ -335,7 +341,7 @@ def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> Order
     row, cell = np.nonzero(mask_blocks[order])
     visit = np.argsort(row * cells + scan[orientation[row], cell])
     row, cell = row[visit], cell[visit]
-    return OrderPlan(
+    return SimpleNamespace(
         rot_eligible=rot_eligible,
         scr_eligible=scr_eligible,
         slots=blocks[row] * cells + cell,

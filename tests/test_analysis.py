@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,32 @@ class TestPsnr:
         b = synth_image(16, 16, rng, color=False)
         with pytest.raises(GeometryError):
             psnr(a, b)
+
+    @pytest.mark.parametrize("color", [False, True])
+    @pytest.mark.parametrize("equal", [False, True])
+    def test_matches_float64_mean(self, rng, color, equal):
+        # The float64 mean of squared differences, which is exact while the
+        # sum of squares stays below 2**53.
+        a = synth_image(64, 48, rng, color=color)
+        b = a if equal else Image(tuple(rng.integers(0, 256, p.shape, np.uint8) for p in a.planes))
+        diff = np.concatenate(
+            [(pa.astype(np.float64) - pb.astype(np.float64)).ravel()
+             for pa, pb in zip(a.planes, b.planes)]
+        )
+        want = float(np.mean(diff**2))
+        assert mse(a, b) == want
+        assert psnr(a, b) == (math.inf if equal else 10.0 * math.log10(255.0**2 / want))
+
+    def test_traced_peak_under_twice_the_image(self, rng):
+        a = Image(tuple(rng.integers(0, 256, (512, 512), np.uint8) for _ in range(3)))
+        b = Image(tuple(rng.integers(0, 256, (512, 512), np.uint8) for _ in range(3)))
+        tracemalloc.start()
+        try:
+            psnr(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 3 * 512 * 512
 
     def test_color_averages_all_planes(self, rng):
         base = synth_image(16, 16, rng, color=True)

@@ -1,7 +1,5 @@
 """Dihedral canonicalization, among-block sorting, and plan stability."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,8 +19,9 @@ from blockmark import ordering
 from blockmark.cipher import TAG_ORIENT, TAG_SCRAMBLE
 from blockmark.histshift import marked_mask
 from blockmark.image_io import stack_to_plane
-from blockmark.ordering import INVERSE_ORIENTATION, OrderPlan, apply_orientation, canonical_keys
+from blockmark.ordering import INVERSE_ORIENTATION, apply_orientation, canonical_keys
 from conftest import (
+    PLAN_ARRAYS,
     key_signature,
     plan_blocks,
     ref_canonical_signature,
@@ -441,12 +440,104 @@ class TestMaskStackOracle:
         got, want = build_order_plan(stack, pair, labels), ref_mask_stack_plan(stack, pair, labels)
         cells = stack[0].size
         assert np.array_equal(plan_blocks(got, cells), plan_blocks(want, cells))
-        for field in ("rot_eligible", "scr_eligible", "slots", "slot_labels"):
+        for field in PLAN_ARRAYS:
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), field
 
 
+def _lexsort_order(labels, n_slots, shifted, key):
+    """The marked blocks' order as one `np.lexsort` over every sort key."""
+    return np.lexsort((*(~key[:, ::-1]).T, shifted, -n_slots, labels))
+
+
+@st.composite
+def sort_fields(draw):
+    """The sort fields of up to 40 marked blocks at blocks 1 to 32 (keys of
+    1 to 16 words): bool labels, or intp labels spanning 0 to 64 bits
+    (negative, narrow, or as wide as intp, which fills the head); slot and
+    shifted counts from 0 to the cell count; key rows from a small pool in
+    which some rows differ from the first by one bit of any word, so heads
+    and whole keys tie often."""
+    block = draw(st.integers(1, 32))
+    cells = block * block
+    n_words = -(-cells // 64)
+    m = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        labels = rng.random(m) < 0.5
+    else:
+        info = np.iinfo(np.intp)
+        span = 2 ** draw(st.sampled_from([0, 1, 2, 8, 40, 55, 62, 63, 64])) - 1
+        lo = draw(st.integers(int(info.min), int(info.max) - span))
+        labels = rng.choice(np.array([lo, lo + span // 2, lo + span], dtype=np.intp), m)
+    n_slots, shifted = rng.choice(rng.integers(0, cells + 1, size=3), size=(2, m))
+    pool = np.frombuffer(rng.bytes(8 * 6 * n_words), np.uint64).reshape(6, n_words).copy()
+    for row in pool[3:]:
+        row[:] = pool[0]
+        row[rng.integers(n_words)] ^= np.uint64(1) << np.uint64(rng.integers(64))
+    if cells < 64:  # word 0's bits past the last cell are padding
+        pool[:, 0] &= ~np.uint64(2 ** (64 - cells) - 1)
+    return labels, n_slots, shifted, pool[rng.integers(6, size=m)], cells
+
+
+class TestBlockOrder:
+    """The packed two-stage sort orders the marked blocks exactly as one
+    `np.lexsort` over (label, -slot count, shifted count, ~key words)."""
+
+    @settings(max_examples=500)
+    @given(sort_fields())
+    def test_matches_lexsort(self, fields):
+        labels, n_slots, shifted, key, cells = fields
+        got = ordering._block_order(labels, n_slots, shifted, key, cells)
+        assert np.array_equal(got, _lexsort_order(labels, n_slots, shifted, key))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.zeros(6, bool), np.array([7, -3, 7, -3, 7, -3]), np.iinfo(np.intp).min + np.arange(6) % 2],
+    )
+    def test_heads_tie_and_the_tie_stage_decides(self, labels):
+        # Block 16: the head holds word 0's top bits, not its low bit or
+        # word 1, so every row's head ties with its label's other rows and
+        # the tie stage puts larger keys first; equal keys keep row order.
+        key = np.zeros((6, 4), np.uint64)
+        key[:, 0] = np.uint64(2**63)
+        key[[1, 4], 0] |= np.uint64(1)
+        key[[2, 5], 1] = np.uint64(1)
+        n_slots, shifted = np.full(6, 5), np.full(6, 2)
+        got = ordering._block_order(labels, n_slots, shifted, key, 256)
+        assert np.array_equal(got, _lexsort_order(labels, n_slots, shifted, key))
+        assert got.tolist() != np.lexsort((labels,)).tolist()
+
+    def test_full_width_labels_fill_the_head(self):
+        info = np.iinfo(np.intp)
+        labels = np.array([info.max, info.min, 0, info.max, info.min], dtype=np.intp)
+        n_slots, shifted = np.array([1, 2, 2, 1, 1]), np.array([0, 0, 1, 0, 0])
+        key = np.array([[1], [2], [3], [4], [2]], dtype=np.uint64) << np.uint64(60)
+        got = ordering._block_order(labels, n_slots, shifted, key, 16)
+        assert got.tolist() == [1, 4, 2, 3, 0]
+
+
 class TestOrderPlan:
+    @settings(max_examples=100)
+    @given(stack_cases())
+    def test_read_order_gives_same_arrays(self, case):
+        # `slots` and `slot_labels` are built on first read; reading the
+        # labels first, or the masks after either, changes nothing.
+        stack, pair, labels = case
+        first, second = build_order_plan(stack, pair, labels), build_order_plan(stack, pair, labels)
+        masks = first.rot_eligible.copy(), first.scr_eligible.copy()
+        slot_labels = first.slot_labels
+        assert np.array_equal(first.slots, second.slots)
+        assert np.array_equal(slot_labels, second.slot_labels)
+        for plan in (first, second):
+            assert np.array_equal(plan.rot_eligible, masks[0])
+            assert np.array_equal(plan.scr_eligible, masks[1])
+
+    def test_labels_must_be_integers(self):
+        stack = np.zeros((2, 4, 4), np.uint8)
+        with pytest.raises(ValueError, match="integers or booleans"):
+            build_order_plan(stack, HistPair(pp=0, zp=9), np.zeros(2))
+
     def test_no_marked_blocks(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
         grid = split_blocks(plane, 16)
@@ -702,5 +793,6 @@ class TestUnshiftedState:
         pair = HistPair(pp=pp, zp=zp)
         got = build_order_plan(stack, pair, labels, shifted_state=False)
         want = build_order_plan(shifted_copy(stack, pair), pair, labels)
-        for field in fields(OrderPlan):
-            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        for field in PLAN_ARRAYS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field

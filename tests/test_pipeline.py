@@ -32,7 +32,7 @@ from blockmark import (
     psnr,
     split_blocks,
 )
-from blockmark import histshift, pipeline
+from blockmark import histshift, ordering, pipeline
 from blockmark.histshift import is_shifted
 from blockmark.image_io import stack_to_plane
 from blockmark.ordering import apply_orientation, build_order_plan
@@ -418,6 +418,50 @@ class TestPlanBuilds:
         calls.clear()
         assert decrypt(etc_img, side, keys) == img
         assert sorted(calls) == sorted(per_receive)
+
+    @pytest.mark.parametrize("extract_first", [True, False])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_visit_order_only_where_read(self, rng, keys, monkeypatch, mode, extract_first):
+        # Decryption reads only the plans' eligibility masks, so it never
+        # builds the slot visit order; embedding and extraction build it
+        # once per plane.
+        calls = []
+        visit_order = ordering._visit_order
+
+        def counted(*args):
+            calls.append(1)
+            return visit_order(*args)
+
+        monkeypatch.setattr(ordering, "_visit_order", counted)
+        embed = {
+            Mode.PLAIN_FIRST: embed_plain_then_encrypt,
+            Mode.ENCRYPT_FIRST: encrypt_then_embed,
+            Mode.TWO_DOMAIN: embed_two_domain,
+        }[mode]
+        img = synth_image(64, 64, rng, color=True)
+        payloads = ([1, 0, 1], [0, 1]) if mode == Mode.TWO_DOMAIN else ([1, 0, 1],)
+        out, side = embed(img, *payloads, keys, 16)
+        assert len(calls) == 3
+
+        def extract(image):
+            calls.clear()
+            if mode == Mode.TWO_DOMAIN:
+                *_, plain = extract_two_domain(image, side, keys.k_region)
+            else:
+                plain = extract_payload(image, side)[1]
+            assert len(calls) == 3
+            return plain
+
+        def decrypt_once(image):
+            calls.clear()
+            plain = decrypt(image, side, keys)
+            assert calls == []
+            return plain
+
+        if extract_first:
+            assert decrypt_once(extract(out)) == img
+        else:
+            assert extract(decrypt_once(out)) == img
 
 
 @st.composite
