@@ -37,8 +37,9 @@ built on first read; the block order is the order of the slots' blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -200,33 +201,37 @@ class OrderPlan:
     embedding order, label by label and block by block: each block's slots
     form one run, so `slots // (b * b)` reads the block order. `slot_labels`
     holds each slot's scope label, so scope `j` embeds into
-    `slots[slot_labels == j]`. Both are computed on first read from what
-    the plan keeps until then: its slots in block order and, per marked
-    block, its rank in the plan and its canonical orientation. A receiver
-    that only decrypts reads the masks alone and never builds them.
+    `slots[slot_labels == j]`. Both are built together on first read, by
+    the call the plan holds until then, from arrays the plan owns: its
+    slots in block order and, per marked block, its rank in the plan, its
+    canonical orientation and its label. A receiver that only decrypts
+    reads the masks alone and never builds them. The first read replaces
+    the call by its result in one assignment, so concurrent first reads
+    each build the same arrays.
     """
 
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
-    _block_slots: np.ndarray | None = field(repr=False)  # stack-flat, block order
-    _rank: np.ndarray | None = field(repr=False)  # plan position per marked block
-    _orientation: np.ndarray | None = field(repr=False)  # uint8 per marked block
-    _labels: np.ndarray = field(repr=False)  # scope label per block
-    _block: int = field(repr=False)  # block side b
+    # The call that builds `(slots, slot_labels)` until the first read,
+    # then its result.
+    _visit: Callable[[], tuple] | tuple = field(repr=False)
 
-    @cached_property
+    def _visit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        visit = self._visit
+        if callable(visit):
+            visit = visit()
+            object.__setattr__(self, "_visit", visit)
+        return visit
+
+    @property
     def slots(self) -> np.ndarray:
         """Stack-flat indices `block * b * b + cell`, embedding order."""
-        slots = _visit_order(self._block_slots, self._rank, self._orientation, self._block)
-        # The visit order replaces its inputs.
-        for name in ("_block_slots", "_rank", "_orientation"):
-            object.__setattr__(self, name, None)
-        return slots
+        return self._visit_arrays()[0]
 
-    @cached_property
+    @property
     def slot_labels(self) -> np.ndarray:
         """The scope label of each slot of `slots`."""
-        return self._labels[self.slots // self._block**2]
+        return self._visit_arrays()[1]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -236,10 +241,12 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _visit_order(slots: np.ndarray, rank: np.ndarray, orientation: np.ndarray, b: int):
-    """`slots`, given in block order, in visit order: blocks by `rank`, each
-    block's slots in its canonical scan order (raster order for ambiguous
-    blocks, whose orientation reads 0)."""
+def _visit_order(slots, rank, orientation, labels, b: int):
+    """`slots`, given in block order, in visit order, and each one's scope
+    label: blocks by `rank`, each block's slots in its canonical scan order
+    (raster order for ambiguous blocks, whose orientation reads 0). `rank`,
+    `orientation` and `labels` hold one entry per marked block, in block
+    order."""
     cells = b * b
     row, cell = np.divmod(slots, cells)
     # Each marked block's run of slots, in block order.
@@ -248,7 +255,9 @@ def _visit_order(slots: np.ndarray, rank: np.ndarray, orientation: np.ndarray, b
     scan = _scan_tables(b)[0].astype(slots.dtype, copy=False)
     visit = np.take(scan, np.repeat(orientation.astype(slots.dtype) * cells, n_slots) + cell)
     visit += np.repeat(rank * cells, n_slots)
-    return slots[np.argsort(visit)]
+    by_rank = np.empty_like(rank)
+    by_rank[rank] = np.arange(rank.size, dtype=rank.dtype)
+    return slots[np.argsort(visit)], np.repeat(labels[by_rank], n_slots[by_rank])
 
 
 def _block_order(labels, n_slots, shifted, key, cells: int) -> np.ndarray:
@@ -340,9 +349,10 @@ def build_order_plan(
     orientation, ambiguous, key = canonical_keys(row, cell, n_slots, cells)
     del row, cell
     # With equal slot counts the smaller signature is the larger packed key.
-    order = _block_order(labels[marked], n_slots, shifted, key, cells)
+    marked_labels = labels[marked]
+    order = _block_order(marked_labels, n_slots, shifted, key, cells)
     blocks = marked[order]
-    key, shifted, block_labels = key[order], shifted[order], labels[blocks]
+    key, shifted, block_labels = key[order], shifted[order], marked_labels[order]
 
     # Equal sort keys sit in adjacent rows. Equal canonical masks imply
     # equal slot counts, so the labels, key words and shifted counts suffice.
@@ -356,4 +366,5 @@ def build_order_plan(
     rank = np.empty(marked.size, dtype=coord)
     rank[order] = np.arange(marked.size, dtype=coord)
     orientation = orientation.astype(np.uint8)
-    return OrderPlan(rot_eligible, scr_eligible, slots, rank, orientation, labels, b)
+    visit = partial(_visit_order, slots, rank, orientation, marked_labels, b)
+    return OrderPlan(rot_eligible, scr_eligible, visit)

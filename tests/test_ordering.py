@@ -533,6 +533,17 @@ class TestOrderPlan:
             assert np.array_equal(plan.rot_eligible, masks[0])
             assert np.array_equal(plan.scr_eligible, masks[1])
 
+    def test_changing_labels_after_the_build_changes_nothing(self):
+        # The plan keeps its own copy of the marked blocks' labels, so the
+        # caller's array may change before the visit order is first read.
+        stack = np.zeros((4, 4, 4), np.uint8)
+        stack[:, 0, 0] = 100
+        labels = np.array([0, 1, 0, 1])
+        plan = build_order_plan(stack, HistPair(pp=100, zp=110), labels)
+        labels[:] = 7
+        assert plan.slot_labels.tolist() == [0, 0, 1, 1]
+        assert (plan.slots // 16).tolist() == [0, 2, 1, 3]
+
     def test_labels_must_be_integers(self):
         stack = np.zeros((2, 4, 4), np.uint8)
         with pytest.raises(ValueError, match="integers or booleans"):
