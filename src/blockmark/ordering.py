@@ -30,8 +30,8 @@ rotated or flipped. Both come from the slots' (block, cell) coordinates:
 
 Blocks without slots carry no ordering constraints and are always eligible
 for both encryption steps. The plan (`OrderPlan`) is the two eligibility
-masks, built at once, and the slots in visiting order with their labels,
-built on first read; the block order is the order of the slots' blocks.
+masks and a call that builds the slots in visiting order with their
+labels; the block order is the order of the slots' blocks.
 """
 
 from __future__ import annotations
@@ -197,41 +197,18 @@ class OrderPlan:
     be scrambled (it may not when its sort key ties within its label).
     Scope `j`'s are `mask & (labels == j)`.
 
-    `slots` holds the slots of the marked (slot-carrying) blocks in
-    embedding order, label by label and block by block: each block's slots
-    form one run, so `slots // (b * b)` reads the block order. `slot_labels`
-    holds each slot's scope label, so scope `j` embeds into
-    `slots[slot_labels == j]`. Both are built together on first read, by
-    the call the plan holds until then, from arrays the plan owns: its
-    slots in block order and, per marked block, its rank in the plan, its
-    canonical orientation and its label. A receiver that only decrypts
-    reads the masks alone and never builds them. The first read replaces
-    the call by its result in one assignment, so concurrent first reads
-    each build the same arrays.
+    `visit_order()` builds `(slots, slot_labels)` anew on each call, from
+    arrays the plan owns. `slots` holds the stack-flat indices `block * b *
+    b + cell` of the marked (slot-carrying) blocks' slots in embedding
+    order, label by label and block by block: each block's slots form one
+    run, so `slots // (b * b)` reads the block order. `slot_labels` holds
+    each slot's scope label, so scope `j` embeds into
+    `slots[slot_labels == j]`. A receiver that only decrypts never calls it.
     """
 
     rot_eligible: np.ndarray  # bool per block index
     scr_eligible: np.ndarray  # bool per block index
-    # The call that builds `(slots, slot_labels)` until the first read,
-    # then its result.
-    _visit: Callable[[], tuple] | tuple = field(repr=False)
-
-    def _visit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        visit = self._visit
-        if callable(visit):
-            visit = visit()
-            object.__setattr__(self, "_visit", visit)
-        return visit
-
-    @property
-    def slots(self) -> np.ndarray:
-        """Stack-flat indices `block * b * b + cell`, embedding order."""
-        return self._visit_arrays()[0]
-
-    @property
-    def slot_labels(self) -> np.ndarray:
-        """The scope label of each slot of `slots`."""
-        return self._visit_arrays()[1]
+    visit_order: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -260,16 +237,20 @@ def _visit_order(slots, rank, orientation, labels, b: int):
     return slots[np.argsort(visit)], np.repeat(labels[by_rank], n_slots[by_rank])
 
 
-def _block_order(labels, n_slots, shifted, key, cells: int) -> np.ndarray:
-    """The order of `np.lexsort((*(~key[:, ::-1]).T, shifted, -n_slots,
-    labels))`: stable, by label, slot count descending, shifted-band count
-    ascending, then packed key words descending, for integer labels.
+def _block_order(labels, n_slots, shifted, key, cells: int):
+    """`(order, tied)`. `order` is the order of `np.lexsort((*(~key[:,
+    ::-1]).T, shifted, -n_slots, labels))`: stable, by label, slot count
+    descending, shifted-band count ascending, then packed key words
+    descending, for integer labels. `tied[k]` is True when rows `order[k]`
+    and `order[k + 1]` have equal sort keys.
 
     Stage 1 is one stable argsort of a uint64 head packed from the label
     offset, `cells - n_slots`, the shifted count and the top bits of
     `~key[:, 0]` that fit. A field cut by the head, and every field after
     it, sorts only the rows whose heads tie, in one `np.lexsort` by run of
     equal heads; both stages are stable, so ties keep their input order.
+    Rows tie where their heads do and, past the head, where the re-sorted
+    fields do too.
     """
     lo, hi = (int(labels.min()), int(labels.max())) if labels.size else (0, 0)
     # (values, bit width) per field, most significant first; both counts
@@ -292,15 +273,20 @@ def _block_order(labels, n_slots, shifted, key, cells: int) -> np.ndarray:
         if take < width:
             rest.append(values)
     order = np.argsort(head, kind="stable")
+    new = _run_starts(head[order])
+    tied = ~new[1:]
     if rest or key.shape[1] > 1:
-        new = _run_starts(head[order])
-        tied = ~new
-        tied[:-1] |= tied[1:]
-        at = np.flatnonzero(tied)
+        in_run = ~new
+        in_run[:-1] |= tied
+        at = np.flatnonzero(in_run)
         rows = order[at]
         keys = [v[rows] for v in rest] + list(~key[rows, 1:].T)
-        order[at] = rows[np.lexsort((*keys[::-1], np.cumsum(new)[at]))]
-    return order
+        sub = np.lexsort((*keys[::-1], np.cumsum(new)[at]))
+        order[at] = rows[sub]
+        keys = [v[sub] for v in keys]
+        # Consecutive entries of `at` from two runs are untied already.
+        tied[at[:-1]] &= np.logical_and.reduce([v[1:] == v[:-1] for v in keys])
+    return order, tied
 
 
 def build_order_plan(
@@ -350,16 +336,10 @@ def build_order_plan(
     del row, cell
     # With equal slot counts the smaller signature is the larger packed key.
     marked_labels = labels[marked]
-    order = _block_order(marked_labels, n_slots, shifted, key, cells)
+    order, tied = _block_order(marked_labels, n_slots, shifted, key, cells)
     blocks = marked[order]
-    key, shifted, block_labels = key[order], shifted[order], marked_labels[order]
-
-    # Equal sort keys sit in adjacent rows. Equal canonical masks imply
-    # equal slot counts, so the labels, key words and shifted counts suffice.
-    same = (key[1:] == key[:-1]).all(axis=1) & (shifted[1:] == shifted[:-1])
-    same &= block_labels[1:] == block_labels[:-1]
     scr_eligible = np.ones(n_blocks, dtype=bool)
-    scr_eligible[blocks[1:][same]] = scr_eligible[blocks[:-1][same]] = False
+    scr_eligible[blocks[1:][tied]] = scr_eligible[blocks[:-1][tied]] = False
     rot_eligible = np.ones(n_blocks, dtype=bool)
     rot_eligible[marked[ambiguous]] = False
 

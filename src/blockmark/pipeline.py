@@ -290,7 +290,9 @@ def _embed(
     for stack, pair in zip(work, pairs):
         shift_histogram(stack, pair)
     plans = [build_order_plan(stack, pair, labels) for stack, pair in zip(work, pairs)]
-    slots = [[p.slots[p.slot_labels == j] for p in plans] for j in range(len(suffixes))]
+    # Scope-major slots; each plane's visit order is dropped once sliced.
+    visits = (p.visit_order() for p in plans)
+    slots = list(zip(*([s[lab == j] for j in range(len(suffixes))] for s, lab in visits)))
     entries = _cipher_masks(keys, plans, labels, suffixes)
     del plans  # the plans' arrays are not needed through the block moves
     # Every capacity is checked before any plane is written.
@@ -381,14 +383,16 @@ def _receive(
     for i, (stack, pair, state) in enumerate(zip(work, side.pairs, shifted)):
         plan = build_order_plan(stack, pair, labels, shifted_state=state)
         if extract:
+            visit, visit_labels = plan.visit_order()
             for j, scope_bits in enumerate(bits):
                 length = side.bit_lengths[len(suffixes) * i + j]
-                slots = plan.slots[plan.slot_labels == j]
+                slots = visit[visit_labels == j]
                 if length > slots.size:
                     raise SideInfoError(
                         f"side info declares {length} bits but only {slots.size} slots exist"
                     )
                 scope_bits.append(extract_bits(stack, pair, slots[:length]))
+            del visit, visit_labels  # before the next plane's plan
             unshift_histogram(stack, pair)
         if keys is not None:
             plans.append(plan)

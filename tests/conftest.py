@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,15 +269,23 @@ def ref_order_plan(plane: np.ndarray, pair: HistPair, block: int, scope=None) ->
     }
 
 
-# The arrays an `OrderPlan` exposes, which plan comparisons check by name.
-PLAN_ARRAYS = ("rot_eligible", "scr_eligible", "slots", "slot_labels")
+def plan_arrays(plan: OrderPlan) -> dict[str, np.ndarray]:
+    """The four arrays of a plan by name, which plan comparisons check all
+    of: its two masks and its visit order's `slots` and `slot_labels`."""
+    slots, slot_labels = plan.visit_order()
+    return {
+        "rot_eligible": plan.rot_eligible,
+        "scr_eligible": plan.scr_eligible,
+        "slots": slots,
+        "slot_labels": slot_labels,
+    }
 
 
 def plan_blocks(plan: OrderPlan, cells: int) -> np.ndarray:
     """The marked block indices of a plan in embedding order, read off its
     slots: the block of the first slot of each run of one block's slots.
     Asserts that every block's slots form a single contiguous run."""
-    rows = plan.slots // cells
+    rows = plan.visit_order()[0] // cells
     blocks = rows[np.diff(rows, prepend=-1) != 0]
     assert np.unique(blocks).size == blocks.size, "a block's slots are split"
     return blocks
@@ -308,11 +315,12 @@ def ref_mask_stack_canonicalize(mask_blocks: np.ndarray):
     return np.where(ambiguous, 0, cand.argmax(axis=1)), ambiguous, key
 
 
-def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> SimpleNamespace:
+def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> dict:
     """`build_order_plan` from the marked blocks' `(n, cells)` slot-mask
     stack: canonicalize the stack, sort the blocks, then read each sorted
     mask's slots with `np.nonzero` and order them by scan position. Returns
-    the `PLAN_ARRAYS` of the plan."""
+    the `plan_arrays` of the plan; sort-key ties are found by comparing the
+    gathered keys of adjacent sorted blocks."""
     n_blocks, b, _ = stack.shape
     cells = b * b
     labels = np.zeros(n_blocks, np.intp) if labels is None else np.asarray(labels)
@@ -341,12 +349,12 @@ def ref_mask_stack_plan(stack: np.ndarray, pair: HistPair, labels=None) -> Simpl
     row, cell = np.nonzero(mask_blocks[order])
     visit = np.argsort(row * cells + scan[orientation[row], cell])
     row, cell = row[visit], cell[visit]
-    return SimpleNamespace(
-        rot_eligible=rot_eligible,
-        scr_eligible=scr_eligible,
-        slots=blocks[row] * cells + cell,
-        slot_labels=block_labels[row],
-    )
+    return {
+        "rot_eligible": rot_eligible,
+        "scr_eligible": scr_eligible,
+        "slots": blocks[row] * cells + cell,
+        "slot_labels": block_labels[row],
+    }
 
 
 def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: Mode) -> Image:
@@ -381,7 +389,8 @@ def encrypted_domain_reference(image: Image, payloads, keys, block: int, mode: M
     def embed_scope(planes, plans, j):
         bits, out = list(payloads[j]), []
         for plane, pair, p in zip(planes, pairs, plans):
-            slots = p.slots[p.slot_labels == j]
+            slots, slot_labels = p.visit_order()
+            slots = slots[slot_labels == j]
             stack = block_stack(plane, grid)
             embed_bits(stack, pair, slots, bits[: slots.size])
             out.append(stack_to_plane(stack, grid))

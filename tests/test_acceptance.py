@@ -105,8 +105,9 @@ def _marked_plain_reference(image, payload, keys, block, mode):
         work = block_stack(plane, grid)
         shift_histogram(work, pair)
         plan = build_order_plan(work, pair, labels)
+        plan_slots, slot_labels = plan.visit_order()
         for s, bits in enumerate(payloads):
-            slots = plan.slots[plan.slot_labels == s]
+            slots = plan_slots[slot_labels == s]
             take = min(slots.size, bits.size - offsets[s])
             chunk = bits[offsets[s] : offsets[s] + take]
             offsets[s] += take
@@ -300,7 +301,7 @@ def test_c5_capacity_block_size_independence():
             pair = find_pp_zp(plane)
             stack = block_stack(plane, grid)
             shift_histogram(stack, pair)
-            total += build_order_plan(stack, pair).slots.size
+            total += build_order_plan(stack, pair).visit_order()[0].size
         slot_totals[block] = total
     ok = all(t == report_total for t in slot_totals.values())
     _report("C5 capacity block-size independence", ok, f"{slot_totals}")

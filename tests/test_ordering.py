@@ -21,8 +21,8 @@ from blockmark.histshift import marked_mask
 from blockmark.image_io import stack_to_plane
 from blockmark.ordering import INVERSE_ORIENTATION, apply_orientation, canonical_keys
 from conftest import (
-    PLAN_ARRAYS,
     key_signature,
+    plan_arrays,
     plan_blocks,
     ref_canonical_signature,
     ref_mask_stack_canonicalize,
@@ -238,8 +238,8 @@ class TestCanonical:
         stack = _stack_of_blocks({0: mask}, n, 1)
         t_stack = apply_orientation(stack, o)
         source = apply_orientation(np.arange(n * n).reshape(n, n), o).ravel()
-        before = build_order_plan(stack, MARK).slots
-        after = build_order_plan(t_stack, MARK).slots
+        before = build_order_plan(stack, MARK).visit_order()[0]
+        after = build_order_plan(t_stack, MARK).visit_order()[0]
         assert np.array_equal(source[after], before)
 
 
@@ -288,7 +288,7 @@ class TestAmongOrder:
         plan = build_order_plan(stack, MARK, labels)
         assert plan_blocks(plan, 16).tolist() == order
         assert np.flatnonzero(~plan.scr_eligible).tolist() == flagged
-        assert plan.slot_labels.tolist() == sorted([label_2] * 2 + [label_7] * 2)
+        assert plan.visit_order()[1].tolist() == sorted([label_2] * 2 + [label_7] * 2)
 
     def test_signature_breaks_ties(self):
         # Equal slot and shifted counts; block 1's canonical signature
@@ -342,14 +342,15 @@ class TestPlanOracle:
         blocks = plan_blocks(plan, block * block)
         block_labels = labels[blocks]
         assert (np.diff(block_labels) >= 0).all()
-        assert plan.slot_labels.shape == plan.slots.shape
+        slots, slot_labels = plan.visit_order()
+        assert slot_labels.shape == slots.shape
         for j in range(3):
             ref = ref_order_plan(plane, pair, block, np.flatnonzero(labels == j))
             assert blocks[block_labels == j].tolist() == ref["blocks"]
             for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
                 got = _mask(plan, field) & (labels == j)
                 assert set(np.flatnonzero(got).tolist()) == ref[field]
-            assert plan.slots[plan.slot_labels == j].tolist() == ref["slots"]
+            assert slots[slot_labels == j].tolist() == ref["slots"]
 
 
 @st.composite
@@ -437,17 +438,24 @@ class TestMaskStackOracle:
     @given(stack_cases())
     def test_matches_mask_stack_plan(self, case):
         stack, pair, labels = case
-        got, want = build_order_plan(stack, pair, labels), ref_mask_stack_plan(stack, pair, labels)
-        cells = stack[0].size
-        assert np.array_equal(plan_blocks(got, cells), plan_blocks(want, cells))
-        for field in PLAN_ARRAYS:
-            a, b = getattr(got, field), getattr(want, field)
+        got = plan_arrays(build_order_plan(stack, pair, labels))
+        want = ref_mask_stack_plan(stack, pair, labels)
+        assert got.keys() == want.keys()
+        for field, a in got.items():
+            b = want[field]
             assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), field
 
 
 def _lexsort_order(labels, n_slots, shifted, key):
     """The marked blocks' order as one `np.lexsort` over every sort key."""
     return np.lexsort((*(~key[:, ::-1]).T, shifted, -n_slots, labels))
+
+
+def _adjacent_ties(order, labels, n_slots, shifted, key):
+    """Whether each pair of adjacent rows of `order` has equal label, slot
+    count, shifted count and key words: equal sort keys."""
+    fields = [labels[order], n_slots[order], shifted[order], *key[order].T]
+    return np.logical_and.reduce([f[1:] == f[:-1] for f in fields])
 
 
 @st.composite
@@ -482,14 +490,18 @@ def sort_fields(draw):
 
 class TestBlockOrder:
     """The packed two-stage sort orders the marked blocks exactly as one
-    `np.lexsort` over (label, -slot count, shifted count, ~key words)."""
+    `np.lexsort` over (label, -slot count, shifted count, ~key words), and
+    reports which adjacent rows of its order have equal sort keys."""
 
     @settings(max_examples=500)
     @given(sort_fields())
     def test_matches_lexsort(self, fields):
+        # Slot counts are drawn apart from keys, so they take part in ties.
         labels, n_slots, shifted, key, cells = fields
-        got = ordering._block_order(labels, n_slots, shifted, key, cells)
+        got, tied = ordering._block_order(labels, n_slots, shifted, key, cells)
         assert np.array_equal(got, _lexsort_order(labels, n_slots, shifted, key))
+        assert tied.dtype == bool
+        assert np.array_equal(tied, _adjacent_ties(got, labels, n_slots, shifted, key))
 
     @pytest.mark.parametrize(
         "labels",
@@ -504,45 +516,52 @@ class TestBlockOrder:
         key[[1, 4], 0] |= np.uint64(1)
         key[[2, 5], 1] = np.uint64(1)
         n_slots, shifted = np.full(6, 5), np.full(6, 2)
-        got = ordering._block_order(labels, n_slots, shifted, key, 256)
+        got, tied = ordering._block_order(labels, n_slots, shifted, key, 256)
         assert np.array_equal(got, _lexsort_order(labels, n_slots, shifted, key))
         assert got.tolist() != np.lexsort((labels,)).tolist()
+        # Equal keys sit in rows of opposite parity, so they tie only where
+        # every label is the same.
+        one_label = [True, False, True, False, True]
+        assert tied.tolist() == (one_label if np.unique(labels).size == 1 else [False] * 5)
 
     def test_full_width_labels_fill_the_head(self):
+        # The labels fill the head, so every other field, and row 5's tie
+        # with row 1, is decided past it.
         info = np.iinfo(np.intp)
-        labels = np.array([info.max, info.min, 0, info.max, info.min], dtype=np.intp)
-        n_slots, shifted = np.array([1, 2, 2, 1, 1]), np.array([0, 0, 1, 0, 0])
-        key = np.array([[1], [2], [3], [4], [2]], dtype=np.uint64) << np.uint64(60)
-        got = ordering._block_order(labels, n_slots, shifted, key, 16)
-        assert got.tolist() == [1, 4, 2, 3, 0]
+        labels = np.array([info.max, info.min, 0, info.max, info.min, info.min], dtype=np.intp)
+        n_slots, shifted = np.array([1, 2, 2, 1, 1, 2]), np.array([0, 0, 1, 0, 0, 0])
+        key = np.array([[1], [2], [3], [4], [2], [2]], dtype=np.uint64) << np.uint64(60)
+        got, tied = ordering._block_order(labels, n_slots, shifted, key, 16)
+        assert got.tolist() == [1, 5, 4, 2, 3, 0]
+        assert tied.tolist() == [True, False, False, False, False]
 
 
 class TestOrderPlan:
     @settings(max_examples=100)
     @given(stack_cases())
-    def test_read_order_gives_same_arrays(self, case):
-        # `slots` and `slot_labels` are built on first read; reading the
-        # labels first, or the masks after either, changes nothing.
+    def test_visit_order_calls_agree(self, case):
+        # Each call builds the visit order anew: two calls return equal
+        # arrays and leave both masks as they were.
         stack, pair, labels = case
-        first, second = build_order_plan(stack, pair, labels), build_order_plan(stack, pair, labels)
-        masks = first.rot_eligible.copy(), first.scr_eligible.copy()
-        slot_labels = first.slot_labels
-        assert np.array_equal(first.slots, second.slots)
-        assert np.array_equal(slot_labels, second.slot_labels)
-        for plan in (first, second):
-            assert np.array_equal(plan.rot_eligible, masks[0])
-            assert np.array_equal(plan.scr_eligible, masks[1])
+        plan = build_order_plan(stack, pair, labels)
+        masks = plan.rot_eligible.copy(), plan.scr_eligible.copy()
+        first, second = plan.visit_order(), plan.visit_order()
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        assert np.array_equal(plan.rot_eligible, masks[0])
+        assert np.array_equal(plan.scr_eligible, masks[1])
 
     def test_changing_labels_after_the_build_changes_nothing(self):
         # The plan keeps its own copy of the marked blocks' labels, so the
-        # caller's array may change before the visit order is first read.
+        # caller's array may change before the visit order is built.
         stack = np.zeros((4, 4, 4), np.uint8)
         stack[:, 0, 0] = 100
         labels = np.array([0, 1, 0, 1])
         plan = build_order_plan(stack, HistPair(pp=100, zp=110), labels)
         labels[:] = 7
-        assert plan.slot_labels.tolist() == [0, 0, 1, 1]
-        assert (plan.slots // 16).tolist() == [0, 2, 1, 3]
+        slots, slot_labels = plan.visit_order()
+        assert slot_labels.tolist() == [0, 0, 1, 1]
+        assert (slots // 16).tolist() == [0, 2, 1, 3]
 
     def test_labels_must_be_integers(self):
         stack = np.zeros((2, 4, 4), np.uint8)
@@ -554,7 +573,8 @@ class TestOrderPlan:
         grid = split_blocks(plane, 16)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan_blocks(plan, 256).tolist() == []
-        assert plan.slots.size == 0 and plan.slot_labels.size == 0
+        slots, slot_labels = plan.visit_order()
+        assert slots.size == 0 and slot_labels.size == 0
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
 
@@ -571,7 +591,7 @@ class TestOrderPlan:
         blocks = plan_blocks(plan, 16).tolist()
         assert sorted(blocks) == list(range(grid.n_blocks))
         assert blocks == ref["blocks"]
-        assert plan.slots.tolist() == ref["slots"]
+        assert plan.visit_order()[0].tolist() == ref["slots"]
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
             assert set(np.flatnonzero(_mask(plan, field)).tolist()) == ref[field]
 
@@ -588,7 +608,7 @@ class TestOrderPlan:
         plan = build_order_plan(block_stack(plane, split_blocks(plane, 4)), pair)
         ref = ref_order_plan(plane, pair, 4)
         assert plan_blocks(plan, 16).tolist() == ref["blocks"]
-        assert plan.slots.tolist() == ref["slots"]
+        assert plan.visit_order()[0].tolist() == ref["slots"]
         for field in ("tie_flagged", "rot_eligible", "scr_eligible"):
             assert set(np.flatnonzero(_mask(plan, field)).tolist()) == ref[field]
 
@@ -598,11 +618,10 @@ class TestOrderPlan:
         pair = HistPair(pp=9, zp=14)
         for stack in (rgb[..., 1], rgb[::-1, ..., 2]):
             assert not stack.flags.c_contiguous
-            plan = build_order_plan(stack, pair)
-            dense = build_order_plan(stack.copy(), pair)
-            assert np.array_equal(plan_blocks(plan, 16), plan_blocks(dense, 16))
-            for field in ("rot_eligible", "scr_eligible", "slots"):
-                assert np.array_equal(getattr(plan, field), getattr(dense, field))
+            plan = plan_arrays(build_order_plan(stack, pair))
+            dense = plan_arrays(build_order_plan(stack.copy(), pair))
+            for field, a in plan.items():
+                assert np.array_equal(a, dense[field]), field
 
     def test_marks_in_one_block(self):
         plane = np.full((32, 32), 50, dtype=np.uint8)
@@ -613,7 +632,7 @@ class TestOrderPlan:
         assert plan_blocks(plan, 256).tolist() == [0]
         assert np.flatnonzero(plan.rot_eligible).tolist() == [0, 1, 2, 3]
         assert np.flatnonzero(plan.scr_eligible).tolist() == [0, 1, 2, 3]
-        assert plan.slots.tolist() == [1, 2 * 16 + 3]
+        assert plan.visit_order()[0].tolist() == [1, 2 * 16 + 3]
 
     def test_identical_blocks_not_scramble_eligible(self):
         plane = np.full((16, 32), 50, dtype=np.uint8)
@@ -643,7 +662,8 @@ class TestOrderPlan:
         blocks = plan_blocks(plan, 256)
         assert blocks[labels[blocks] == 1].tolist() == [1]
         assert not (plan.rot_eligible & (labels == 1))[0]
-        assert plan.slots[plan.slot_labels == 1].tolist() == [16 * 16 + 4]
+        slots, slot_labels = plan.visit_order()
+        assert slots[slot_labels == 1].tolist() == [16 * 16 + 4]
 
     def test_labels_length_checked(self):
         plane = np.full((16, 32), 50, dtype=np.uint8)
@@ -660,7 +680,7 @@ class TestOrderPlan:
         grid = split_blocks(plane, 8)
         plan = build_order_plan(block_stack(plane, grid), HistPair(pp=7, zp=9))
         assert plan_blocks(plan, 64).tolist() == [1, 0]
-        assert plan.slots.tolist() == [64 + 1, 64 + 8 + 1, 1]
+        assert plan.visit_order()[0].tolist() == [64 + 1, 64 + 8 + 1, 1]
 
     @pytest.mark.parametrize("field", ["rot_eligible", "scr_eligible"])
     def test_shared_key_intersection_matches_sets(self, field):
@@ -741,9 +761,10 @@ class TestPlanStability:
         inter = block_stack(inter, grid)
 
         plan1 = build_order_plan(inter, pair)
-        bits = rng.integers(0, 2, size=plan1.slots.size, dtype=np.uint8)
+        slots1 = plan1.visit_order()[0]
+        bits = rng.integers(0, 2, size=slots1.size, dtype=np.uint8)
         marked = inter.copy()
-        embed_bits(marked, pair, plan1.slots, bits)
+        embed_bits(marked, pair, slots1, bits)
         plan2 = build_order_plan(marked, pair)
 
         assert plan_blocks(plan1, 64).tolist() == plan_blocks(plan2, 64).tolist()
@@ -752,7 +773,8 @@ class TestPlanStability:
         )
         assert np.array_equal(plan1.rot_eligible, plan2.rot_eligible)
         assert np.array_equal(plan1.scr_eligible, plan2.scr_eligible)
-        assert np.array_equal(plan1.slots, plan2.slots)
+        slots2 = plan2.visit_order()[0]
+        assert np.array_equal(slots1, slots2)
 
         key1, key2 = bytes(range(16)), bytes(range(16, 32))
         enc = stack_to_plane(marked, grid)
@@ -769,9 +791,7 @@ class TestPlanStability:
         # content instead, so it is only recomputable after unscrambling.)
         assert np.array_equal(plan3.scr_eligible, plan2.scr_eligible)
         # The embedded values are read back in the same order.
-        assert np.array_equal(
-            enc.ravel()[plan3.slots], marked.ravel()[plan2.slots]
-        )
+        assert np.array_equal(enc.ravel()[plan3.visit_order()[0]], marked.ravel()[slots2])
 
         unscrambled = ref_scramble(
             stack_to_plane(enc, grid), grid, plan3.scr_eligible, key1, TAG_SCRAMBLE, inverse=True
@@ -802,8 +822,8 @@ class TestUnshiftedState:
             data.draw(st.lists(st.integers(0, 2), min_size=n_blocks, max_size=n_blocks))
         )
         pair = HistPair(pp=pp, zp=zp)
-        got = build_order_plan(stack, pair, labels, shifted_state=False)
-        want = build_order_plan(shifted_copy(stack, pair), pair, labels)
-        for field in PLAN_ARRAYS:
-            a, b = getattr(got, field), getattr(want, field)
+        got = plan_arrays(build_order_plan(stack, pair, labels, shifted_state=False))
+        want = plan_arrays(build_order_plan(shifted_copy(stack, pair), pair, labels))
+        for field, a in got.items():
+            b = want[field]
             assert a.dtype == b.dtype and np.array_equal(a, b), field

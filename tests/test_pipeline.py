@@ -171,7 +171,7 @@ class TestSingleDomain:
         plan = build_order_plan(stack, pair)
         hit = 3  # flip the fourth slot between pp and the marked value
         flat = stack.ravel()
-        slot = plan.slots[hit]
+        slot = plan.visit_order()[0][hit]
         flat[slot] = pair.marked_value if flat[slot] == pair.pp else pair.pp
         bits, _ = extract_payload(Image((stack_to_plane(stack, grid),)), side)
         flipped = np.flatnonzero(bits != payload)
